@@ -7,9 +7,19 @@
 //   w(u,v) = 1 if exactly one of (u,v), (v,u) is in the directed graph,
 //   w(u,v) = 2 if both are.
 //
-// This is the offline reference implementation; the Pregel-native
+// This is the offline implementation; the Pregel-native
 // NeighborPropagation/NeighborDiscovery phases in src/spinner compute the
 // same result in-engine, and a test cross-checks the two.
+//
+// Both functions below share one builder made of O(n + m) passes; it
+// never sorts the edge list as a whole. A counting pass buckets each
+// undirected pair {lo, hi} under lo as the key hi<<2 | direction bits, and
+// each bucket is sorted and merged in place. The CSR is then written
+// directly: row v holds its lower neighbours (filled in ascending order by
+// a transpose pass over u < v) followed by its upper neighbours (its own
+// merged bucket), so every row comes out sorted. Tests check the result
+// arc for arc against a sort-based reference (docs/PERFORMANCE.md, "Graph
+// setup: load and convert").
 #ifndef SPINNER_GRAPH_CONVERSION_H_
 #define SPINNER_GRAPH_CONVERSION_H_
 

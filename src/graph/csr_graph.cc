@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -29,39 +30,55 @@ Result<CsrGraph> CsrGraph::FromEdges(int64_t num_vertices,
     }
   }
 
-  CsrGraph g;
-  g.num_vertices_ = num_vertices;
-  g.offsets_.assign(num_vertices + 1, 0);
-  for (const Edge& e : edges) ++g.offsets_[e.src + 1];
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
+  std::vector<int64_t> offsets(num_vertices + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
   const auto m = static_cast<int64_t>(edges.size());
-  g.targets_.resize(m);
-  g.weights_.resize(m);
-  std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  std::vector<VertexId> targets(m);
+  std::vector<EdgeWeight> arc_weights(m);
+  std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t i = 0; i < edges.size(); ++i) {
     const int64_t pos = cursor[edges[i].src]++;
-    g.targets_[pos] = edges[i].dst;
-    g.weights_[pos] = weights.empty() ? 1u : weights[i];
+    targets[pos] = edges[i].dst;
+    arc_weights[pos] = weights.empty() ? 1u : weights[i];
   }
 
   // Sort each vertex's arcs by (target, weight) so that Neighbors() is
-  // ordered and HasArc() can binary-search.
+  // ordered and HasArc() can binary-search. Rows that arrive sorted are
+  // left alone; the others share one scratch buffer.
+  std::vector<std::pair<VertexId, EdgeWeight>> row;
   for (VertexId v = 0; v < num_vertices; ++v) {
-    const int64_t lo = g.offsets_[v];
-    const int64_t hi = g.offsets_[v + 1];
-    std::vector<std::pair<VertexId, EdgeWeight>> row;
-    row.reserve(hi - lo);
+    const int64_t lo = offsets[v];
+    const int64_t hi = offsets[v + 1];
+    bool sorted = true;
+    for (int64_t i = lo + 1; i < hi && sorted; ++i) {
+      sorted = std::pair(targets[i - 1], arc_weights[i - 1]) <=
+               std::pair(targets[i], arc_weights[i]);
+    }
+    if (sorted) continue;
+    row.clear();
     for (int64_t i = lo; i < hi; ++i) {
-      row.emplace_back(g.targets_[i], g.weights_[i]);
+      row.emplace_back(targets[i], arc_weights[i]);
     }
     std::sort(row.begin(), row.end());
     for (int64_t i = lo; i < hi; ++i) {
-      g.targets_[i] = row[i - lo].first;
-      g.weights_[i] = row[i - lo].second;
+      targets[i] = row[i - lo].first;
+      arc_weights[i] = row[i - lo].second;
     }
   }
+  return Finish(num_vertices, std::move(offsets), std::move(targets),
+                std::move(arc_weights));
+}
 
+CsrGraph CsrGraph::Finish(int64_t num_vertices, std::vector<int64_t> offsets,
+                          std::vector<VertexId> targets,
+                          std::vector<EdgeWeight> weights) {
+  CsrGraph g;
+  g.num_vertices_ = num_vertices;
+  g.offsets_ = std::move(offsets);
+  g.targets_ = std::move(targets);
+  g.weights_ = std::move(weights);
   g.weighted_degree_.assign(num_vertices, 0);
   for (VertexId v = 0; v < num_vertices; ++v) {
     int64_t wd = 0;

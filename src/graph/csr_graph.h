@@ -23,8 +23,8 @@ class CsrGraph {
   CsrGraph() = default;
 
   /// Builds from an edge list over vertices [0, num_vertices). Arcs keep
-  /// their multiplicity (no dedup) and are sorted by (src, dst). `weights`
-  /// must be empty (all arcs weight 1) or parallel to `edges`.
+  /// their multiplicity (no dedup) and are sorted by (src, dst, weight).
+  /// `weights` must be empty (all arcs weight 1) or parallel to `edges`.
   /// Fails with InvalidArgument on out-of-range endpoints or a weight/edge
   /// length mismatch.
   static Result<CsrGraph> FromEdges(int64_t num_vertices,
@@ -75,6 +75,17 @@ class CsrGraph {
   EdgeList ToEdgeList() const;
 
  private:
+  // The sort-free symmetric builder behind ConvertToWeightedUndirected and
+  // BuildSymmetric (conversion.cc).
+  friend Result<CsrGraph> Symmetrize(int64_t num_vertices,
+                                     const EdgeList& edges, bool weighted);
+
+  /// Adopts CSR arrays whose rows are already sorted and derives the
+  /// weighted degrees and total arc weight: the last step of every builder.
+  static CsrGraph Finish(int64_t num_vertices, std::vector<int64_t> offsets,
+                         std::vector<VertexId> targets,
+                         std::vector<EdgeWeight> weights);
+
   int64_t num_vertices_ = 0;
   int64_t total_arc_weight_ = 0;
   std::vector<int64_t> offsets_;         // size n+1

@@ -29,13 +29,16 @@ Result<PartitionResult> SpinnerPartitioner::Partition(
 
 Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
     int64_t num_vertices, const EdgeList& directed) const {
-  EdgeList dedup = directed;
-  RemoveSelfLoops(&dedup);
-  SortAndDedup(&dedup);
+  // The conversion drops self-loops and duplicates itself.
   SPINNER_ASSIGN_OR_RETURN(CsrGraph converted,
-                           ConvertToWeightedUndirected(num_vertices, dedup));
+                           ConvertToWeightedUndirected(num_vertices, directed));
   std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
   if (config_.in_engine_conversion) {
+    // The engine converts the raw graph itself, so it gets the
+    // deduplicated, loop-free edges.
+    EdgeList dedup = directed;
+    RemoveSelfLoops(&dedup);
+    SortAndDedup(&dedup);
     SPINNER_ASSIGN_OR_RETURN(CsrGraph raw_directed,
                              CsrGraph::FromEdges(num_vertices, dedup));
     return RunOnGraph(raw_directed, converted, std::move(no_labels),

@@ -3,10 +3,12 @@
 // central claims — ρ ≤ c w.h.p., φ far above hash — as properties).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baselines/hash_partitioner.h"
 #include "graph/conversion.h"
+#include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "spinner/partitioner.h"
 
@@ -204,6 +206,44 @@ TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
   // quality must match closely even though assignments differ.
   EXPECT_NEAR(a->metrics.phi, b->metrics.phi, 0.1);
   EXPECT_NEAR(a->metrics.rho, b->metrics.rho, 0.1);
+}
+
+TEST(SpinnerPartitionTest, PartitionDirectedIgnoresLoopsAndDuplicates) {
+  // PartitionDirected hands the raw edges to the conversion, which drops
+  // self-loops and duplicates itself; only the in-engine branch cleans a
+  // copy. Both branches must give a dirty list the assignment of its clean
+  // copy, and the offline branch that of partitioning the converted clean
+  // graph, as when every run cleaned the input first.
+  auto rmat = RMat(8, 5, 0.5, 0.2, 0.2, 23);
+  ASSERT_TRUE(rmat.ok());
+  EdgeList clean = rmat->edges;
+  RemoveSelfLoops(&clean);
+  SortAndDedup(&clean);
+  EdgeList dirty = rmat->edges;
+  for (size_t i = 0; i < clean.size(); i += 3) dirty.push_back(clean[i]);
+  for (VertexId v = 0; v < rmat->num_vertices; v += 7) dirty.push_back({v, v});
+  std::reverse(dirty.begin(), dirty.end());
+  ASSERT_GT(dirty.size(), clean.size());
+
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.num_workers = 4;
+  for (const bool in_engine : {false, true}) {
+    config.in_engine_conversion = in_engine;
+    SpinnerPartitioner partitioner(config);
+    auto from_dirty = partitioner.PartitionDirected(rmat->num_vertices, dirty);
+    auto from_clean = partitioner.PartitionDirected(rmat->num_vertices, clean);
+    ASSERT_TRUE(from_dirty.ok() && from_clean.ok());
+    EXPECT_EQ(from_dirty->assignment, from_clean->assignment)
+        << "in_engine_conversion=" << in_engine;
+    if (!in_engine) {
+      auto converted = ConvertToWeightedUndirected(rmat->num_vertices, clean);
+      ASSERT_TRUE(converted.ok());
+      auto offline = partitioner.Partition(*converted);
+      ASSERT_TRUE(offline.ok());
+      EXPECT_EQ(from_dirty->assignment, offline->assignment);
+    }
+  }
 }
 
 TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {
