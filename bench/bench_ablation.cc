@@ -3,9 +3,7 @@
 //   1. per-worker asynchronous counters (§IV.A.4) — convergence speedup;
 //   2. the balance penalty term of Eq. 8 — what happens to ρ without it
 //      (approximated by a huge c, which flattens the penalty);
-//   3. in-engine vs offline conversion — setup cost of the two extra
-//      supersteps;
-//   4. halting window w — iterations saved vs quality lost.
+//   3. halting window w — iterations saved vs quality lost.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -17,19 +15,18 @@ namespace {
 void Run() {
   PrintBanner("ABLATIONS — design choices of the Spinner algorithm",
               "async counters speed convergence; penalty term is what "
-              "creates balance; conversion phases cost 2 supersteps; "
-              "larger w trades iterations for certainty");
+              "creates balance; larger w trades iterations for certainty");
   StandIn lj = MakeStandIn("LJ");
   CsrGraph g = Convert(lj.graph);
   PrintStandIn(lj, g);
   const int k = 32;
 
   // --- 1. per-worker asynchronous counters --------------------------------
-  std::printf("\n[1] per-worker async counters (k=%d, 8 workers):\n", k);
+  std::printf("\n[1] per-worker async counters (k=%d, 8 shards):\n", k);
   for (bool async : {true, false}) {
     SpinnerConfig config;
     config.num_partitions = k;
-    config.num_workers = 8;
+    config.execution.num_shards = 8;
     config.per_worker_async = async;
     SpinnerPartitioner partitioner(config);
     auto result = partitioner.Partition(g);
@@ -53,27 +50,8 @@ void Run() {
                 result->metrics.rho);
   }
 
-  // --- 3. conversion path ----------------------------------------------------
-  std::printf("\n[3] conversion path (directed G+ stand-in):\n");
-  StandIn gp = MakeStandIn("G+");
-  for (bool in_engine : {false, true}) {
-    SpinnerConfig config;
-    config.num_partitions = k;
-    config.in_engine_conversion = in_engine;
-    SpinnerPartitioner partitioner(config);
-    auto result =
-        partitioner.PartitionDirected(gp.graph.num_vertices, gp.graph.edges);
-    SPINNER_CHECK(result.ok());
-    std::printf(
-        "  conversion=%-9s supersteps=%-5lld wall=%.2fs phi=%.3f rho=%.3f\n",
-        in_engine ? "in-engine" : "offline",
-        static_cast<long long>(result->run_stats.supersteps),
-        result->run_stats.total_wall_seconds, result->metrics.phi,
-        result->metrics.rho);
-  }
-
-  // --- 4. halting window ------------------------------------------------------
-  std::printf("\n[4] halting window w (eps=0.001):\n");
+  // --- 3. halting window ------------------------------------------------------
+  std::printf("\n[3] halting window w (eps=0.001):\n");
   for (int w : {1, 3, 5, 10}) {
     SpinnerConfig config;
     config.num_partitions = k;
@@ -86,8 +64,8 @@ void Run() {
                 result->metrics.rho);
   }
 
-  // --- 5. balance objective (extension: §II.A "our approach is general") ---
-  std::printf("\n[5] balance objective on the hub-heavy TW stand-in "
+  // --- 4. balance objective (extension: §II.A "our approach is general") ---
+  std::printf("\n[4] balance objective on the hub-heavy TW stand-in "
               "(k=%d):\n", k);
   StandIn tw = MakeStandIn("TW");
   CsrGraph tw_graph = Convert(tw.graph);
@@ -111,8 +89,8 @@ void Run() {
                 result->metrics.phi, result->metrics.rho, cross->rho);
   }
 
-  // --- 6. heterogeneous capacities (extension: mixed clusters) ------------
-  std::printf("\n[6] heterogeneous capacities (k=4, one double machine):\n");
+  // --- 5. heterogeneous capacities (extension: mixed clusters) ------------
+  std::printf("\n[5] heterogeneous capacities (k=4, one double machine):\n");
   {
     SpinnerConfig config;
     config.num_partitions = 4;

@@ -55,15 +55,18 @@ const CsrGraph& CachedWsGraph(int64_t n) {
 
 /// Runs two LPA iterations and returns the wall time of the first full
 /// iteration (supersteps 1 and 2: the first ComputeScores and
-/// ComputeMigrations after Initialize). `shards` maps to num_shards of
-/// the sharded substrate (0 = auto).
+/// ComputeMigrations after Initialize). `shards` (else `workers`) is the
+/// store's shard count (0 = auto); `processes` > 0 runs that many forked
+/// worker processes.
 double FirstIterationSeconds(const CsrGraph& g, int k, int workers,
                              int shards = 0, int processes = 0) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = workers;
-  config.num_shards = shards;
-  config.num_processes = processes;
+  config.execution.num_shards = shards > 0 ? shards : workers;
+  if (processes > 0) {
+    config.execution.mode = ExecutionMode::kMultiProcess;
+    config.execution.num_workers = processes;
+  }
   config.max_iterations = 2;
   config.use_halting = false;
   config.record_history = false;
@@ -132,11 +135,12 @@ void PrintWireReport(int64_t n) {
   for (const int processes : {1, 2}) {
     SpinnerConfig config;
     config.num_partitions = 64;
-    config.num_processes = processes;
+    config.execution.mode = ExecutionMode::kMultiProcess;
+    config.execution.num_workers = processes;
     // Pin the shard count so the reported boundary sizes and byte counts
     // are comparable across runners (auto-resolution follows the host's
     // core count).
-    config.num_shards = 8;
+    config.execution.num_shards = 8;
     config.max_iterations = 3;
     config.use_halting = false;
     config.record_history = false;

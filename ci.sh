@@ -12,9 +12,9 @@
 #   ./ci.sh --mode=multiprocess
 # Builds Release, runs the dist-subsystem tests (wire format, transport,
 # chunked streaming, multi-process invariance and crash paths), then
-# smoke-tests `partition_tool --processes=3` and diffs its assignment
-# byte-for-byte against the in-process run — the execution mode must never
-# change the partitioning.
+# smoke-tests `partition_tool --transport=multiprocess --workers=3` and
+# diffs its assignment byte-for-byte against the in-process run — the
+# execution mode must never change the partitioning.
 #
 # Wire-stress mode (one Release configuration):
 #   ./ci.sh --mode=wire-stress
@@ -250,7 +250,8 @@ if [[ -n "${MODE}" ]]; then
     -R '^(WireFormat|Transport|MultiProcess)' \
     --output-on-failure -j "${JOBS}"
 
-  echo "=== partition_tool --processes=3 smoke (byte-for-byte diff) ==="
+  echo "=== partition_tool --transport=multiprocess --workers=3 smoke" \
+    "(byte-for-byte diff) ==="
   smoke_dir="$(mktemp -d)"
   trap 'rm -rf "${smoke_dir}"' EXIT
   # 5000 vertices: the label array alone is ~20 KiB and each shard slice
@@ -261,7 +262,8 @@ if [[ -n "${MODE}" ]]; then
     --input="${smoke_dir}/edges.txt" --k=16 --seed=11 \
     --out="${smoke_dir}/in_process.txt"
   "./${build_dir}/partition_tool" partition \
-    --input="${smoke_dir}/edges.txt" --k=16 --seed=11 --processes=3 \
+    --input="${smoke_dir}/edges.txt" --k=16 --seed=11 \
+    --transport=multiprocess --workers=3 \
     ${wire_flags[@]+"${wire_flags[@]}"} \
     --out="${smoke_dir}/multi_process.txt"
   cmp "${smoke_dir}/in_process.txt" "${smoke_dir}/multi_process.txt"

@@ -28,9 +28,8 @@
 // Execution-shape flags (shared by partition/adapt/rescale/serve; none of
 // them changes results): --shards, --threads, --transport=
 // inprocess|multiprocess|tcp, --workers (worker processes for the
-// off-thread transports), --processes (legacy spelling of
-// "--transport=multiprocess --workers=N"), --listen (tcp coordinator
-// bind address), --store-dir (forked workers' persistent shard store),
+// off-thread transports), --listen (tcp coordinator bind address),
+// --store-dir (forked workers' persistent shard store),
 // --wire-max-payload (frame payload ceiling in bytes; larger messages
 // stream across chunk frames).
 #include <cstdio>
@@ -86,7 +85,6 @@ constexpr const char* kCommonFlags =
     "                       where the shard workers run (default "
     "inprocess)\n"
     "  --workers=N          worker processes (required for tcp)\n"
-    "  --processes=N        legacy: --transport=multiprocess --workers=N\n"
     "  --listen=HOST:PORT   tcp: coordinator bind address (default "
     "127.0.0.1:0)\n"
     "  --store-dir=DIR      forked workers: persistent shard store root\n"
@@ -208,24 +206,19 @@ PartitionerOptions OptionsFrom(const CommandLine& cli) {
       static_cast<uint64_t>(cli.GetInt("stream-seed", 0));
   options.spinner.num_partitions = static_cast<int>(cli.GetInt("k", 32));
   options.spinner.additional_capacity = cli.GetDouble("c", 1.05);
-  options.spinner.num_workers = static_cast<int>(cli.GetInt("workers", 0));
-  // Execution shape: shards of the graph store and OS threads driving
-  // them. Pure parallelism knobs — the computed partitioning is identical
-  // for every choice.
+  // Execution shape: shards of the graph store, OS threads driving them,
+  // and worker processes of the off-thread transports. Pure parallelism
+  // knobs — the computed partitioning is identical for every choice.
   options.execution.num_shards =
       static_cast<int>(cli.GetInt("shards", 0));
   options.execution.num_threads =
       static_cast<int>(cli.GetInt("threads", 0));
-  options.num_processes = static_cast<int>(cli.GetInt("processes", 0));
+  options.execution.num_workers = static_cast<int>(cli.GetInt("workers", 0));
   const std::string transport = cli.GetString("transport", "inprocess");
   if (transport == "multiprocess") {
     options.execution.mode = ExecutionMode::kMultiProcess;
-    options.execution.num_workers =
-        static_cast<int>(cli.GetInt("workers", 0));
   } else if (transport == "tcp") {
     options.execution.mode = ExecutionMode::kTcp;
-    options.execution.num_workers =
-        static_cast<int>(cli.GetInt("workers", 0));
     options.execution.listen_address =
         cli.GetString("listen", "127.0.0.1:0");
     options.execution.handshake_timeout_ms =
@@ -438,6 +431,14 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   CommandLine cli;
   if (!cli.Parse(argc, argv).ok()) return Usage();
+  // CommandLine ignores unknown flags, so a script still passing the
+  // removed --processes would silently run in-process; fail it instead.
+  if (cli.Has("processes")) {
+    std::fprintf(stderr,
+                 "error: --processes was removed; use "
+                 "--transport=multiprocess --workers=N\n");
+    return 2;
+  }
 
   const Subcommand* sub = nullptr;
   for (const Subcommand& candidate : kSubcommands) {

@@ -36,28 +36,11 @@ struct PartitionerOptions {
   /// edge balance so sweeps compare against Spinner's objective.
   bool balance_on_edges = true;
 
-  /// DEPRECATED — use execution.num_shards / num_threads / num_workers.
-  /// Parallel partitioners (spinner): shards of the graph store, OS
-  /// threads driving them in-process, and worker processes for the
-  /// cross-process execution mode (num_processes > 0 drives that many
-  /// ShardWorkers speaking the dist wire protocol; 0 = in-process). Pure
-  /// execution-shape knobs — results never depend on them. Sequential
-  /// baselines ignore all three.
-  int num_shards = 0;
-  int num_threads = 0;
-  int num_processes = 0;
-
-  /// DEPRECATED — use execution.wire_max_payload. Cross-process wire
-  /// transport: per-frame payload ceiling in bytes (larger messages
-  /// stream across chunk frames). 0 = transport default
-  /// (SPINNER_WIRE_MAX_PAYLOAD env override, or 1 GiB). Ignored
-  /// in-process.
-  uint64_t wire_max_payload = 0;
-
-  /// The execution shape (mode, widths, wire and endpoint config) shared
-  /// with SpinnerConfig and SessionOptions; non-default fields win over
-  /// the deprecated flat knobs above and over the equivalent fields of
-  /// `spinner`. See spinner/execution_options.h.
+  /// Parallel partitioners (spinner): the execution shape (mode, shard /
+  /// thread / worker counts, wire and endpoint config). Non-default
+  /// fields win field-wise over `spinner.execution`. Pure execution-shape
+  /// knobs — results never depend on them; sequential baselines ignore
+  /// them. See spinner/execution_options.h.
   ExecutionOptions execution = {};
 
   /// Fennel: γ exponent and ν balance cap (WSDM'14 defaults).

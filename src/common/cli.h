@@ -13,7 +13,8 @@
 namespace spinner {
 
 /// Parses argv into a name->value map and answers typed lookups with
-/// defaults. Unknown flags are collected so binaries can reject typos.
+/// defaults. Flags no getter asks for are silently ignored; a binary that
+/// must reject one checks Has() itself.
 class CommandLine {
  public:
   /// Parses flags; non-flag arguments are ignored. Returns an error on

@@ -29,6 +29,18 @@ int ResolveNumWorkers(int requested, int num_shards) {
   return std::max(1, std::min(num_shards, HardwareThreads()));
 }
 
+MultiProcessOptions MultiProcessOptionsFor(
+    const ExecutionOptions& execution) {
+  MultiProcessOptions mp;
+  mp.num_workers = execution.num_workers;
+  mp.transport = TransportOptions::Resolve(execution.wire_max_payload);
+  mp.worker_store_dir = execution.worker_store_dir;
+  mp.rpc_timeout_ms = execution.rpc_timeout_ms;
+  mp.heartbeat_period_ms = execution.heartbeat_period_ms;
+  mp.max_recovery_attempts = execution.max_recovery_attempts;
+  return mp;
+}
+
 Coordinator::~Coordinator() { ForceKill(); }
 
 Status Coordinator::Spawn(const SpinnerConfig& config,

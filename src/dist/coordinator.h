@@ -96,6 +96,11 @@ struct MultiProcessOptions {
 /// The worker-process count a run should use; never affects results.
 int ResolveNumWorkers(int requested, int num_shards);
 
+/// The options `execution` selects: worker count, wire payload ceiling,
+/// worker store directory, deadlines and recovery attempts. The caller
+/// sets worker_transport for kTcp.
+MultiProcessOptions MultiProcessOptionsFor(const ExecutionOptions& execution);
+
 /// Owns the worker endpoints of one multi-process run. Not thread-safe.
 class Coordinator {
  public:

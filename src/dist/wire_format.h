@@ -303,7 +303,7 @@ struct InitRequest {
   /// worker only the slice covering its owned range (base = first owned
   /// vertex), so Init traffic and worker memory are O(owned), not O(V).
   VertexId base = 0;
-  /// SpinnerProgram initial-label contract: entries whose *global* id
+  /// The driver's initial-label contract: entries whose *global* id
   /// (base + index) falls below the caller's initial-label count and that
   /// are not kNoPartition are fixed restart labels; everything else
   /// hash-draws.

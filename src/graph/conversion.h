@@ -7,9 +7,9 @@
 //   w(u,v) = 1 if exactly one of (u,v), (v,u) is in the directed graph,
 //   w(u,v) = 2 if both are.
 //
-// This is the offline implementation; the Pregel-native
-// NeighborPropagation/NeighborDiscovery phases in src/spinner compute the
-// same result in-engine, and a test cross-checks the two.
+// The paper computes this in-engine (the NeighborPropagation and
+// NeighborDiscovery supersteps, §IV.A.1); here it runs once, before label
+// propagation, on every path that partitions a directed graph.
 //
 // Both functions below share one builder made of O(n + m) passes; it
 // never sorts the edge list as a whole. A counting pass buckets each

@@ -6,10 +6,9 @@
 // into a private partial — no synchronization during compute — and partials
 // are merged at the superstep barrier in worker order (deterministic).
 //
-// A `persistent` aggregator keeps accumulating across supersteps (used for
-// Spinner's partition loads b(l), which are maintained by deltas); a
-// non-persistent one resets at every barrier (used for migration counters
-// m(l) and the global score).
+// A `persistent` aggregator keeps accumulating across supersteps (a value
+// maintained by deltas); a non-persistent one resets at every barrier (a
+// per-superstep counter).
 #ifndef SPINNER_PREGEL_AGGREGATORS_H_
 #define SPINNER_PREGEL_AGGREGATORS_H_
 
@@ -95,57 +94,6 @@ class DoubleMaxAggregator : public AggregatorBase {
  private:
   static constexpr double kZero = -1.7976931348623157e308;
   double value_ = kZero;
-};
-
-/// Element-wise sum over a fixed-size int64 vector: one counter per
-/// partition. This is the Spinner workhorse — b(l) and m(l) are instances.
-class VectorSumAggregator : public AggregatorBase {
- public:
-  VectorSumAggregator() = default;
-  explicit VectorSumAggregator(size_t size) : values_(size, 0) {}
-
-  void Add(size_t i, int64_t delta) {
-    SPINNER_DCHECK(i < values_.size());
-    values_[i] += delta;
-  }
-  int64_t value(size_t i) const { return values_[i]; }
-  const std::vector<int64_t>& values() const { return values_; }
-  std::vector<int64_t>* mutable_values() { return &values_; }
-  size_t size() const { return values_.size(); }
-
-  /// Grows/shrinks the vector (elastic repartitioning changes k).
-  void Resize(size_t size) { values_.resize(size, 0); }
-
-  std::unique_ptr<AggregatorBase> CloneEmpty() const override {
-    return std::make_unique<VectorSumAggregator>(values_.size());
-  }
-  void MergeFrom(const AggregatorBase& other) override {
-    const auto& o = static_cast<const VectorSumAggregator&>(other);
-    if (values_.size() < o.values_.size()) values_.resize(o.values_.size(), 0);
-    for (size_t i = 0; i < o.values_.size(); ++i) values_[i] += o.values_[i];
-  }
-  void Reset() override { values_.assign(values_.size(), 0); }
-
- private:
-  std::vector<int64_t> values_;
-};
-
-/// Single int64 broadcast slot written by the master (e.g. the current
-/// algorithm phase) and read by all vertices. Not vertex-writable: merge is
-/// "keep master value".
-class LongBroadcastAggregator : public AggregatorBase {
- public:
-  int64_t value() const { return value_; }
-  void set_value(int64_t v) { value_ = v; }
-
-  std::unique_ptr<AggregatorBase> CloneEmpty() const override {
-    return std::make_unique<LongBroadcastAggregator>();
-  }
-  void MergeFrom(const AggregatorBase&) override {}  // master-only writes
-  void Reset() override {}                           // value persists
-
- private:
-  int64_t value_ = 0;
 };
 
 /// Registry of named aggregators with worker-partial management.

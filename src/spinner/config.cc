@@ -28,22 +28,7 @@ Status SpinnerConfig::Validate() const {
     return Status::InvalidArgument(
         StrFormat("max_iterations must be >= 1 (got %d)", max_iterations));
   }
-  if (num_workers < 0 || num_shards < 0 || num_threads < 0 ||
-      num_processes < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "num_workers/num_shards/num_threads/num_processes must be >= 0 "
-        "(0 = auto/in-process; got %d/%d/%d/%d)",
-        num_workers, num_shards, num_threads, num_processes));
-  }
-  // 64 = dist/transport.h kMinFramePayload (spinner/ cannot include
-  // dist/; a static_assert in transport.cc keeps the literal in sync).
-  if (wire_max_payload != 0 && wire_max_payload < 64) {
-    return Status::InvalidArgument(StrFormat(
-        "wire_max_payload must be 0 (transport default) or >= 64 bytes "
-        "(got %llu)",
-        static_cast<unsigned long long>(wire_max_payload)));
-  }
-  SPINNER_RETURN_IF_ERROR(ResolvedExecution().Validate());
+  SPINNER_RETURN_IF_ERROR(execution.Validate());
   if (!partition_weights.empty()) {
     if (static_cast<int>(partition_weights.size()) != num_partitions) {
       return Status::InvalidArgument(StrFormat(
@@ -59,16 +44,6 @@ Status SpinnerConfig::Validate() const {
     }
   }
   return Status::OK();
-}
-
-ExecutionOptions SpinnerConfig::ResolvedExecution() const {
-  ExecutionOptions legacy;
-  legacy.num_shards = num_shards;
-  legacy.num_threads = num_threads;
-  legacy.num_workers = num_processes;
-  legacy.wire_max_payload = wire_max_payload;
-  if (num_processes > 0) legacy.mode = ExecutionMode::kMultiProcess;
-  return MergedExecution(execution, legacy);
 }
 
 }  // namespace spinner

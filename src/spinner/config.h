@@ -58,47 +58,10 @@ struct SpinnerConfig {
   /// Execution shape and endpoints (spinner/execution_options.h): shard /
   /// thread / worker-process counts, the wire payload ceiling, and the
   /// TCP endpoint configuration. Pure parallelism knobs: results are
-  /// bit-identical for every choice. Explicitly-set fields here win over
-  /// the deprecated flat fields below (ResolvedExecution()).
+  /// bit-identical for every choice. Outer option layers
+  /// (SessionOptions::execution, PartitionerOptions::execution) win over
+  /// this field-wise.
   ExecutionOptions execution = {};
-
-  /// Pregel workers to simulate (0 = one per hardware thread). This is the
-  /// machine count of the simulated cluster; it affects the per-worker
-  /// asynchronous optimization but not correctness. Only meaningful for
-  /// the Pregel-engine substrate (in_engine_conversion runs and the app
-  /// suite); the sharded substrate maps it to the shard count when
-  /// num_shards is 0. (Not an ExecutionOptions field: it is algorithmic
-  /// input to the simulated-cluster substrate, not an execution shape.)
-  int num_workers = 0;
-
-  /// DEPRECATED — use execution.num_shards. Shards of the
-  /// ShardedGraphStore the shard-parallel substrate runs over (0 =
-  /// num_workers when set, else one shard per hardware thread capped by
-  /// the vertex-block count).
-  int num_shards = 0;
-
-  /// DEPRECATED — use execution.num_threads. OS threads
-  /// (0 = min(num_workers-or-num_shards, hardware)).
-  int num_threads = 0;
-
-  /// DEPRECATED — use execution.num_workers with execution.mode =
-  /// kMultiProcess. Worker *processes* for the cross-process execution
-  /// mode (src/dist): 0 runs in-process on a ThreadPool; > 0 forks that
-  /// many ShardWorker processes speaking the dist wire protocol.
-  int num_processes = 0;
-
-  /// DEPRECATED — use execution.wire_max_payload. Per-frame payload
-  /// ceiling (bytes) of the cross-process wire transport; messages larger
-  /// than this stream across chunk frames. 0 = the transport default
-  /// (SPINNER_WIRE_MAX_PAYLOAD env override, or 1 GiB — see
-  /// dist/transport.h TransportOptions). Minimum 64.
-  uint64_t wire_max_payload = 0;
-
-  /// When true, the directed→weighted-undirected conversion runs inside the
-  /// engine as the NeighborPropagation/NeighborDiscovery supersteps
-  /// (§IV.A.1), exactly as the Giraph implementation does. When false the
-  /// caller passes an already-converted graph.
-  bool in_engine_conversion = false;
 
   /// §IV.A.4: per-worker asynchronous load counters. Disable to ablate
   /// (the bench_ablation target measures the convergence cost).
@@ -114,17 +77,11 @@ struct SpinnerConfig {
 
   /// Checks the configuration for internal consistency: k ≥ 1, c > 1
   /// (Eq. 5 needs spare capacity), ε ≥ 0, halt_window ≥ 1,
-  /// max_iterations ≥ 1, and — when partition_weights is non-empty — one
-  /// strictly positive weight per partition. Called by the partitioner
-  /// before every run and by PartitioningSession at construction.
+  /// max_iterations ≥ 1, a valid `execution` (ExecutionOptions::Validate)
+  /// and — when partition_weights is non-empty — one strictly positive
+  /// weight per partition. Called by the partitioner before every run and
+  /// by PartitioningSession at construction.
   Status Validate() const;
-
-  /// The effective execution shape: `execution` with every unset field
-  /// filled from the deprecated flat fields (num_shards / num_threads /
-  /// num_processes / wire_max_payload; num_processes > 0 implies
-  /// kMultiProcess when no mode was set explicitly). All execution-shape
-  /// consumers read this, never the flat fields directly.
-  ExecutionOptions ResolvedExecution() const;
 };
 
 }  // namespace spinner

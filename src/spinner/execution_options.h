@@ -1,13 +1,12 @@
 // ExecutionOptions: the one place execution shape is configured.
 //
-// Before this header existed, the parallelism and wire knobs
-// (num_shards / num_threads / num_processes / wire_max_payload) were
-// triplicated across SpinnerConfig, SessionOptions and PartitionerOptions,
-// each copy resolved ad hoc at a different layer. All three structs now
-// nest one ExecutionOptions (their legacy flat fields remain as deprecated
-// shims for one release) and every layer resolves through the same merge
-// rule: an explicitly-set nested field wins over a legacy flat field, and
-// outer layers (SessionOptions) win over inner ones (SpinnerConfig).
+// Every execution knob (mode, shard / thread / worker counts, the wire
+// payload ceiling, TCP endpoints, deadlines, recovery) is exactly one
+// field of this struct. SpinnerConfig, SessionOptions and
+// PartitionerOptions each nest one, and two layers merge field-wise
+// through MergedExecution: SessionOptions::execution over the session
+// config's SpinnerConfig::execution, and PartitionerOptions::execution
+// over PartitionerOptions::spinner.execution.
 //
 // Execution shape never changes results: partitioning assignments and the
 // float φ/ρ/score histories are bit-identical for every mode / shard /
@@ -103,8 +102,8 @@ struct ExecutionOptions {
 
 /// Field-wise merge: every `primary` field that differs from its default
 /// wins; unset fields fall back to `fallback`. This is the one precedence
-/// rule all option layers use (session options over config, nested struct
-/// over deprecated flat fields).
+/// rule of the two option layers (outer session/registry options over the
+/// SpinnerConfig they carry).
 ExecutionOptions MergedExecution(const ExecutionOptions& primary,
                                  const ExecutionOptions& fallback);
 

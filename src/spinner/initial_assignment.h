@@ -3,7 +3,8 @@
 // labels, new vertices join the least-loaded partition) and elastic
 // (§III.E: probabilistic migration to added partitions / evacuation of
 // removed ones). Pure functions — unit-tested in isolation, then fed to
-// SpinnerProgram as the initial_labels vector.
+// the superstep driver (spinner/superstep_driver.h) as the initial_labels
+// vector.
 #ifndef SPINNER_SPINNER_INITIAL_ASSIGNMENT_H_
 #define SPINNER_SPINNER_INITIAL_ASSIGNMENT_H_
 

@@ -1,11 +1,8 @@
-// The per-vertex decision kernel of Spinner's label propagation, shared by
-// the two execution substrates:
-//  * the Pregel BSP engine (spinner/program.cc), faithful to the paper's
-//    Giraph deployment;
-//  * the shard-parallel superstep loop (spinner/sharded_program.cc) that
-//    runs directly over a ShardedGraphStore.
+// The per-vertex decision kernel of Spinner's label propagation, called by
+// the per-shard phase bodies (spinner/shard_superstep.h) that every
+// execution mode runs — in-process shard tasks and ShardWorker processes.
 //
-// Both paths must take bit-identical decisions for the same inputs — label
+// Every mode must take bit-identical decisions for the same inputs — label
 // choice (Eq. 8 + deterministic tie break), migration probability (Eq. 14)
 // and the hash-derived random streams — so the kernel lives here exactly
 // once. All randomness is stateless: hash (seed, domain, superstep, vertex)

@@ -58,8 +58,8 @@ struct PartitionResult {
   /// Wire traffic of the cross-process execution mode (zeros when the run
   /// stayed in-process).
   WireTraffic wire;
-  /// Work-stealing claim counters of the in-process sharded substrate
-  /// (zeros for the Pregel engine and cross-process modes).
+  /// Work-stealing claim counters of the in-process execution mode (zeros
+  /// for the cross-process modes).
   ScheduleStats schedule;
 };
 
@@ -72,10 +72,9 @@ class SpinnerPartitioner {
   /// Partitions a converted (symmetric, weighted) graph from scratch.
   Result<PartitionResult> Partition(const CsrGraph& converted) const;
 
-  /// Partitions a raw directed edge list from scratch: deduplicates edges,
-  /// then either converts offline or — when config.in_engine_conversion is
-  /// set — runs the NeighborPropagation/NeighborDiscovery supersteps
-  /// in-engine exactly like the Giraph implementation.
+  /// Partitions a raw directed edge list from scratch: converts it with
+  /// ConvertToWeightedUndirected (Eq. 3; self-loops and duplicates are
+  /// dropped), then partitions the converted graph.
   Result<PartitionResult> PartitionDirected(int64_t num_vertices,
                                             const EdgeList& directed) const;
 
@@ -106,18 +105,13 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// Dispatches to the right substrate: pre-converted graphs run
-  /// shard-parallel over a ShardedGraphStore (spinner/sharded_program.h);
-  /// in-engine conversion runs on the Pregel engine via RunOnEngine.
-  Result<PartitionResult> RunOnGraph(const CsrGraph& engine_graph,
-                                     const CsrGraph& converted,
+  /// Runs label propagation with `k` partitions over a throwaway
+  /// ShardedGraphStore of `converted`, in the execution mode
+  /// config.execution selects (spinner/sharded_program.h,
+  /// dist/coordinator.h).
+  Result<PartitionResult> RunOnGraph(const CsrGraph& converted,
                                      std::vector<PartitionId> initial_labels,
-                                     int k, bool with_conversion) const;
-
-  /// The Pregel-engine substrate (conversion supersteps included).
-  Result<PartitionResult> RunOnEngine(
-      const CsrGraph& engine_graph, std::vector<PartitionId> initial_labels,
-      const SpinnerConfig& run_config) const;
+                                     int k) const;
 
   SpinnerConfig config_;
   ProgressObserver observer_;

@@ -18,35 +18,7 @@ PartitioningSession::PartitioningSession(const SpinnerConfig& config,
       options_(options),
       init_status_(config.Validate()),
       current_k_(config.num_partitions) {
-  // Fold the four configuration layers into one ExecutionOptions, outer
-  // layers winning field-wise: session.execution > session flat shims >
-  // config.execution > config flat shims.
-  ExecutionOptions session_legacy;
-  session_legacy.num_shards = options_.num_shards;
-  session_legacy.num_threads = options_.num_threads;
-  session_legacy.num_workers = options_.num_workers;
-  session_legacy.wire_max_payload = options_.wire_max_payload;
-  session_legacy.mode = options_.execution_mode;
-  execution_ = MergedExecution(
-      options_.execution,
-      MergedExecution(session_legacy, config_.ResolvedExecution()));
-  // Write the merged result back through the deprecated config fields so
-  // downstream resolvers (ResolveNumShards/Threads/Workers) and
-  // config().Validate() all see one consistent execution shape. In
-  // kMultiProcess mode num_workers=0 means "auto" (ResolveNumWorkers),
-  // not "in-process".
-  config_.execution = execution_;
-  if (execution_.num_shards > 0) config_.num_shards = execution_.num_shards;
-  if (execution_.num_threads > 0) {
-    config_.num_threads = execution_.num_threads;
-  }
-  if (execution_.wire_max_payload != 0) {
-    config_.wire_max_payload = execution_.wire_max_payload;
-  }
-  if (execution_.mode != ExecutionMode::kInProcess &&
-      execution_.num_workers > 0) {
-    config_.num_processes = execution_.num_workers;
-  }
+  config_.execution = MergedExecution(options_.execution, config_.execution);
   if (init_status_.ok()) init_status_ = config_.Validate();
 }
 
@@ -83,17 +55,17 @@ void PartitioningSession::EnsurePool() {
 Status PartitioningSession::EnsureRegistry() {
   if (registry_ != nullptr) return Status::OK();
   dist::RegistryOptions options;
-  if (!execution_.listen_address.empty()) {
-    options.listen_address = execution_.listen_address;
+  if (!config_.execution.listen_address.empty()) {
+    options.listen_address = config_.execution.listen_address;
   }
-  options.handshake_timeout_ms = execution_.handshake_timeout_ms;
+  options.handshake_timeout_ms = config_.execution.handshake_timeout_ms;
   SPINNER_ASSIGN_OR_RETURN(registry_,
                            dist::WorkerRegistry::Listen(options));
   return Status::OK();
 }
 
 Result<std::string> PartitioningSession::TcpAddress() {
-  if (execution_.mode != ExecutionMode::kTcp) {
+  if (config_.execution.mode != ExecutionMode::kTcp) {
     return Status::FailedPrecondition(
         "TcpAddress() is only meaningful in ExecutionMode::kTcp");
   }
@@ -107,20 +79,14 @@ Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
   SpinnerConfig run_config = config_;
   run_config.num_partitions = k;
   ShardedRunResult run;
-  if (execution_.mode != ExecutionMode::kInProcess) {
+  if (config_.execution.mode != ExecutionMode::kInProcess) {
     // Cross-process execution: the coordinator drives the identical
     // superstep schedule over forked (kMultiProcess) or dial-in TCP
     // (kTcp) workers, so the session-visible outcome is bit-identical to
     // the in-process path.
-    dist::MultiProcessOptions mp;
-    mp.num_workers = run_config.num_processes;
-    mp.transport =
-        dist::TransportOptions::Resolve(run_config.wire_max_payload);
-    mp.worker_store_dir = execution_.worker_store_dir;
-    mp.rpc_timeout_ms = execution_.rpc_timeout_ms;
-    mp.heartbeat_period_ms = execution_.heartbeat_period_ms;
-    mp.max_recovery_attempts = execution_.max_recovery_attempts;
-    if (execution_.mode == ExecutionMode::kTcp) {
+    dist::MultiProcessOptions mp =
+        dist::MultiProcessOptionsFor(config_.execution);
+    if (config_.execution.mode == ExecutionMode::kTcp) {
       SPINNER_RETURN_IF_ERROR(EnsureRegistry());
       mp.worker_transport = registry_.get();
     }
@@ -279,15 +245,13 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
     return Status::InvalidArgument(
         StrFormat("num_workers must be >= 1 (got %d)", num_workers));
   }
-  if (execution_.mode == ExecutionMode::kInProcess) {
+  if (config_.execution.mode == ExecutionMode::kInProcess) {
     return Status::FailedPrecondition(
         "ResizeWorkers applies to kMultiProcess/kTcp sessions; "
         "kInProcess has no worker fleet");
   }
-  execution_.num_workers = num_workers;
   config_.execution.num_workers = num_workers;
-  config_.num_processes = num_workers;  // RunLpa reads this per call
-  if (execution_.mode == ExecutionMode::kTcp && registry_ != nullptr) {
+  if (config_.execution.mode == ExecutionMode::kTcp && registry_ != nullptr) {
     registry_->DrainPooled(num_workers);
   }
   return Status::OK();

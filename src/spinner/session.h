@@ -9,9 +9,10 @@
 // "we have 4 more machines") instead of re-wiring delta application,
 // conversion and label threading by hand.
 //
-//   PartitioningSession session(config,
-//                               SessionOptions{.num_shards = 8,
-//                                              .num_threads = 4});
+//   SessionOptions options;
+//   options.execution.num_shards = 8;
+//   options.execution.num_threads = 4;
+//   PartitioningSession session(config, options);
 //   SPINNER_CHECK_OK(session.Open(n, edges, /*directed=*/true));
 //   ...
 //   GraphDelta delta;                                  // graph changed
@@ -54,25 +55,12 @@ class WorkerRegistry;
 }  // namespace dist
 
 /// Execution-shape knobs of a session, orthogonal to the algorithm
-/// configuration. The nested `execution` struct (ExecutionOptions, shared
-/// with SpinnerConfig and PartitionerOptions) is the one source of truth;
-/// the flat fields are DEPRECATED shims kept one release so existing
-/// call sites compile unmodified. Precedence per field:
-/// session `execution` > session flat fields > config `execution` >
-/// config flat fields. No value here ever changes the partitioning a
-/// session computes — both bit-identity and the float histories hold
-/// across every mode.
+/// configuration. Every field of `execution` that differs from its
+/// default wins over the same field of the session's
+/// SpinnerConfig::execution (MergedExecution). No value here ever changes
+/// the partitioning a session computes — both bit-identity and the float
+/// histories hold across every mode.
 struct SessionOptions {
-  /// DEPRECATED — use execution.num_shards.
-  int num_shards = 0;
-  /// DEPRECATED — use execution.num_threads.
-  int num_threads = 0;
-  /// DEPRECATED — use execution.mode.
-  ExecutionMode execution_mode = ExecutionMode::kInProcess;
-  /// DEPRECATED — use execution.num_workers.
-  int num_workers = 0;
-  /// DEPRECATED — use execution.wire_max_payload.
-  uint64_t wire_max_payload = 0;
   /// Where and how wide the session's label propagation executes,
   /// including the kTcp endpoint config (listen_address, handshake
   /// timeout, worker store directory). See spinner/execution_options.h.
@@ -84,10 +72,9 @@ struct SessionOptions {
 class PartitioningSession {
  public:
   /// `config.num_partitions` is the initial k; Rescale() changes it.
-  /// `options` fixes the session's shard/thread counts (non-zero values
-  /// win over the equivalent SpinnerConfig fields). An invalid config is
-  /// reported by the first lifecycle call rather than by crashing the
-  /// constructor.
+  /// `options.execution` fixes the session's execution shape (set fields
+  /// win over config.execution). An invalid config is reported by the
+  /// first lifecycle call rather than by crashing the constructor.
   explicit PartitioningSession(const SpinnerConfig& config,
                                SessionOptions options = {});
   ~PartitioningSession();  // out-of-line: owns a forward-declared registry
@@ -130,7 +117,7 @@ class PartitioningSession {
   Status ResizeWorkers(int num_workers);
 
   /// The worker count the next off-thread lifecycle call will use.
-  int num_workers() const { return config_.num_processes; }
+  int num_workers() const { return config_.execution.num_workers; }
 
   // --- Persistence -------------------------------------------------------
 
@@ -181,13 +168,13 @@ class PartitioningSession {
   /// The execution-shape options the session was constructed with.
   const SessionOptions& options() const { return options_; }
 
-  /// The fully merged execution options this session runs with (session
-  /// options folded over the config, shims resolved).
-  const ExecutionOptions& execution() const { return execution_; }
+  /// The merged execution options this session runs with (session
+  /// options folded over the config's).
+  const ExecutionOptions& execution() const { return config_.execution; }
 
-  /// The effective execution mode (any layer's options or a config-driven
-  /// num_processes can select an off-thread mode).
-  ExecutionMode execution_mode() const { return execution_.mode; }
+  /// The effective execution mode (either layer can select an off-thread
+  /// mode).
+  ExecutionMode execution_mode() const { return config_.execution.mode; }
 
   /// kTcp only: the "host:port" dial-in workers must connect to. Binds
   /// the session's worker registry on first call (so workers can be
@@ -236,9 +223,10 @@ class PartitioningSession {
                 std::vector<PartitionId> initial_labels, int k,
                 PartitionResult* out);
 
-  SpinnerConfig config_;   // num_partitions kept equal to current_k_
+  /// num_partitions kept equal to current_k_; execution holds the merged
+  /// session + config execution options.
+  SpinnerConfig config_;
   SessionOptions options_;
-  ExecutionOptions execution_;  // merged across session + config layers
   Status init_status_;     // config validation outcome, reported lazily
   /// kTcp: the listener + pooled worker connections, shared by every
   /// lifecycle call of this session.

@@ -202,8 +202,7 @@ class InProcessBackend final : public SuperstepBackend {
 }  // namespace
 
 int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices) {
-  if (config.num_shards > 0) return config.num_shards;
-  if (config.num_workers > 0) return config.num_workers;
+  if (config.execution.num_shards > 0) return config.execution.num_shards;
   const int64_t blocks =
       (num_vertices + ShardedGraphStore::kBlockSize - 1) /
       ShardedGraphStore::kBlockSize;
@@ -212,7 +211,7 @@ int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices) {
 }
 
 int ResolveNumThreads(const SpinnerConfig& config, int num_shards) {
-  if (config.num_threads > 0) return config.num_threads;
+  if (config.execution.num_threads > 0) return config.execution.num_threads;
   // Work stealing decouples threads from shards: extra threads drain
   // blocks of whatever shard has the most left, so the shard count no
   // longer caps useful parallelism.

@@ -1,10 +1,10 @@
-// The shard-parallel execution of Spinner's iteration loop: the same
-// superstep phases as SpinnerProgram (Initialize ─► ComputeScores ─►
-// ComputeMigrations, §IV.A.2–4), run directly over a ShardedGraphStore on
-// a ThreadPool instead of through the Pregel engine. Each phase is dealt
-// out block-by-block through a work-stealing scheduler
-// (spinner/steal_schedule.h), so skewed shards never serialize a
-// superstep; between supersteps the driver merges per-shard
+// The in-process execution of Spinner's iteration loop: the superstep
+// phases of the paper's Pregel program (Initialize ─► ComputeScores ─►
+// ComputeMigrations, §IV.A.2–4), driven by the shared superstep driver
+// (spinner/superstep_driver.h) over a ShardedGraphStore on a ThreadPool.
+// Each phase is dealt out block-by-block through a work-stealing
+// scheduler (spinner/steal_schedule.h), so skewed shards never serialize
+// a superstep; between supersteps the driver merges per-shard
 // partition-load deltas and migration counters in fixed shard order and
 // evaluates the master logic (halting §III.C, observer callbacks).
 //
@@ -20,10 +20,9 @@
 //    order, and all randomness is hash-derived per (seed, superstep,
 //    vertex) through the shared lpa kernel.
 //
-// This is the execution path behind SpinnerPartitioner and
-// PartitioningSession for pre-converted graphs; the Pregel engine remains
-// the substrate for in-engine conversion runs (§IV.A.1) and the Pregel
-// app suite.
+// This is the in-process execution path behind SpinnerPartitioner and
+// PartitioningSession; directed inputs are converted first (§IV.A.1,
+// graph/conversion.h).
 #ifndef SPINNER_SPINNER_SHARDED_PROGRAM_H_
 #define SPINNER_SPINNER_SHARDED_PROGRAM_H_
 
@@ -116,21 +115,20 @@ struct ShardedRunResult {
   ScheduleStats schedule;
 };
 
-/// The shard count a run should use: config.num_shards when set, else
-/// config.num_workers (so existing worker-count knobs keep their meaning),
-/// else one shard per hardware thread capped by the block count. The
+/// The shard count a run should use: config.execution.num_shards when
+/// set, else one shard per hardware thread capped by the block count. The
 /// choice never affects results, only parallelism granularity.
 int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices);
 
-/// The OS-thread count a run should use: config.num_threads when set, else
-/// the hardware concurrency (capped by the graph's block count through
-/// `num_shards`-independent stealing — more threads than shards is useful
-/// now that workers steal blocks, so the shard count no longer caps the
-/// thread count). Never affects results.
+/// The OS-thread count a run should use: config.execution.num_threads when
+/// set, else the hardware concurrency (capped by the graph's block count
+/// through `num_shards`-independent stealing — more threads than shards is
+/// useful now that workers steal blocks, so the shard count no longer caps
+/// the thread count). Never affects results.
 int ResolveNumThreads(const SpinnerConfig& config, int num_shards);
 
 /// Runs Spinner label propagation shard-parallel over `store` on `pool`.
-/// `initial_labels` follows SpinnerProgram's contract: one fixed label per
+/// `initial_labels` follows the driver's contract: one fixed label per
 /// vertex for incremental/elastic restarts, kNoPartition entries (or a
 /// shorter vector) draw a uniform random label at Initialize. On success
 /// store->labels() holds the final assignment and every shard's load

@@ -51,24 +51,11 @@ bool RegisterSpinnerGraphPartitioner() {
           -> Result<std::unique_ptr<GraphPartitioner>> {
         SpinnerConfig config = options.spinner;
         // The sweep-level seed wins unless the caller diverged the
-        // spinner config's seed explicitly; same rule for the
-        // execution-shape knobs.
+        // spinner config's seed explicitly; the sweep-level execution
+        // options win field-wise over the spinner config's.
         if (config.seed == SpinnerConfig{}.seed) config.seed = options.seed;
-        if (options.num_shards > 0) config.num_shards = options.num_shards;
-        if (options.num_threads > 0) {
-          config.num_threads = options.num_threads;
-        }
-        if (options.num_processes > 0) {
-          config.num_processes = options.num_processes;
-        }
-        if (options.wire_max_payload != 0) {
-          config.wire_max_payload = options.wire_max_payload;
-        }
-        // The sweep-level execution options win field-wise over whatever
-        // the spinner config (or the deprecated flat knobs above, already
-        // folded into it) carries.
         config.execution =
-            MergedExecution(options.execution, config.ResolvedExecution());
+            MergedExecution(options.execution, config.execution);
         return std::unique_ptr<GraphPartitioner>(
             std::make_unique<SpinnerGraphPartitioner>(config));
       });

@@ -16,7 +16,8 @@ namespace spinner {
 
 /// Adapter over SpinnerPartitioner. The k passed to the interface methods
 /// overrides config.num_partitions per call; everything else (c, ε, seed,
-/// workers, balance mode) comes from the config given at construction.
+/// execution shape, balance mode) comes from the config given at
+/// construction.
 class SpinnerGraphPartitioner : public GraphPartitioner {
  public:
   explicit SpinnerGraphPartitioner(SpinnerConfig config = {})

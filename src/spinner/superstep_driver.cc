@@ -101,8 +101,8 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
   int64_t last_migrations = 0;
 
   for (;;) {
-    // --- ComputeScores superstep (index 2·it − 1, matching the engine's
-    // numbering so hash streams line up across substrates).
+    // --- ComputeScores superstep (index 2·it − 1; the kernel's hash
+    // streams are keyed by it).
     const int64_t score_step = 2 * static_cast<int64_t>(out.iterations) + 1;
     WallTimer step_timer;
     pregel::SuperstepStats ss = NewStepStats(score_step);
@@ -118,8 +118,8 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     const double score = score_total / static_cast<double>(n);
     FinishStep(std::move(ss), step_timer, /*messages=*/0);
 
-    // --- Master logic after ComputeScores, mirroring
-    // SpinnerProgram::MasterCompute exactly.
+    // --- Master logic after ComputeScores: the φ/ρ history point,
+    // observer callbacks and the halting check.
     if (config.record_history || observing) {
       IterationPoint pt;
       pt.iteration = iteration;

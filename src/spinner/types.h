@@ -1,42 +1,11 @@
-// Vertex/edge/message types of the Spinner Pregel program.
+// Per-iteration observation types shared by every Spinner entry point.
 #ifndef SPINNER_SPINNER_TYPES_H_
 #define SPINNER_SPINNER_TYPES_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/types.h"
-
 namespace spinner {
-
-/// Per-vertex state (paper §IV.A): current label, plus the migration
-/// candidacy chosen by ComputeScores and consumed by ComputeMigrations.
-struct SpinnerVertexValue {
-  /// Current partition label α(v).
-  PartitionId label = kNoPartition;
-  /// Label this vertex wants to migrate to (valid iff is_candidate).
-  PartitionId candidate = kNoPartition;
-  /// Flagged by ComputeScores when a better label was found.
-  bool is_candidate = false;
-  /// Cached weighted degree Σ_u w(v,u): the load this vertex contributes to
-  /// its partition. Computed once at initialization.
-  int64_t weighted_degree = 0;
-};
-
-/// Per-edge state: the conversion weight w(u,v) ∈ {1,2} (Eq. 3) and the
-/// last known label of the neighbor, updated via messages — "each vertex
-/// stores the label of a neighbor in the value of the edge" (§IV.A.2).
-struct SpinnerEdgeValue {
-  EdgeWeight weight = 1;
-  PartitionId neighbor_label = kNoPartition;
-};
-
-/// The only message Spinner exchanges: "vertex `source` now has `label`".
-/// Also reused (with label unused) for NeighborPropagation.
-struct LabelMessage {
-  VertexId source = 0;
-  PartitionId label = kNoPartition;
-};
 
 /// One point of the per-iteration evolution curves (paper Fig. 4).
 struct IterationPoint {

@@ -41,49 +41,6 @@ TEST(DoubleMaxAggregatorTest, TracksMaximum) {
   EXPECT_DOUBLE_EQ(a.value(), 100.0);
 }
 
-TEST(VectorSumAggregatorTest, ElementwiseSum) {
-  VectorSumAggregator a(3);
-  a.Add(0, 5);
-  a.Add(2, 7);
-  EXPECT_EQ(a.value(0), 5);
-  EXPECT_EQ(a.value(1), 0);
-  EXPECT_EQ(a.value(2), 7);
-  VectorSumAggregator b(3);
-  b.Add(0, 1);
-  b.Add(1, 2);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.values(), (std::vector<int64_t>{6, 2, 7}));
-}
-
-TEST(VectorSumAggregatorTest, MergeGrowsSmallerTarget) {
-  VectorSumAggregator a(1);
-  VectorSumAggregator b(3);
-  b.Add(2, 9);
-  a.MergeFrom(b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.value(2), 9);
-}
-
-TEST(VectorSumAggregatorTest, ResizeForElasticK) {
-  VectorSumAggregator a(2);
-  a.Add(1, 4);
-  a.Resize(4);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.value(1), 4);
-  EXPECT_EQ(a.value(3), 0);
-}
-
-TEST(LongBroadcastAggregatorTest, MasterOnlyValue) {
-  LongBroadcastAggregator a;
-  a.set_value(42);
-  LongBroadcastAggregator partial;
-  partial.set_value(7);
-  a.MergeFrom(partial);   // vertex writes are ignored
-  EXPECT_EQ(a.value(), 42);
-  a.Reset();              // persists across barriers
-  EXPECT_EQ(a.value(), 42);
-}
-
 TEST(AggregatorRegistryTest, TwoPhaseShardedMerge) {
   AggregatorRegistry reg;
   reg.Register("sum", std::make_unique<LongSumAggregator>(),
@@ -101,16 +58,14 @@ TEST(AggregatorRegistryTest, TwoPhaseShardedMerge) {
 
 TEST(AggregatorRegistryTest, PersistentAccumulatesAcrossBarriers) {
   AggregatorRegistry reg;
-  reg.Register("loads", std::make_unique<VectorSumAggregator>(2),
+  reg.Register("load", std::make_unique<LongSumAggregator>(),
                /*persistent=*/true);
   reg.CreatePartials(2);
-  reg.Partial<VectorSumAggregator>("loads", 0)->Add(0, 10);
+  reg.Partial<LongSumAggregator>("load", 0)->Add(10);
   reg.MergePartials();
-  reg.Partial<VectorSumAggregator>("loads", 1)->Add(0, -3);
-  reg.Partial<VectorSumAggregator>("loads", 1)->Add(1, 3);
+  reg.Partial<LongSumAggregator>("load", 1)->Add(-3);
   reg.MergePartials();
-  EXPECT_EQ(reg.Get<VectorSumAggregator>("loads")->values(),
-            (std::vector<int64_t>{7, 3}));
+  EXPECT_EQ(reg.Get<LongSumAggregator>("load")->value(), 7);
 }
 
 TEST(AggregatorRegistryTest, PartialsResetAfterMerge) {

@@ -1,7 +1,7 @@
 // ExecutionOptions: the single nested execution-shape struct shared by
 // SpinnerConfig, SessionOptions and PartitionerOptions. These tests pin
-// the merge precedence (nested over deprecated flat fields, outer layers
-// over inner), the validation rules, and the compile-unmodified shims.
+// the two-layer merge precedence (outer session/registry options over the
+// SpinnerConfig they carry) and the validation rules.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "spinner/config.h"
 #include "spinner/execution_options.h"
 #include "spinner/session.h"
+#include "spinner/spinner_graph_partitioner.h"
 
 namespace spinner {
 namespace {
@@ -127,49 +128,31 @@ TEST(ExecutionOptionsTest, MergeCarriesTheRecoveryKnobs) {
   EXPECT_EQ(merged.max_recovery_attempts, 1);
 }
 
-TEST(ExecutionOptionsTest, ConfigResolvesDeprecatedFlatFields) {
-  SpinnerConfig config;
-  config.num_shards = 4;
-  config.num_threads = 2;
-  config.num_processes = 3;
-  config.wire_max_payload = 2048;
-  const ExecutionOptions resolved = config.ResolvedExecution();
-  EXPECT_EQ(resolved.mode, ExecutionMode::kMultiProcess);
-  EXPECT_EQ(resolved.num_shards, 4);
-  EXPECT_EQ(resolved.num_threads, 2);
-  EXPECT_EQ(resolved.num_workers, 3);
-  EXPECT_EQ(resolved.wire_max_payload, 2048u);
-
-  // The nested struct wins over the flat fields when both are set.
-  config.execution.num_shards = 9;
-  config.execution.mode = ExecutionMode::kInProcess;
-  // mode's default value cannot be distinguished from "unset", so an
-  // explicit in-process choice is expressed by zeroing num_processes.
-  EXPECT_EQ(config.ResolvedExecution().num_shards, 9);
-}
-
-TEST(ExecutionOptionsTest, SessionMergesAllFourLayers) {
+TEST(ExecutionOptionsTest, SessionExecutionBeatsConfigExecution) {
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_shards = 2;          // config flat (lowest precedence)
-  config.execution.num_shards = 3;  // config nested beats config flat
+  config.execution.num_shards = 3;    // config layer: kept when unshadowed
+  config.execution.num_threads = 5;   // config layer: shadowed below
 
   SessionOptions options;
-  options.num_threads = 2;        // session flat beats all config layers
-  options.execution.wire_max_payload = 8192;  // session nested: top
+  options.execution.num_threads = 2;  // session layer wins field-wise
+  options.execution.wire_max_payload = 8192;
 
   PartitioningSession session(config, options);
   EXPECT_EQ(session.execution().num_shards, 3);
   EXPECT_EQ(session.execution().num_threads, 2);
   EXPECT_EQ(session.execution().wire_max_payload, 8192u);
   EXPECT_EQ(session.execution_mode(), ExecutionMode::kInProcess);
+  // The merged options are what the session's config carries.
+  EXPECT_EQ(session.config().execution.num_threads, 2);
 
-  // Session nested beats session flat.
-  SessionOptions shadowed;
-  shadowed.num_shards = 5;
-  shadowed.execution.num_shards = 7;
-  PartitioningSession session2(config, shadowed);
-  EXPECT_EQ(session2.execution().num_shards, 7);
+  // Either layer can select an off-thread mode.
+  SpinnerConfig multi = config;
+  multi.execution.mode = ExecutionMode::kMultiProcess;
+  multi.execution.num_workers = 2;
+  PartitioningSession by_config(multi);
+  EXPECT_EQ(by_config.execution_mode(), ExecutionMode::kMultiProcess);
+  EXPECT_EQ(by_config.num_workers(), 2);
 }
 
 TEST(ExecutionOptionsTest, TcpAddressRequiresTcpMode) {
@@ -206,23 +189,29 @@ TEST(ExecutionOptionsTest, PartitionerOptionsFeedTheRegistryFactory) {
   auto g = BuildSymmetric(ws->num_vertices, ws->edges);
   ASSERT_TRUE(g.ok());
 
-  PartitionerOptions flat;
-  flat.num_shards = 3;
-  auto by_flat = PartitionerRegistry::Create("spinner", flat);
-  ASSERT_TRUE(by_flat.ok()) << by_flat.status();
-  auto labels_flat = (*by_flat)->Partition(*g, 4);
-  ASSERT_TRUE(labels_flat.ok()) << labels_flat.status();
+  // The same shape spelled in either layer.
+  PartitionerOptions inner;
+  inner.spinner.execution.num_shards = 3;
+  auto by_inner = PartitionerRegistry::Create("spinner", inner);
+  ASSERT_TRUE(by_inner.ok()) << by_inner.status();
+  auto labels_inner = (*by_inner)->Partition(*g, 4);
+  ASSERT_TRUE(labels_inner.ok()) << labels_inner.status();
 
-  PartitionerOptions nested;
-  nested.execution.num_shards = 3;
-  auto by_nested = PartitionerRegistry::Create("spinner", nested);
-  ASSERT_TRUE(by_nested.ok()) << by_nested.status();
-  auto labels_nested = (*by_nested)->Partition(*g, 4);
-  ASSERT_TRUE(labels_nested.ok()) << labels_nested.status();
+  PartitionerOptions outer;
+  outer.spinner.execution.num_shards = 5;  // shadowed by the outer layer
+  outer.execution.num_shards = 3;
+  auto by_outer = PartitionerRegistry::Create("spinner", outer);
+  ASSERT_TRUE(by_outer.ok()) << by_outer.status();
+  const auto* spinner =
+      dynamic_cast<const SpinnerGraphPartitioner*>(by_outer->get());
+  ASSERT_NE(spinner, nullptr);
+  EXPECT_EQ(spinner->config().execution.num_shards, 3);
+  auto labels_outer = (*by_outer)->Partition(*g, 4);
+  ASSERT_TRUE(labels_outer.ok()) << labels_outer.status();
 
   // Execution shape never changes results — and the two spellings of the
   // same shape are interchangeable.
-  EXPECT_EQ(*labels_flat, *labels_nested);
+  EXPECT_EQ(*labels_inner, *labels_outer);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ TEST(VertexBalanceModeTest, BalancesVertexCountsInsteadOfEdges) {
   SpinnerConfig config;
   config.num_partitions = 8;
   config.balance_mode = BalanceMode::kVertices;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -47,7 +47,7 @@ TEST(VertexBalanceModeTest, StillImprovesLocality) {
   SpinnerConfig config;
   config.num_partitions = 8;
   config.balance_mode = BalanceMode::kVertices;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -64,7 +64,7 @@ TEST(HeterogeneousCapacityTest, LoadsFollowPartitionWeights) {
   SpinnerConfig config;
   config.num_partitions = 4;
   config.partition_weights = {2.0, 1.0, 1.0, 1.0};
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(*g);
   ASSERT_TRUE(result.ok());

@@ -262,7 +262,7 @@ class IncrementalCheckpointTest : public ::testing::Test {
   static SpinnerConfig Config(int k = 4) {
     SpinnerConfig config;
     config.num_partitions = k;
-    config.num_workers = 2;
+    config.execution.num_shards = 2;
     return config;
   }
 

@@ -97,7 +97,7 @@ TEST(PartitionerRegistryTest, SpinnerAdapterMatchesDirectEntryPoints) {
   const CsrGraph g = SmallGraph();
   const int k = 4;
   PartitionerOptions options;
-  options.spinner.num_workers = 2;
+  options.spinner.execution.num_shards = 2;
   auto adapter = PartitionerRegistry::Create("spinner", options);
   ASSERT_TRUE(adapter.ok());
 
@@ -132,11 +132,11 @@ TEST(PartitionerRegistryTest, ExecutionShapeOptionsPlumbThroughToSpinner) {
   ASSERT_TRUE(g.ok());
 
   PartitionerOptions one;
-  one.num_shards = 1;
-  one.num_threads = 1;
+  one.execution.num_shards = 1;
+  one.execution.num_threads = 1;
   PartitionerOptions many;
-  many.num_shards = 6;
-  many.num_threads = 3;
+  many.execution.num_shards = 6;
+  many.execution.num_threads = 3;
   auto a = PartitionerRegistry::Create("spinner", one);
   auto b = PartitionerRegistry::Create("spinner", many);
   ASSERT_TRUE(a.ok() && b.ok());

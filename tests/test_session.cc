@@ -19,8 +19,27 @@ namespace {
 SpinnerConfig SmallConfig(int k = 4) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   return config;
+}
+
+/// In-process session options with `shards` store shards and `threads`
+/// OS threads (0 = auto).
+SessionOptions ShapeOptions(int shards, int threads = 0) {
+  SessionOptions options;
+  options.execution.num_shards = shards;
+  options.execution.num_threads = threads;
+  return options;
+}
+
+/// Multi-process session options: `shards` store shards over `workers`
+/// forked worker processes.
+SessionOptions MultiProcessOptions(int shards, int workers) {
+  SessionOptions options;
+  options.execution.mode = ExecutionMode::kMultiProcess;
+  options.execution.num_shards = shards;
+  options.execution.num_workers = workers;
+  return options;
 }
 
 GeneratedGraph SmallWorld(uint64_t seed = 9) {
@@ -288,28 +307,23 @@ TEST(PartitioningSessionTest, LifecycleIsShardAndThreadCountInvariant) {
   // S ∈ {1, 2, 7} and 1 vs N threads, through the whole lifecycle.
   const GeneratedGraph g = SmallWorld(31);
   const auto reference =
-      LifecycleAssignments(g, SessionOptions{.num_shards = 1,
-                                             .num_threads = 1});
+      LifecycleAssignments(g, ShapeOptions(1, 1));
   for (const SessionOptions& options :
-       {SessionOptions{.num_shards = 2, .num_threads = 1},
-        SessionOptions{.num_shards = 7, .num_threads = 4},
-        SessionOptions{.num_shards = 0, .num_threads = 0}}) {
+       {ShapeOptions(2, 1), ShapeOptions(7, 4), ShapeOptions(0, 0)}) {
     const auto got = LifecycleAssignments(g, options);
     ASSERT_EQ(got.size(), reference.size());
     for (size_t step = 0; step < reference.size(); ++step) {
       EXPECT_EQ(got[step], reference[step])
-          << "step " << step << " S=" << options.num_shards
-          << " threads=" << options.num_threads;
+          << "step " << step << " S=" << options.execution.num_shards
+          << " threads=" << options.execution.num_threads;
     }
   }
 }
 
 TEST(PartitioningSessionTest, SessionOptionsFixTheStoreShape) {
   const GeneratedGraph g = SmallWorld();
-  PartitioningSession session(SmallConfig(),
-                              SessionOptions{.num_shards = 3,
-                                             .num_threads = 2});
-  EXPECT_EQ(session.options().num_shards, 3);
+  PartitioningSession session(SmallConfig(), ShapeOptions(3, 2));
+  EXPECT_EQ(session.options().execution.num_shards, 3);
   EXPECT_EQ(session.num_shards(), 0);  // no store before Open
   ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
   EXPECT_EQ(session.num_shards(), 3);
@@ -322,8 +336,7 @@ TEST(PartitioningSessionTest, EdgeDeltaRebuildsOnlyOwningShards) {
   // 1100 vertices = 5 blocks of 256; S=3 → shard 0 owns [0, 256).
   auto ws = WattsStrogatz(1100, 3, 0.3, 17);
   ASSERT_TRUE(ws.ok());
-  PartitioningSession session(SmallConfig(),
-                              SessionOptions{.num_shards = 3});
+  PartitioningSession session(SmallConfig(), ShapeOptions(3));
   ASSERT_TRUE(session.Open(ws->num_vertices, ws->edges, ws->directed).ok());
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(session.store().rebuild_count(s), 1);
@@ -351,14 +364,11 @@ TEST(PartitioningSessionTest, SnapshotRestoreRoundTripsAcrossShardShapes) {
   // many-shard one with the identical assignment and continued lifecycle.
   const GeneratedGraph g = SmallWorld(12);
   TempPath snapshot("session_shards.spns");
-  PartitioningSession writer(SmallConfig(4),
-                             SessionOptions{.num_shards = 1});
+  PartitioningSession writer(SmallConfig(4), ShapeOptions(1));
   ASSERT_TRUE(writer.Open(g.num_vertices, g.edges, g.directed).ok());
   ASSERT_TRUE(writer.Snapshot(snapshot.path).ok());
 
-  PartitioningSession reader(SmallConfig(4),
-                             SessionOptions{.num_shards = 5,
-                                            .num_threads = 2});
+  PartitioningSession reader(SmallConfig(4), ShapeOptions(5, 2));
   ASSERT_TRUE(reader.Restore(snapshot.path).ok());
   EXPECT_EQ(reader.assignment(), writer.assignment());
   EXPECT_EQ(reader.num_shards(), 5);
@@ -395,14 +405,11 @@ TEST(MultiProcessSessionTest, LifecycleMatchesInProcessAcrossShapes) {
   // forked worker processes, for every {num_shards, num_workers}.
   const GeneratedGraph g = SmallWorld(31);
   const auto reference =
-      LifecycleAssignments(g, SessionOptions{.num_shards = 1,
-                                             .num_threads = 1});
+      LifecycleAssignments(g, ShapeOptions(1, 1));
   for (const int num_shards : {1, 2, 7}) {
     for (const int num_workers : {1, 3}) {
-      const SessionOptions options{
-          .num_shards = num_shards,
-          .execution_mode = ExecutionMode::kMultiProcess,
-          .num_workers = num_workers};
+      const SessionOptions options =
+          MultiProcessOptions(num_shards, num_workers);
       const auto got = LifecycleAssignments(g, options);
       ASSERT_EQ(got.size(), reference.size());
       for (size_t step = 0; step < reference.size(); ++step) {
@@ -420,13 +427,10 @@ TEST(MultiProcessSessionTest, FloatHistoriesMatchInProcess) {
   config.max_iterations = 8;
   config.use_halting = false;
 
-  PartitioningSession in_process(config, SessionOptions{.num_shards = 3});
+  PartitioningSession in_process(config, ShapeOptions(3));
   ASSERT_TRUE(
       in_process.Open(g.num_vertices, g.edges, g.directed).ok());
-  PartitioningSession multi_process(
-      config, SessionOptions{.num_shards = 3,
-                             .execution_mode = ExecutionMode::kMultiProcess,
-                             .num_workers = 2});
+  PartitioningSession multi_process(config, MultiProcessOptions(3, 2));
   ASSERT_TRUE(
       multi_process.Open(g.num_vertices, g.edges, g.directed).ok());
 
@@ -450,13 +454,11 @@ TEST(MultiProcessSessionTest, WirePayloadKnobStreamsAndMatchesInProcess) {
   config.max_iterations = 6;
   config.use_halting = false;
 
-  PartitioningSession in_process(config, SessionOptions{.num_shards = 3});
+  PartitioningSession in_process(config, ShapeOptions(3));
   ASSERT_TRUE(in_process.Open(g.num_vertices, g.edges, g.directed).ok());
-  PartitioningSession chunked(
-      config, SessionOptions{.num_shards = 3,
-                             .execution_mode = ExecutionMode::kMultiProcess,
-                             .num_workers = 2,
-                             .wire_max_payload = 256});
+  SessionOptions tiny_frames = MultiProcessOptions(3, 2);
+  tiny_frames.execution.wire_max_payload = 256;
+  PartitioningSession chunked(config, tiny_frames);
   ASSERT_TRUE(chunked.Open(g.num_vertices, g.edges, g.directed).ok());
 
   EXPECT_EQ(in_process.assignment(), chunked.assignment());
@@ -473,19 +475,20 @@ TEST(MultiProcessSessionTest, ExecutionModeIsIntrospectableAndConfigDriven) {
 
   // num_workers is documented as ignored in-process: it must not flip an
   // explicitly-in-process session into forking workers.
-  PartitioningSession workers_only(
-      SmallConfig(), SessionOptions{.num_workers = 2});
+  SessionOptions workers_only_options;
+  workers_only_options.execution.num_workers = 2;
+  PartitioningSession workers_only(SmallConfig(), workers_only_options);
   EXPECT_EQ(workers_only.execution_mode(), ExecutionMode::kInProcess);
 
-  PartitioningSession by_options(
-      SmallConfig(),
-      SessionOptions{.execution_mode = ExecutionMode::kMultiProcess});
+  SessionOptions multi_options;
+  multi_options.execution.mode = ExecutionMode::kMultiProcess;
+  PartitioningSession by_options(SmallConfig(), multi_options);
   EXPECT_EQ(by_options.execution_mode(), ExecutionMode::kMultiProcess);
 
-  // A config-driven process count selects multi-process execution too
-  // (the path partition_tool --processes takes).
+  // The config's execution options select multi-process execution too.
   SpinnerConfig config = SmallConfig();
-  config.num_processes = 2;
+  config.execution.mode = ExecutionMode::kMultiProcess;
+  config.execution.num_workers = 2;
   PartitioningSession by_config(config);
   EXPECT_EQ(by_config.execution_mode(), ExecutionMode::kMultiProcess);
 

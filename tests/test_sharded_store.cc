@@ -157,8 +157,8 @@ TEST(ShardedSpinnerTest, AssignmentIsBitIdenticalAcrossShardAndThreadCounts) {
   } shapes[] = {{1, 1}, {2, 1}, {7, 4}, {3, 8}, {0, 0}};
   for (const auto& shape : shapes) {
     SpinnerConfig run_config = config;
-    run_config.num_shards = shape.shards;
-    run_config.num_threads = shape.threads;
+    run_config.execution.num_shards = shape.shards;
+    run_config.execution.num_threads = shape.threads;
     SpinnerPartitioner partitioner(run_config);
     auto result = partitioner.Partition(g);
     ASSERT_TRUE(result.ok()) << "S=" << shape.shards;
@@ -182,10 +182,10 @@ TEST(ShardedSpinnerTest, HistoryAndScoresAreShardCountInvariant) {
   config.max_iterations = 12;
   config.use_halting = false;
 
-  config.num_shards = 1;
+  config.execution.num_shards = 1;
   auto one = SpinnerPartitioner(config).Partition(g);
-  config.num_shards = 5;
-  config.num_threads = 4;
+  config.execution.num_shards = 5;
+  config.execution.num_threads = 4;
   auto five = SpinnerPartitioner(config).Partition(g);
   ASSERT_TRUE(one.ok() && five.ok());
   ASSERT_EQ(one->history.size(), five->history.size());
@@ -220,23 +220,25 @@ TEST(ShardedSpinnerTest, StoreLoadsStayConsistentWithAssignment) {
 
 TEST(ShardedSpinnerTest, ResolveHelpersHonorExplicitConfig) {
   SpinnerConfig config;
-  config.num_shards = 9;
-  config.num_threads = 3;
+  config.execution.num_shards = 9;
+  config.execution.num_threads = 3;
   EXPECT_EQ(ResolveNumShards(config, 100000), 9);
   EXPECT_EQ(ResolveNumThreads(config, 9), 3);
 
-  config.num_shards = 0;
-  config.num_threads = 0;
-  config.num_workers = 5;  // legacy knob maps to the shard count
-  EXPECT_EQ(ResolveNumShards(config, 100000), 5);
+  config.execution.num_shards = 0;
+  config.execution.num_threads = 0;
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  // Auto: one shard per hardware thread, capped by the block count.
+  const int64_t blocks = (100000 + ShardedGraphStore::kBlockSize - 1) /
+                         ShardedGraphStore::kBlockSize;
+  EXPECT_EQ(ResolveNumShards(config, 100000),
+            static_cast<int>(std::min<int64_t>(hardware, blocks)));
   // Block stealing decouples threads from shards: the default is the
   // hardware concurrency even when it exceeds the shard count.
   EXPECT_GE(ResolveNumThreads(config, 5), 1);
-  EXPECT_EQ(ResolveNumThreads(config, 5),
-            static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency())));
+  EXPECT_EQ(ResolveNumThreads(config, 5), hardware);
 
-  config.num_workers = 0;
   // Tiny graphs never get more shards than blocks.
   EXPECT_EQ(ResolveNumShards(config, 10), 1);
 }

@@ -101,7 +101,7 @@ TEST(ClusterSimulatorTest, SpinnerPlacementBeatsHashForPageRank) {
 
   SpinnerConfig config;
   config.num_partitions = workers;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto partition = partitioner.Partition(*g);
   ASSERT_TRUE(partition.ok());

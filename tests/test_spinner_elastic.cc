@@ -22,7 +22,7 @@ CsrGraph MakeGraph() {
 SpinnerConfig BaseConfig(int k = 8) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   return config;
 }
 

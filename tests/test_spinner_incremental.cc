@@ -26,7 +26,7 @@ Workload MakeWorkload() {
 SpinnerConfig BaseConfig() {
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   return config;
 }
 

@@ -29,7 +29,7 @@ TEST(SpinnerPartitionTest, AssignsEveryVertexAValidLabel) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -50,7 +50,7 @@ TEST(SpinnerPartitionTest, DeterministicForSeedAndWorkers) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 3;
+  config.execution.num_shards = 3;
   config.seed = 99;
   SpinnerPartitioner partitioner(config);
   auto a = partitioner.Partition(g);
@@ -74,7 +74,7 @@ TEST(SpinnerPartitionTest, RecoversPlantedCommunities) {
   CsrGraph g = MakeConverted(*pp);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -90,7 +90,7 @@ TEST(SpinnerPartitionTest, BeatsHashPartitioningOnLocality) {
 
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto spinner_result = partitioner.Partition(g);
   ASSERT_TRUE(spinner_result.ok());
@@ -111,7 +111,7 @@ TEST(SpinnerPartitionTest, HaltsByConvergenceBeforeCap) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   config.max_iterations = 500;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
@@ -127,7 +127,7 @@ TEST(SpinnerPartitionTest, HaltingDisabledRunsExactlyMaxIterations) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   config.use_halting = false;
   config.max_iterations = 17;
   SpinnerPartitioner partitioner(config);
@@ -142,7 +142,7 @@ TEST(SpinnerPartitionTest, SinglePartitionIsTrivial) {
   CsrGraph g = MakeConverted(ring);
   SpinnerConfig config;
   config.num_partitions = 1;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -165,7 +165,7 @@ TEST(SpinnerPartitionTest, IsolatedVerticesGetLabels) {
   ASSERT_TRUE(g.ok());
   SpinnerConfig config;
   config.num_partitions = 3;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(*g);
   ASSERT_TRUE(result.ok());
@@ -180,7 +180,7 @@ TEST(SpinnerPartitionTest, PartitionDirectedHandlesRawEdgeLists) {
   ASSERT_TRUE(rmat.ok());
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.PartitionDirected(rmat->num_vertices,
                                               rmat->edges);
@@ -190,30 +190,11 @@ TEST(SpinnerPartitionTest, PartitionDirectedHandlesRawEdgeLists) {
   EXPECT_GT(result->metrics.phi, 0.2);  // far above hash's 1/8
 }
 
-TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
-  auto rmat = RMat(8, 5, 0.5, 0.2, 0.2, 23);
-  ASSERT_TRUE(rmat.ok());
-  SpinnerConfig config;
-  config.num_partitions = 4;
-  config.num_workers = 4;
-  SpinnerPartitioner offline(config);
-  config.in_engine_conversion = true;
-  SpinnerPartitioner in_engine(config);
-  auto a = offline.PartitionDirected(rmat->num_vertices, rmat->edges);
-  auto b = in_engine.PartitionDirected(rmat->num_vertices, rmat->edges);
-  ASSERT_TRUE(a.ok() && b.ok());
-  // Different random streams (superstep offset), same algorithm: the
-  // quality must match closely even though assignments differ.
-  EXPECT_NEAR(a->metrics.phi, b->metrics.phi, 0.1);
-  EXPECT_NEAR(a->metrics.rho, b->metrics.rho, 0.1);
-}
-
 TEST(SpinnerPartitionTest, PartitionDirectedIgnoresLoopsAndDuplicates) {
   // PartitionDirected hands the raw edges to the conversion, which drops
-  // self-loops and duplicates itself; only the in-engine branch cleans a
-  // copy. Both branches must give a dirty list the assignment of its clean
-  // copy, and the offline branch that of partitioning the converted clean
-  // graph, as when every run cleaned the input first.
+  // self-loops and duplicates itself. A dirty list must get the assignment
+  // of its clean copy, and that of partitioning the converted clean graph,
+  // as when every run cleaned the input first.
   auto rmat = RMat(8, 5, 0.5, 0.2, 0.2, 23);
   ASSERT_TRUE(rmat.ok());
   EdgeList clean = rmat->edges;
@@ -227,23 +208,17 @@ TEST(SpinnerPartitionTest, PartitionDirectedIgnoresLoopsAndDuplicates) {
 
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 4;
-  for (const bool in_engine : {false, true}) {
-    config.in_engine_conversion = in_engine;
-    SpinnerPartitioner partitioner(config);
-    auto from_dirty = partitioner.PartitionDirected(rmat->num_vertices, dirty);
-    auto from_clean = partitioner.PartitionDirected(rmat->num_vertices, clean);
-    ASSERT_TRUE(from_dirty.ok() && from_clean.ok());
-    EXPECT_EQ(from_dirty->assignment, from_clean->assignment)
-        << "in_engine_conversion=" << in_engine;
-    if (!in_engine) {
-      auto converted = ConvertToWeightedUndirected(rmat->num_vertices, clean);
-      ASSERT_TRUE(converted.ok());
-      auto offline = partitioner.Partition(*converted);
-      ASSERT_TRUE(offline.ok());
-      EXPECT_EQ(from_dirty->assignment, offline->assignment);
-    }
-  }
+  config.execution.num_shards = 4;
+  SpinnerPartitioner partitioner(config);
+  auto from_dirty = partitioner.PartitionDirected(rmat->num_vertices, dirty);
+  auto from_clean = partitioner.PartitionDirected(rmat->num_vertices, clean);
+  ASSERT_TRUE(from_dirty.ok() && from_clean.ok());
+  EXPECT_EQ(from_dirty->assignment, from_clean->assignment);
+  auto converted = ConvertToWeightedUndirected(rmat->num_vertices, clean);
+  ASSERT_TRUE(converted.ok());
+  auto offline = partitioner.Partition(*converted);
+  ASSERT_TRUE(offline.ok());
+  EXPECT_EQ(from_dirty->assignment, offline->assignment);
 }
 
 TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {
@@ -252,7 +227,7 @@ TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   config.per_worker_async = false;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
@@ -262,6 +237,92 @@ TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {
 }
 
 // --- Property sweep: ρ ≤ c (w.h.p.) and φ ≥ hash across families ---------
+
+TEST(SpinnerPartitionTest, InitializationRespectsProvidedLabels) {
+  auto ring = Ring(8);
+  auto g = BuildSymmetric(ring.num_vertices, ring.edges);
+  ASSERT_TRUE(g.ok());
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 1;  // stop right after the first ComputeScores
+  config.use_halting = false;
+  config.execution.num_shards = 2;
+  const std::vector<PartitionId> fixed = {3, 3, 2, 2, 1, 1, 0, 0};
+  SpinnerPartitioner partitioner(config);
+  auto result = partitioner.Repartition(*g, fixed);
+  ASSERT_TRUE(result.ok());
+
+  // After Initialize + one ComputeScores (no migrations yet), labels are
+  // exactly the provided ones and the loads reflect them: every vertex
+  // has weighted degree 2, so every partition holds load 4.
+  EXPECT_EQ(result->assignment, fixed);
+  ASSERT_EQ(result->history.size(), 1u);
+  EXPECT_EQ(result->history.front().loads,
+            (std::vector<int64_t>{4, 4, 4, 4}));
+}
+
+TEST(SpinnerPartitionTest, HistoryTracksHillClimb) {
+  auto pp = PlantedPartition(4, 32, 0.3, 0.01, 11);
+  ASSERT_TRUE(pp.ok());
+  auto g = BuildSymmetric(pp->num_vertices, pp->edges);
+  ASSERT_TRUE(g.ok());
+
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 60;
+  config.use_halting = false;
+  config.execution.num_shards = 4;
+  SpinnerPartitioner partitioner(config);
+  auto result = partitioner.Partition(*g);
+  ASSERT_TRUE(result.ok());
+
+  ASSERT_EQ(static_cast<int>(result->history.size()), result->iterations);
+  EXPECT_EQ(result->iterations, 60);
+  // Hill climbing: late iterations must beat the random start decisively.
+  const auto& h = result->history;
+  EXPECT_GT(h.back().phi, h.front().phi);
+  EXPECT_GT(h.back().score, h.front().score);
+  // Final history point agrees with the final metrics within one
+  // migration step (history φ is computed from the last ComputeScores).
+  EXPECT_NEAR(h.back().phi, result->metrics.phi, 0.05);
+}
+
+TEST(SpinnerPartitionTest, ScoreAggregationIndependentOfShardCount) {
+  // The halting signal (global score) is reduced in fixed block order, so
+  // neither it nor any decision built on it depends on how vertices are
+  // spread across shards: the assignment and every float of the history
+  // must match exactly.
+  auto ws = WattsStrogatz(200, 3, 0.2, 6);
+  ASSERT_TRUE(ws.ok());
+  auto g = BuildSymmetric(ws->num_vertices, ws->edges);
+  ASSERT_TRUE(g.ok());
+
+  auto run = [&](int shards) {
+    SpinnerConfig config;
+    config.num_partitions = 8;
+    config.execution.num_shards = shards;
+    SpinnerPartitioner partitioner(config);
+    auto result = partitioner.Partition(*g);
+    SPINNER_CHECK(result.ok());
+    return std::move(result).value();
+  };
+  const PartitionResult one = run(1);
+  const PartitionResult seven = run(7);
+  EXPECT_EQ(one.assignment, seven.assignment);
+  EXPECT_EQ(one.iterations, seven.iterations);
+  ASSERT_EQ(one.history.size(), seven.history.size());
+  ASSERT_FALSE(one.history.empty());
+  for (size_t i = 0; i < one.history.size(); ++i) {
+    EXPECT_EQ(one.history[i].phi, seven.history[i].phi) << "iteration " << i;
+    EXPECT_EQ(one.history[i].rho, seven.history[i].rho) << "iteration " << i;
+    EXPECT_EQ(one.history[i].score, seven.history[i].score)
+        << "iteration " << i;
+    EXPECT_EQ(one.history[i].migrations, seven.history[i].migrations)
+        << "iteration " << i;
+    EXPECT_EQ(one.history[i].loads, seven.history[i].loads)
+        << "iteration " << i;
+  }
+}
 
 struct SweepCase {
   const char* family;
@@ -307,7 +368,7 @@ TEST_P(SpinnerPropertyTest, BalanceRespectsCapacityAndLocalityBeatsHash) {
   SpinnerConfig config;
   config.num_partitions = param.k;
   config.additional_capacity = param.c;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());

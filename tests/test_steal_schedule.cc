@@ -127,8 +127,8 @@ TEST(StealingSupersteps, BitIdenticalAcrossShapesOnSkewedInput) {
   for (const int shards : {1, 2, 7}) {
     for (const int threads : {1, 4}) {
       SpinnerConfig run_config = config;
-      run_config.num_shards = shards;
-      run_config.num_threads = threads;
+      run_config.execution.num_shards = shards;
+      run_config.execution.num_threads = threads;
       auto result = SpinnerPartitioner(run_config).Partition(g);
       ASSERT_TRUE(result.ok()) << "S=" << shards << " T=" << threads;
       if (ref_assignment.empty()) {
@@ -162,8 +162,8 @@ TEST(StealingSupersteps, StealingOccursOnSkewedShards) {
   SpinnerConfig config;
   config.num_partitions = 8;
   config.seed = 99;
-  config.num_shards = 7;
-  config.num_threads = 4;
+  config.execution.num_shards = 7;
+  config.execution.num_threads = 4;
   config.max_iterations = 10;
   config.use_halting = false;
   auto result = SpinnerPartitioner(config).Partition(g);

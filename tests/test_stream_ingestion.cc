@@ -35,8 +35,15 @@ using std::chrono::microseconds;
 SpinnerConfig SmallConfig(int k = 4) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   return config;
+}
+
+SessionOptions ShapeOptions(int shards, int threads) {
+  SessionOptions options;
+  options.execution.num_shards = shards;
+  options.execution.num_threads = threads;
+  return options;
 }
 
 GeneratedGraph SmallWorld(uint64_t seed = 9) {
@@ -550,8 +557,7 @@ TEST(IngestionDeterminismTest, DrainedRunMatchesBlockingApplyDeltaExactly) {
 
   // Reference: the blocking replay at the canonical {1 shard, 1 thread}.
   HistoryTrace reference_trace;
-  PartitioningSession reference(
-      SmallConfig(), SessionOptions{.num_shards = 1, .num_threads = 1});
+  PartitioningSession reference(SmallConfig(), ShapeOptions(1, 1));
   ASSERT_TRUE(reference.Open(g.num_vertices, g.edges, g.directed).ok());
   // Observer installed after Open: both paths trace only the streamed
   // applies (the service wraps its observer in at Start, past Open too).
@@ -565,9 +571,7 @@ TEST(IngestionDeterminismTest, DrainedRunMatchesBlockingApplyDeltaExactly) {
     SCOPED_TRACE("shards=" + std::to_string(shards) +
                  " threads=" + std::to_string(threads));
     HistoryTrace trace;
-    PartitioningSession session(
-        SmallConfig(),
-        SessionOptions{.num_shards = shards, .num_threads = threads});
+    PartitioningSession session(SmallConfig(), ShapeOptions(shards, threads));
     ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
 
     IngestionOptions options;
