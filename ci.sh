@@ -104,7 +104,7 @@ if [[ "${MODE}" == "simd-parity" ]]; then
       -DSPINNER_SIMD="${knob^^}"
     cmake --build "${build_dir}" -j "${JOBS}"
     ctest --test-dir "${build_dir}" \
-      -R '(LpaKernel|ShardedStore|StealSchedule|StealingSupersteps|Session)' \
+      -R '(LpaKernel|ShardedGraphStore|ShardedSpinner|StealSchedule|StealingSupersteps|Session)' \
       --timeout 120 --output-on-failure -j "${JOBS}"
   done
 

@@ -23,6 +23,13 @@ class WallTimer {
   /// Milliseconds elapsed since construction or the last Restart().
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Nanoseconds elapsed since construction or the last Restart().
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now() - start_)
+        .count();
+  }
+
   /// Microseconds elapsed since construction or the last Restart().
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -616,6 +617,7 @@ class MultiProcessBackend final : public SuperstepBackend {
       if (cursor != reply.block_score.size()) {
         return MalformedReply(w, "ScoresReply block scores");
       }
+      SPINNER_RETURN_IF_ERROR(AddComputeNs(w, reply.compute_ns));
       out->local_weight += reply.local_weight;
       for (size_t l = 0; l < out->migration_counts.size(); ++l) {
         out->migration_counts[l] += reply.migration_counts[l];
@@ -651,6 +653,7 @@ class MultiProcessBackend final : public SuperstepBackend {
       SPINNER_ASSIGN_OR_RETURN(MigrateReply reply,
                                MigrateReply::Decode(frame.payload));
       SPINNER_RETURN_IF_ERROR(CheckReplyShards(w, reply));
+      SPINNER_RETURN_IF_ERROR(AddComputeNs(w, reply.compute_ns));
       for (const ShardMigrateResult& result : reply.shards) {
         const ShardedGraphStore::Shard& shard =
             store_->shard(result.shard);
@@ -671,7 +674,9 @@ class MultiProcessBackend final : public SuperstepBackend {
     // Send each worker only the deltas for vertices it subscribed to (its
     // own moves were applied locally in HandleMigrate), then gate the
     // iteration on every worker's owned+mirror checksum matching the
-    // authoritative label array.
+    // authoritative label array. The expected digests are computed after
+    // every send and before any ack is awaited, so the coordinator hashes
+    // while the workers apply and hash.
     for (int w = 0; w < coordinator_->num_workers(); ++w) {
       const std::vector<VertexId>& subscription =
           coordinator_->subscription(w);
@@ -692,20 +697,24 @@ class MultiProcessBackend final : public SuperstepBackend {
       SPINNER_RETURN_IF_ERROR(coordinator_->SendTo(
           w, MessageType::kApplyDeltas, deltas.Encode()));
     }
+    std::vector<uint64_t> expected;
+    for (int w = 0; w < coordinator_->num_workers(); ++w) {
+      expected.push_back(ExpectedStateChecksum(w));
+    }
     for (int w = 0; w < coordinator_->num_workers(); ++w) {
       SPINNER_ASSIGN_OR_RETURN(Frame frame,
                                coordinator_->RecvFrom(
                                    w, MessageType::kDeltasAck));
       SPINNER_ASSIGN_OR_RETURN(DeltasAck ack,
                                DeltasAck::Decode(frame.payload));
-      const uint64_t expected = ExpectedStateChecksum(w);
-      if (ack.labels_checksum != expected) {
+      const uint64_t want = expected[static_cast<size_t>(w)];
+      if (ack.labels_checksum != want) {
         return Status::Internal(StrFormat(
             "worker %d label mirror diverged after superstep %lld "
             "(checksum %llx != %llx)",
             w, static_cast<long long>(superstep),
             static_cast<unsigned long long>(ack.labels_checksum),
-            static_cast<unsigned long long>(expected)));
+            static_cast<unsigned long long>(want)));
       }
     }
     return Status::OK();
@@ -845,6 +854,21 @@ class MultiProcessBackend final : public SuperstepBackend {
       sum.UpdateOne(labels[v]);
     }
     return sum.digest();
+  }
+
+  /// Sums a reply's worker-side compute time into worker w's total,
+  /// saturating at INT64_MAX. A negative time is a malformed reply.
+  Status AddComputeNs(int w, int64_t compute_ns) {
+    if (compute_ns < 0) return MalformedReply(w, "compute_ns");
+    std::vector<int64_t>& totals = wire_.worker_compute_ns;
+    if (totals.size() <= static_cast<size_t>(w)) {
+      totals.resize(static_cast<size_t>(w) + 1, 0);
+    }
+    int64_t& total = totals[static_cast<size_t>(w)];
+    total = compute_ns > std::numeric_limits<int64_t>::max() - total
+                ? std::numeric_limits<int64_t>::max()
+                : total + compute_ns;
+    return Status::OK();
   }
 
   void FinishStep(int64_t step_start_bytes) {

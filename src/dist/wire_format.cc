@@ -299,6 +299,7 @@ std::vector<uint8_t> ScoresReply::Encode() const {
   w.PutVector(block_score);
   w.PutI64(local_weight);
   w.PutVector(migration_counts);
+  w.PutI64(compute_ns);
   return w.Take();
 }
 
@@ -306,7 +307,7 @@ Result<ScoresReply> ScoresReply::Decode(std::span<const uint8_t> payload) {
   WireReader r(payload);
   ScoresReply m;
   if (!r.GetVector(&m.block_score) || !r.GetI64(&m.local_weight) ||
-      !r.GetVector(&m.migration_counts)) {
+      !r.GetVector(&m.migration_counts) || !r.GetI64(&m.compute_ns)) {
     return Truncated("ScoresReply");
   }
   return m;
@@ -344,6 +345,7 @@ std::vector<uint8_t> MigrateReply::Encode() const {
     w.PutI64(s.migrated);
     w.PutI64(s.messages);
   }
+  w.PutI64(compute_ns);
   return w.Take();
 }
 
@@ -361,6 +363,7 @@ Result<MigrateReply> MigrateReply::Decode(std::span<const uint8_t> payload) {
     }
     m.shards.push_back(std::move(s));
   }
+  if (!r.GetI64(&m.compute_ns)) return Truncated("MigrateReply");
   return m;
 }
 
@@ -422,11 +425,32 @@ Status ErrorMessage::ToStatus() const {
   return Status(static_cast<StatusCode>(code), message);
 }
 
+LabelChecksum& LabelChecksum::Update(std::span<const PartitionId> labels) {
+  size_t i = 0;
+  if (count_ % 2 == 1 && !labels.empty()) UpdateOne(labels[i++]);
+  for (; i + 1 < labels.size(); i += 2) {
+    Fold(Word(labels[i], labels[i + 1]));
+    count_ += 2;
+  }
+  if (i < labels.size()) UpdateOne(labels[i]);
+  return *this;
+}
+
+uint64_t LabelChecksum::digest() const {
+  constexpr uint64_t kP3 = 0x165667B19E3779F9ULL;
+  LabelChecksum last = *this;
+  if (count_ % 2 == 1) last.Fold(Word(pending_, 0));
+  uint64_t h = last.h_ ^ count_;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+
 uint64_t ChecksumLabels(std::span<const PartitionId> labels) {
-  // FNV-1a over the raw label bytes (the transport's message checksum).
-  return ChecksumBytes(
-      {reinterpret_cast<const uint8_t*>(labels.data()),
-       labels.size() * sizeof(PartitionId)});
+  return LabelChecksum().Update(labels).digest();
 }
 
 }  // namespace spinner::dist

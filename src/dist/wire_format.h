@@ -21,10 +21,11 @@
 //                        (once, after Init — seeds the boundary mirror)
 //   Scores         c→w   superstep, frozen global loads, capacities
 //   ScoresReply    w→c   per-block score partials, φ partial, migration
-//                        counters
+//                        counters, worker compute time
 //   Migrate        c→w   superstep, frozen loads, capacities, merged
 //                        migration counters
 //   MigrateReply   w→c   label deltas + per-shard load vectors + counters
+//                        + worker compute time
 //   ApplyDeltas    c→w   label deltas filtered to the worker's
 //                        subscription (its own moves were applied locally)
 //   DeltasAck      w→c   checksum over owned slices + subscribed mirror
@@ -45,6 +46,7 @@
 #ifndef SPINNER_DIST_WIRE_FORMAT_H_
 #define SPINNER_DIST_WIRE_FORMAT_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -87,7 +89,7 @@ enum class MessageType : uint32_t {
 
 /// Version of the Hello/Assign/Resume handshake. A worker advertising a
 /// different version is rejected at the registry before it can join a run.
-inline constexpr uint32_t kProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {
@@ -370,6 +372,9 @@ struct ScoresReply {
   /// Migration counters merged over the worker's shards (integer adds are
   /// order-free, so per-worker merging cannot perturb determinism).
   std::vector<int64_t> migration_counts;
+  /// Wall nanoseconds the worker spent computing this reply (decode to
+  /// encode). Observability only; never feeds the partitioning.
+  int64_t compute_ns = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<ScoresReply> Decode(std::span<const uint8_t> payload);
@@ -397,6 +402,9 @@ struct ShardMigrateResult {
 
 struct MigrateReply {
   std::vector<ShardMigrateResult> shards;
+  /// Wall nanoseconds the worker spent computing this reply, as in
+  /// ScoresReply.
+  int64_t compute_ns = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<MigrateReply> Decode(std::span<const uint8_t> payload);
@@ -411,10 +419,10 @@ struct ApplyDeltasMessage {
 };
 
 struct DeltasAck {
-  /// FNV-1a over the worker's owned label slices (ascending shard order)
-  /// followed by its subscribed mirror values (subscription order) after
-  /// applying the deltas; must equal the checksum the coordinator computes
-  /// from its authoritative label array for that worker.
+  /// LabelChecksum over the worker's owned label slices (ascending shard
+  /// order) followed by its subscribed mirror values (subscription order)
+  /// after applying the deltas; must equal the checksum the coordinator
+  /// computes from its authoritative label array for that worker.
   uint64_t labels_checksum = 0;
 
   std::vector<uint8_t> Encode() const;
@@ -432,37 +440,54 @@ struct ErrorMessage {
   Status ToStatus() const;
 };
 
-/// FNV-1a over the raw label bytes — the per-iteration cross-process
-/// consistency checksum carried by DeltasAck.
-uint64_t ChecksumLabels(std::span<const PartitionId> labels);
-
-/// Incremental FNV-1a over label values: both sides of the DeltasAck gate
-/// fold a worker's owned slices and subscribed mirror values through one
+/// Streaming digest of a label sequence — the per-iteration
+/// cross-process consistency gate carried by DeltasAck. Both sides fold a
+/// worker's owned slices and then its subscribed mirror values through one
 /// of these in the same order, so the digests agree iff the states do.
-/// Update(all labels).digest() == ChecksumLabels(all labels) by
-/// construction — every fold chains through transport.h's ChecksumBytes.
+///
+/// The digest reads the sequence a 64-bit word (two labels) at a time:
+/// h = rotl(h ^ word·P2, 31)·P1. A final odd label folds in as a word with
+/// a zero high half, the label count is xored in and an avalanche
+/// finishes (docs/WIRE_FORMAT.md has the exact definition). Each fold is a
+/// bijection in the word it consumes and in the running state, so a
+/// change to any one label — any one word — changes the digest with
+/// certainty, not just with high probability. The digest depends only on
+/// the sequence, never on how it was split across Update/UpdateOne calls.
 class LabelChecksum {
  public:
-  LabelChecksum& Update(std::span<const PartitionId> labels) {
-    h_ = ChecksumBytes(
-        {reinterpret_cast<const uint8_t*>(labels.data()),
-         labels.size() * sizeof(PartitionId)},
-        h_);
-    return *this;
-  }
+  LabelChecksum& Update(std::span<const PartitionId> labels);
 
   LabelChecksum& UpdateOne(PartitionId label) {
-    uint8_t bytes[sizeof(PartitionId)];
-    std::memcpy(bytes, &label, sizeof(label));
-    h_ = ChecksumBytes(bytes, h_);
+    if (count_ % 2 == 0) {
+      pending_ = label;
+    } else {
+      Fold(Word(pending_, label));
+    }
+    ++count_;
     return *this;
   }
 
-  uint64_t digest() const { return h_; }
+  uint64_t digest() const;
 
  private:
-  uint64_t h_ = kFnvOffsetBasis;
+  static constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+  static constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+
+  /// Labels `first` and `second` as one word, `first` in the low half.
+  static uint64_t Word(PartitionId first, PartitionId second) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(second)) << 32 |
+           static_cast<uint32_t>(first);
+  }
+
+  void Fold(uint64_t word) { h_ = std::rotl(h_ ^ word * kP2, 31) * kP1; }
+
+  uint64_t h_ = kP1;
+  PartitionId pending_ = 0;  // the first label of an unfinished word
+  uint64_t count_ = 0;       // labels folded so far
 };
+
+/// The LabelChecksum digest of one label array.
+uint64_t ChecksumLabels(std::span<const PartitionId> labels);
 
 }  // namespace spinner::dist
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "dist/shard_store.h"
 #include "dist/tcp_transport.h"
 #include "dist/transport.h"
@@ -412,6 +413,7 @@ class ShardWorker {
       _exit(3);
     }
     ++scores_seen_;
+    const WallTimer timer;
     ScoresReply reply;
     reply.local_weight = 0;
     reply.migration_counts.assign(
@@ -436,6 +438,7 @@ class ShardWorker {
         reply.migration_counts[l] += scratch_[i].migrations[l];
       }
     }
+    reply.compute_ns = timer.ElapsedNanos();
     return Send(MessageType::kScoresReply, reply.Encode());
   }
 
@@ -451,6 +454,7 @@ class ShardWorker {
         config_.num_partitions) {
       return Status::InvalidArgument("Migrate: capacity vector size");
     }
+    const WallTimer timer;
     MigrateReply reply;
     for (size_t i = 0; i < shards_.size(); ++i) {
       ShardMigrateResult result;
@@ -465,6 +469,7 @@ class ShardWorker {
       result.messages = scratch_[i].messages;
       reply.shards.push_back(std::move(result));
     }
+    reply.compute_ns = timer.ElapsedNanos();
     return Send(MessageType::kMigrateReply, reply.Encode());
   }
 

@@ -1,6 +1,7 @@
 #include "graph/sharded_store.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/string_util.h"
 
@@ -20,16 +21,39 @@ Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
   store.shards_.resize(num_shards);
   store.rebuild_counts_.assign(num_shards, 0);
 
-  // Block-aligned range partition: shard s owns blocks
-  // [s·B/S, (s+1)·B/S), so boundaries never split a block and the block
-  // decomposition is independent of S (see header).
+  // Cost-balanced, block-aligned range partition. A vertex costs its
+  // out-degree plus kVertexCost, so the cost of the prefix [0, x) is
+  // ArcBegin(x) + kVertexCost·x. Shard s begins at the first block
+  // boundary where that prefix reaches s·T/S: boundaries never split a
+  // block, so the block decomposition stays independent of S (see header).
+  // Cuts are capped at the start of the last block, so every shard begins
+  // block-aligned and below n even when that block outweighs a share.
+  const int64_t n = store.num_vertices_;
   const int64_t blocks = store.NumBlocks();
+  const auto boundary = [&](int64_t block) {
+    return std::min(block * kBlockSize, n);
+  };
+  const auto prefix_cost = [&](int64_t block) {
+    const int64_t x = boundary(block);
+    return (x < n ? converted.ArcBegin(x) : converted.NumArcs()) +
+           kVertexCost * x;
+  };
+  const int64_t total_cost = prefix_cost(blocks);
+  const int64_t last_block = std::max<int64_t>(blocks - 1, 0);
+  int64_t block = 0;
+  for (int s = 0; s < num_shards; ++s) {
+    // The first block b < last_block with S·prefix(b) >= s·T, else
+    // last_block (the partition point of an all-below range is its end).
+    const auto below_share = [&](int64_t b) {
+      return prefix_cost(b) * num_shards < total_cost * s;
+    };
+    block = *std::ranges::partition_point(
+        std::views::iota(block, last_block), below_share);
+    store.shards_[s].begin = boundary(block);
+  }
   for (int s = 0; s < num_shards; ++s) {
     Shard& shard = store.shards_[s];
-    const int64_t block_begin = blocks * s / num_shards;
-    const int64_t block_end = blocks * (s + 1) / num_shards;
-    shard.begin = std::min(block_begin * kBlockSize, store.num_vertices_);
-    shard.end = std::min(block_end * kBlockSize, store.num_vertices_);
+    shard.end = s + 1 < num_shards ? store.shards_[s + 1].begin : n;
     store.FillShard(converted, s);
     ++store.rebuild_counts_[s];
   }

@@ -6,6 +6,15 @@
 // shard information flows only through explicit merges, and graph deltas
 // rebuild only the shards owning the touched vertices.
 //
+// Shard cuts are cost-balanced: a superstep lasts as long as its most
+// loaded worker, and a vertex's superstep cost is dominated by its arcs.
+// Shard s begins at the first block boundary where the running cost (out-
+// degree + kVertexCost per vertex) reaches s·T/S, T being the total cost,
+// capped at the start of the last block so every shard begins block-
+// aligned inside the graph. On a power-law graph a shard of hubs thus
+// owns fewer vertices than a shard of leaves. Cuts depend on the shard count and the degree
+// sequence only — never on thread, worker or capacity counts.
+//
 // Determinism contract: shard boundaries are aligned to fixed-size vertex
 // blocks (kBlockSize) that do not depend on the shard count. Any
 // computation that works block-at-a-time (the shard-parallel Spinner
@@ -36,6 +45,13 @@ class ShardedGraphStore {
   /// Vertex-block granularity of shard boundaries. Fixed so that block
   /// contents are independent of the shard count (see header comment).
   static constexpr int64_t kBlockSize = 256;
+
+  /// Fixed per-vertex cost of a shard cut, in arcs: the per-vertex work of
+  /// a superstep (label pick, migration draw, block bookkeeping) that does
+  /// not scale with degree. Fitted from measured per-worker compute time
+  /// on power-law graphs (docs/PERFORMANCE.md, "Balancing the multi-process
+  /// superstep").
+  static constexpr int64_t kVertexCost = 12;
 
   /// One shard: a contiguous, block-aligned vertex range with its CSR
   /// slice, cached weighted degrees and per-partition load counters.
@@ -98,9 +114,12 @@ class ShardedGraphStore {
 
   ShardedGraphStore() = default;
 
-  /// Slices `converted` into `num_shards` block-aligned shards. Shards at
-  /// the tail may own zero vertices when there are fewer blocks than
-  /// shards; that is fine and keeps results independent of S.
+  /// Slices `converted` into `num_shards` block-aligned shards of about
+  /// equal cost (out-degree + kVertexCost per vertex): each shard's cost
+  /// is within one block's cost of the total over `num_shards`. A shard
+  /// may own zero vertices when one block outweighs a shard's share or
+  /// there are fewer blocks than shards; that is fine and keeps results
+  /// independent of S.
   static Result<ShardedGraphStore> Build(const CsrGraph& converted,
                                          int num_shards);
 
@@ -143,7 +162,8 @@ class ShardedGraphStore {
 
   /// Re-slices only the shards owning a vertex in `dirty_vertices` from
   /// `new_converted` (same vertex count — a grown graph needs a full
-  /// Build(), since block alignment moves every boundary). Labels and
+  /// Build(), since block alignment moves every boundary). The existing
+  /// cuts are kept even when the delta shifts the cost balance. Labels and
   /// loads are left untouched; the caller re-runs label propagation.
   /// Fails on a vertex-count mismatch or out-of-range dirty vertex.
   Status Update(const CsrGraph& new_converted,

@@ -18,8 +18,8 @@
 //  * The best label is found by one of two interchangeable scans:
 //    PickLabelSparse walks the touched-label list (the scalar reference,
 //    fastest for low-degree vertices), PickLabelDense scans all k labels
-//    with a SIMD-vectorizable masked max (fastest for hubs, enabled by the
-//    SPINNER_SIMD build knob). Both compute the same per-label expression
+//    with a branch-free masked max (fastest for hubs). Both compute the
+//    same per-label expression
 //    over the same candidate set {current} ∪ {l : freq[l] > 0}, and the
 //    tie break is a pure function of (seed, superstep, vertex, label set)
 //    — NOT of scan order — so the two scans are bit-identical by
@@ -38,11 +38,15 @@
 #include "common/random.h"
 #include "graph/types.h"
 
-// SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) compiles the dense
-// per-label scans with `#pragma omp simd` (pure compile-time vectorization
-// via -fopenmp-simd; no OpenMP runtime dependency). With the knob OFF the
-// pragmas vanish and every scan is the plain scalar loop — same
-// expressions, same results, byte-for-byte (the simd-parity CI lane
+// SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) marks the dense
+// per-label scans with `#pragma omp simd` (compile-time only via
+// -fopenmp-simd; no OpenMP runtime dependency). On the default x86-64
+// target the pragma does NOT vectorize the scan: int64→double has no
+// packed conversion below AVX-512DQ, and the Release object code of
+// BlocksComputeScores (GCC 12) holds only scalar cvtsi2sdq/mulsd/subsd/
+// maxsd. The dense scan is fast because it is branch-free, not because it
+// is SIMD (docs/PERFORMANCE.md). With the knob OFF the pragmas vanish —
+// same expressions, same results, byte-for-byte (the simd-parity CI lane
 // asserts this).
 #if defined(SPINNER_SIMD)
 #define SPINNER_PRAGMA_SIMD _Pragma("omp simd")
@@ -136,7 +140,7 @@ inline LabelChoice ResolveBest(std::span<const PartitionId> candidates,
 /// each with Eq. 8 via `freq`, `inv_degree` and the `penalty` table.
 /// `current_score` must be Score(freq[current], inv_degree,
 /// penalty[current]). This is the sparse scalar reference scan — the
-/// dense SIMD scan below is bit-identical.
+/// dense scan below is bit-identical.
 inline LabelChoice PickLabelSparse(std::span<const int64_t> freq,
                                    std::span<const PartitionId> touched,
                                    PartitionId current, double current_score,
@@ -161,8 +165,8 @@ inline LabelChoice PickLabelSparse(std::span<const int64_t> freq,
       seed, superstep, v);
 }
 
-/// Dense variant of PickLabelSparse: scans all k labels with a masked
-/// SIMD max instead of walking the touched list, writing each label's
+/// Dense variant of PickLabelSparse: scans all k labels with a branch-free
+/// masked max instead of walking the touched list, writing each label's
 /// (masked) score into `score_buf` (size k). Candidate set, scores and
 /// tie break are identical to the sparse scan, so the two may be chosen
 /// per vertex without affecting results. Preferable for hubs, where the

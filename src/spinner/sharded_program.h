@@ -77,6 +77,12 @@ struct WireTraffic {
   /// Bytes sent to workers during each driver superstep, in the order of
   /// run_stats.per_superstep (Initialize, then Scores/Migrate rounds).
   std::vector<int64_t> per_superstep_bytes;
+  /// Wall nanoseconds each worker reported computing its Scores and
+  /// Migrate replies, summed over the run and indexed by worker slot
+  /// (after a fleet rebuild, slot w is whichever worker hosts the w-th
+  /// shard range; replayed phases count too). The spread between entries
+  /// says which worker was slow.
+  std::vector<int64_t> worker_compute_ns;
 };
 
 /// Claim accounting of the in-process work-stealing scheduler

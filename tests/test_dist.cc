@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,16 @@ CsrGraph SmallWorldConverted(int64_t n, uint64_t seed = 11) {
   auto ws = WattsStrogatz(n, 3, 0.3, seed);
   SPINNER_CHECK(ws.ok());
   auto converted = BuildSymmetric(ws->num_vertices, ws->edges);
+  SPINNER_CHECK(converted.ok());
+  return std::move(converted).value();
+}
+
+/// An undirected power-law graph: hubs at low ids make cost-balanced
+/// shard cuts very uneven in vertex count.
+CsrGraph PowerLawConverted(int64_t n, uint64_t seed = 5) {
+  auto ba = BarabasiAlbert(n, 4, 4, seed);
+  SPINNER_CHECK(ba.ok());
+  auto converted = BuildSymmetric(ba->num_vertices, ba->edges);
   SPINNER_CHECK(converted.ok());
   return std::move(converted).value();
 }
@@ -123,7 +134,19 @@ TEST(WireFormatTest, RunMessagesRoundTrip) {
   EXPECT_EQ(scores2->global_loads, scores.global_loads);
   EXPECT_EQ(scores2->capacities, scores.capacities);
 
+  dist::ScoresReply scores_reply;
+  scores_reply.block_score = {0.25, 0.5};
+  scores_reply.local_weight = 9;
+  scores_reply.migration_counts = {1, 0, 2};
+  scores_reply.compute_ns = 123456789;
+  auto scores_reply2 = dist::ScoresReply::Decode(scores_reply.Encode());
+  ASSERT_TRUE(scores_reply2.ok());
+  EXPECT_EQ(scores_reply2->block_score, scores_reply.block_score);
+  EXPECT_EQ(scores_reply2->migration_counts, scores_reply.migration_counts);
+  EXPECT_EQ(scores_reply2->compute_ns, 123456789);
+
   dist::MigrateReply reply;
+  reply.compute_ns = 42;
   dist::ShardMigrateResult r;
   r.shard = 3;
   r.moves = {{10, 1}, {12, 0}};
@@ -137,6 +160,7 @@ TEST(WireFormatTest, RunMessagesRoundTrip) {
   EXPECT_EQ(reply2->shards[0].moves, r.moves);
   EXPECT_EQ(reply2->shards[0].loads, r.loads);
   EXPECT_EQ(reply2->shards[0].migrated, 2);
+  EXPECT_EQ(reply2->compute_ns, 42);
 
   dist::ErrorMessage error =
       dist::ErrorMessage::FromStatus(Status::InvalidArgument("boom"));
@@ -171,6 +195,68 @@ TEST(WireFormatTest, ChecksumDetectsLabelDivergence) {
   EXPECT_EQ(dist::ChecksumLabels(a), dist::ChecksumLabels(b));
   b[3] = 0;
   EXPECT_NE(dist::ChecksumLabels(a), dist::ChecksumLabels(b));
+}
+
+/// 64 labels in [0, 32) with no two neighbours equal.
+std::vector<PartitionId> DigestLabels() {
+  std::vector<PartitionId> labels(64);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<PartitionId>((i * 7 + 3) % 32);
+  }
+  return labels;
+}
+
+TEST(WireFormatTest, ChecksumDetectsEverySingleLabelChange) {
+  const std::vector<PartitionId> labels = DigestLabels();
+  const uint64_t digest = dist::ChecksumLabels(labels);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    for (PartitionId value = kNoPartition; value < 32; ++value) {
+      if (value == labels[i]) continue;
+      std::vector<PartitionId> changed = labels;
+      changed[i] = value;
+      EXPECT_NE(dist::ChecksumLabels(changed), digest)
+          << "position " << i << " value " << value;
+    }
+  }
+}
+
+TEST(WireFormatTest, ChecksumDetectsAdjacentSwaps) {
+  const std::vector<PartitionId> labels = DigestLabels();
+  const uint64_t digest = dist::ChecksumLabels(labels);
+  for (size_t i = 0; i + 1 < labels.size(); ++i) {
+    ASSERT_NE(labels[i], labels[i + 1]);
+    std::vector<PartitionId> swapped = labels;
+    std::swap(swapped[i], swapped[i + 1]);
+    EXPECT_NE(dist::ChecksumLabels(swapped), digest) << "position " << i;
+  }
+}
+
+TEST(WireFormatTest, ChecksumIsIndependentOfHowTheSequenceIsSplit) {
+  const std::vector<PartitionId> labels = DigestLabels();
+  const std::span<const PartitionId> all(labels);
+  for (size_t length = 0; length <= labels.size(); ++length) {
+    dist::LabelChecksum one_at_a_time;
+    for (size_t i = 0; i < length; ++i) one_at_a_time.UpdateOne(labels[i]);
+    const uint64_t expected = one_at_a_time.digest();
+    EXPECT_EQ(dist::ChecksumLabels(all.first(length)), expected) << length;
+    for (size_t split = 0; split <= length; ++split) {
+      dist::LabelChecksum spans;
+      spans.Update(all.first(split));
+      spans.Update(all.subspan(split, length - split));
+      EXPECT_EQ(spans.digest(), expected)
+          << "length " << length << " split " << split;
+      // A span after a partial stripe of single labels, too.
+      dist::LabelChecksum mixed;
+      for (size_t i = 0; i < split; ++i) mixed.UpdateOne(labels[i]);
+      mixed.Update(all.subspan(split, length - split));
+      EXPECT_EQ(mixed.digest(), expected)
+          << "length " << length << " split " << split;
+    }
+  }
+  // Appending a label changes the digest, even a zero one.
+  std::vector<PartitionId> longer = labels;
+  longer.push_back(0);
+  EXPECT_NE(dist::ChecksumLabels(longer), dist::ChecksumLabels(labels));
 }
 
 // --- Transport -----------------------------------------------------------
@@ -297,6 +383,102 @@ TEST(MultiProcessSpinnerTest, BitIdenticalToInProcessAcrossShapes) {
       }
     }
   }
+}
+
+TEST(MultiProcessSpinnerTest, SkewedGraphNineShardsOnThreeWorkers) {
+  // Cost-balanced cuts on a power-law graph give shards of very different
+  // vertex counts; the run must still match in-process for every S.
+  const CsrGraph g = PowerLawConverted(4000, 13);
+  SpinnerConfig config;
+  config.num_partitions = 6;
+  config.seed = 3;
+  config.max_iterations = 12;
+  config.use_halting = false;
+
+  auto store = ShardedGraphStore::Build(g, 9);
+  ASSERT_TRUE(store.ok());
+  ASSERT_LT(store->shard(0).NumOwnedVertices(),
+            store->shard(8).NumOwnedVertices());
+  MultiProcessOptions options;
+  options.num_workers = 3;
+  std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+  auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                          options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  for (const int num_shards : {1, 3, 9}) {
+    std::vector<PartitionId> reference_labels;
+    auto reference = ReferenceRun(config, g, num_shards, &reference_labels);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(store->labels(), reference_labels) << "S=" << num_shards;
+    EXPECT_EQ(run->iterations, reference->iterations);
+    ASSERT_EQ(run->history.size(), reference->history.size());
+    for (size_t i = 0; i < run->history.size(); ++i) {
+      EXPECT_EQ(run->history[i].score, reference->history[i].score) << i;
+      EXPECT_EQ(run->history[i].phi, reference->history[i].phi) << i;
+      EXPECT_EQ(run->history[i].rho, reference->history[i].rho) << i;
+      EXPECT_EQ(run->history[i].loads, reference->history[i].loads) << i;
+    }
+  }
+}
+
+TEST(MultiProcessSpinnerTest, HeavyLastBlockWithOneShardPerWorker) {
+  // A star whose hub is the last vertex: the last, partial block outweighs
+  // a shard's share, so the cut is capped at that block's start and one
+  // shard is left empty. Every worker's range must still be block-aligned
+  // and the run must match in-process.
+  const int64_t n = 1000;
+  EdgeList edges;
+  for (VertexId v = 0; v + 1 < n; ++v) edges.push_back({v, n - 1});
+  auto g = BuildSymmetric(n, edges);
+  ASSERT_TRUE(g.ok());
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.seed = 5;
+  config.max_iterations = 8;
+  config.use_halting = false;
+  std::vector<PartitionId> reference_labels;
+  auto reference = ReferenceRun(config, *g, 4, &reference_labels);
+  ASSERT_TRUE(reference.ok());
+
+  auto store = ShardedGraphStore::Build(*g, 4);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store->shard(3).begin, 768);
+  EXPECT_EQ(store->shard(2).NumOwnedVertices(), 0);
+  MultiProcessOptions options;
+  options.num_workers = 4;
+  std::vector<PartitionId> no_labels(n, kNoPartition);
+  auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                          options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(store->labels(), reference_labels);
+  ASSERT_EQ(run->history.size(), reference->history.size());
+  for (size_t i = 0; i < run->history.size(); ++i) {
+    EXPECT_EQ(run->history[i].score, reference->history[i].score) << i;
+    EXPECT_EQ(run->history[i].loads, reference->history[i].loads) << i;
+  }
+}
+
+TEST(MultiProcessSpinnerTest, ReportsComputeTimePerWorker) {
+  const CsrGraph g = SmallWorldConverted(1100, 21);
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 5;
+  config.use_halting = false;
+  std::vector<PartitionId> reference_labels;
+  ASSERT_TRUE(ReferenceRun(config, g, 3, &reference_labels).ok());
+
+  auto store = ShardedGraphStore::Build(g, 3);
+  ASSERT_TRUE(store.ok());
+  MultiProcessOptions options;
+  options.num_workers = 3;
+  std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+  auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                          options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(store->labels(), reference_labels);
+  ASSERT_EQ(run->wire.worker_compute_ns.size(), 3u);
+  for (const int64_t ns : run->wire.worker_compute_ns) EXPECT_GT(ns, 0);
 }
 
 TEST(MultiProcessSpinnerTest, MoreWorkersThanShardsIsFine) {

@@ -333,7 +333,9 @@ TEST(PartitioningSessionTest, SessionOptionsFixTheStoreShape) {
 }
 
 TEST(PartitioningSessionTest, EdgeDeltaRebuildsOnlyOwningShards) {
-  // 1100 vertices = 5 blocks of 256; S=3 → shard 0 owns [0, 256).
+  // 1100 vertices = 5 blocks of 256 of near-equal cost; S=3 cuts at the
+  // first block boundaries reaching T/3 and 2T/3, so shard 0 owns
+  // [0, 512), shard 1 [512, 768) and shard 2 [768, 1100).
   auto ws = WattsStrogatz(1100, 3, 0.3, 17);
   ASSERT_TRUE(ws.ok());
   PartitioningSession session(SmallConfig(), ShapeOptions(3));
@@ -341,6 +343,8 @@ TEST(PartitioningSessionTest, EdgeDeltaRebuildsOnlyOwningShards) {
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(session.store().rebuild_count(s), 1);
   }
+  EXPECT_EQ(session.store().shard(0).end, 512);
+  EXPECT_EQ(session.store().shard(1).end, 768);
 
   // An edge change entirely within shard 0 must not re-slice shards 1-2.
   GraphDelta delta;

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <thread>
-
+#include <utility>
 #include <vector>
 
 #include "common/threadpool.h"
@@ -27,6 +28,25 @@ CsrGraph SmallWorldConverted(int64_t n, uint64_t seed = 11) {
   return std::move(converted).value();
 }
 
+/// An undirected power-law graph: hubs sit at low vertex ids, so equal
+/// vertex counts per shard would give very unequal arc counts.
+CsrGraph PowerLawConverted(int64_t n, uint64_t seed = 5) {
+  auto ba = BarabasiAlbert(n, 4, 4, seed);
+  SPINNER_CHECK(ba.ok());
+  auto converted = BuildSymmetric(ba->num_vertices, ba->edges);
+  SPINNER_CHECK(converted.ok());
+  return std::move(converted).value();
+}
+
+/// The cut cost of vertices [begin, end): arcs plus kVertexCost each.
+int64_t CutCost(const CsrGraph& g, VertexId begin, VertexId end) {
+  int64_t cost = 0;
+  for (VertexId v = begin; v < end; ++v) {
+    cost += g.OutDegree(v) + ShardedGraphStore::kVertexCost;
+  }
+  return cost;
+}
+
 void ExpectSlicesMatch(const ShardedGraphStore& store, const CsrGraph& g) {
   ASSERT_EQ(store.NumVertices(), g.NumVertices());
   EXPECT_EQ(store.NumArcs(), g.NumArcs());
@@ -35,8 +55,13 @@ void ExpectSlicesMatch(const ShardedGraphStore& store, const CsrGraph& g) {
   VertexId expected_begin = 0;
   for (int s = 0; s < store.num_shards(); ++s) {
     const auto& shard = store.shard(s);
-    // Ranges are contiguous, ordered, and block-aligned.
+    // Ranges are contiguous, ordered, and block-aligned, and every one
+    // begins inside the graph (a worker's range must start on a block).
     EXPECT_EQ(shard.begin, expected_begin);
+    EXPECT_EQ(shard.begin % ShardedGraphStore::kBlockSize, 0) << "s=" << s;
+    if (g.NumVertices() > 0) {
+      EXPECT_LT(shard.begin, g.NumVertices());
+    }
     if (shard.end < g.NumVertices()) {
       EXPECT_EQ(shard.end % ShardedGraphStore::kBlockSize, 0);
     }
@@ -88,6 +113,109 @@ TEST(ShardedGraphStoreTest, MoreShardsThanBlocksLeavesEmptyShards) {
     if (store->shard(s).NumOwnedVertices() > 0) ++nonempty;
   }
   EXPECT_EQ(nonempty, store->NumBlocks());
+}
+
+/// Checks Build's cut rule on `g` with `shards` shards: shard s begins at
+/// the first block boundary whose prefix cost reaches s·T/S, capped at the
+/// last block's start (exact integer comparisons), so every shard's cost
+/// is within one block's cost of T/S.
+void ExpectCostBalancedCuts(const CsrGraph& g, int shards) {
+  const int64_t n = g.NumVertices();
+  const int64_t block = ShardedGraphStore::kBlockSize;
+  const int64_t last_block_begin = (n - 1) / block * block;
+  const int64_t total = CutCost(g, 0, n);
+  int64_t max_block_cost = 0;
+  for (VertexId b = 0; b < n; b += block) {
+    max_block_cost =
+        std::max(max_block_cost, CutCost(g, b, std::min(b + block, n)));
+  }
+  auto store = ShardedGraphStore::Build(g, shards);
+  ASSERT_TRUE(store.ok()) << "S=" << shards;
+  ExpectSlicesMatch(*store, g);  // contiguous and block-aligned
+  for (int s = 0; s < shards; ++s) {
+    const auto& shard = store->shard(s);
+    if (shard.begin < last_block_begin) {
+      EXPECT_GE(CutCost(g, 0, shard.begin) * shards, total * s)
+          << "S=" << shards << " s=" << s;
+    }
+    if (shard.begin > 0) {
+      EXPECT_LT(CutCost(g, 0, shard.begin - block) * shards, total * s)
+          << "S=" << shards << " s=" << s;
+    }
+    const int64_t cost = CutCost(g, shard.begin, shard.end);
+    EXPECT_LE(std::abs(cost * shards - total), max_block_cost * shards)
+        << "S=" << shards << " s=" << s;
+  }
+}
+
+TEST(ShardedGraphStoreTest, CutsBalanceCostOnSkewedGraph) {
+  const CsrGraph g = PowerLawConverted(20000);
+  for (const int shards : {2, 3, 5, 9, 16}) {
+    ExpectCostBalancedCuts(g, shards);
+    // Hubs concentrate at low ids: the first shard owns fewer vertices
+    // than the last, unlike an equal-vertex cut.
+    auto store = ShardedGraphStore::Build(g, shards);
+    ASSERT_TRUE(store.ok());
+    EXPECT_LT(store->shard(0).NumOwnedVertices(),
+              store->shard(shards - 1).NumOwnedVertices())
+        << "S=" << shards;
+  }
+}
+
+TEST(ShardedGraphStoreTest, HeavyLastBlockCapsCutsAtItsStart) {
+  // A star whose hub is the last vertex of a partial block: that block
+  // outweighs a shard's share, so a cut that would land at n is capped at
+  // the block's start (768) and the shard before it is left empty.
+  const int64_t n = 1000;
+  EdgeList edges;
+  for (VertexId v = 0; v + 1 < n; ++v) edges.push_back({v, n - 1});
+  auto g = BuildSymmetric(n, edges);
+  ASSERT_TRUE(g.ok());
+  for (const int shards : {2, 3, 4, 5, 8}) ExpectCostBalancedCuts(*g, shards);
+  auto store = ShardedGraphStore::Build(*g, 4);
+  ASSERT_TRUE(store.ok());
+  const std::vector<std::pair<VertexId, VertexId>> want = {
+      {0, 512}, {512, 768}, {768, 768}, {768, 1000}};
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(store->shard(s).begin, want[s].first) << s;
+    EXPECT_EQ(store->shard(s).end, want[s].second) << s;
+  }
+}
+
+TEST(ShardedGraphStoreTest, UpdateKeepsTheExistingCuts) {
+  auto ba = BarabasiAlbert(5000, 4, 4, 9);
+  ASSERT_TRUE(ba.ok());
+  auto before = BuildSymmetric(ba->num_vertices, ba->edges);
+  ASSERT_TRUE(before.ok());
+  auto store = ShardedGraphStore::Build(*before, 4);
+  ASSERT_TRUE(store.ok());
+  std::vector<std::pair<VertexId, VertexId>> cuts;
+  for (int s = 0; s < 4; ++s) {
+    cuts.emplace_back(store->shard(s).begin, store->shard(s).end);
+  }
+  // Turn the last ten vertices into hubs of the tail: a fresh Build would
+  // cut differently, Update must not move any boundary.
+  const VertexId n = ba->num_vertices;
+  EdgeList edges = ba->edges;
+  std::vector<VertexId> dirty;
+  for (VertexId hub = n - 10; hub < n; ++hub) {
+    for (VertexId v = n - 1000; v < n - 10; ++v) {
+      edges.push_back({hub, v});
+      dirty.push_back(v);
+    }
+    dirty.push_back(hub);
+  }
+  auto after = BuildSymmetric(ba->num_vertices, edges);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(store->Update(*after, dirty).ok());
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(store->shard(s).begin, cuts[s].first) << s;
+    EXPECT_EQ(store->shard(s).end, cuts[s].second) << s;
+  }
+  ExpectSlicesMatch(*store, *after);
+  auto rebuilt = ShardedGraphStore::Build(*after, 4);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(rebuilt->shard(3).begin, cuts[3].first);
 }
 
 TEST(ShardedGraphStoreTest, RejectsInvalidShardCount) {
@@ -169,6 +297,37 @@ TEST(ShardedSpinnerTest, AssignmentIsBitIdenticalAcrossShardAndThreadCounts) {
       EXPECT_EQ(result->assignment, reference)
           << "S=" << shape.shards << " threads=" << shape.threads;
       EXPECT_EQ(result->iterations, reference_iterations);
+    }
+  }
+}
+
+TEST(ShardedSpinnerTest, SkewedGraphResultsAreShardCountInvariant) {
+  // Uneven cost-balanced cuts must not perturb anything: assignment and
+  // the float history match bit-for-bit for every S.
+  const CsrGraph g = PowerLawConverted(4000, 13);
+  SpinnerConfig config;
+  config.num_partitions = 6;
+  config.seed = 3;
+  config.max_iterations = 15;
+  config.use_halting = false;
+
+  std::vector<PartitionResult> results;
+  for (const int shards : {1, 3, 9}) {
+    SpinnerConfig run_config = config;
+    run_config.execution.num_shards = shards;
+    run_config.execution.num_threads = shards == 1 ? 1 : 3;
+    auto result = SpinnerPartitioner(run_config).Partition(g);
+    ASSERT_TRUE(result.ok()) << "S=" << shards;
+    results.push_back(std::move(result).value());
+  }
+  for (size_t r = 1; r < results.size(); ++r) {
+    EXPECT_EQ(results[r].assignment, results[0].assignment) << r;
+    ASSERT_EQ(results[r].history.size(), results[0].history.size()) << r;
+    for (size_t i = 0; i < results[0].history.size(); ++i) {
+      EXPECT_EQ(results[r].history[i].score, results[0].history[i].score);
+      EXPECT_EQ(results[r].history[i].phi, results[0].history[i].phi);
+      EXPECT_EQ(results[r].history[i].rho, results[0].history[i].rho);
+      EXPECT_EQ(results[r].history[i].loads, results[0].history[i].loads);
     }
   }
 }

@@ -163,33 +163,40 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
 }
 
 TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
-  RegistryOptions options;
-  options.handshake_timeout_ms = 300;
-  auto registry = WorkerRegistry::Listen(options);
-  ASSERT_TRUE(registry.ok()) << registry.status();
+  // Protocol 2 added compute_ns to ScoresReply/MigrateReply and changed
+  // the DeltasAck digest, so a version-1 worker must be turned away too.
+  EXPECT_EQ(dist::kProtocolVersion, 2u);
+  for (const uint32_t version :
+       {dist::kProtocolVersion + 7, dist::kProtocolVersion - 1}) {
+    RegistryOptions options;
+    options.handshake_timeout_ms = 300;
+    auto registry = WorkerRegistry::Listen(options);
+    ASSERT_TRUE(registry.ok()) << registry.status();
 
-  // Dial in by hand and advertise a future protocol version.
-  auto conn = dist::TcpDial((*registry)->address(), 2000);
-  ASSERT_TRUE(conn.ok()) << conn.status();
-  dist::HelloMessage hello;
-  hello.protocol_version = dist::kProtocolVersion + 7;
-  const dist::TransportOptions transport;
-  ASSERT_TRUE(dist::SendMessage(conn->fd(),
-                                static_cast<uint32_t>(MessageType::kHello),
-                                hello.Encode(), transport, 1)
-                  .ok());
+    // Dial in by hand and advertise the wrong protocol version.
+    auto conn = dist::TcpDial((*registry)->address(), 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    dist::HelloMessage hello;
+    hello.protocol_version = version;
+    const dist::TransportOptions transport;
+    ASSERT_TRUE(dist::SendMessage(conn->fd(),
+                                  static_cast<uint32_t>(MessageType::kHello),
+                                  hello.Encode(), transport, 1)
+                    .ok());
 
-  // The registry rejects the connection and keeps waiting for a valid
-  // fleet, which never arrives.
-  auto acquired = (*registry)->Acquire(1, transport);
-  ASSERT_FALSE(acquired.ok());
-  EXPECT_EQ((*registry)->handshakes_rejected(), 1);
-  EXPECT_EQ((*registry)->handshakes_completed(), 0);
+    // The registry rejects the connection and keeps waiting for a valid
+    // fleet, which never arrives.
+    auto acquired = (*registry)->Acquire(1, transport);
+    ASSERT_FALSE(acquired.ok()) << "version " << version;
+    EXPECT_EQ((*registry)->handshakes_rejected(), 1) << "version " << version;
+    EXPECT_EQ((*registry)->handshakes_completed(), 0)
+        << "version " << version;
 
-  // The rejected worker received an Error frame saying why.
-  auto frame = dist::RecvMessage(conn->fd(), transport);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, static_cast<uint32_t>(MessageType::kError));
+    // The rejected worker received an Error frame saying why.
+    auto frame = dist::RecvMessage(conn->fd(), transport);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    EXPECT_EQ(frame->type, static_cast<uint32_t>(MessageType::kError));
+  }
 }
 
 TEST(TcpRegistryTest, DeadPooledConnectionsAreDroppedNotHandedOut) {
