@@ -41,7 +41,7 @@ void Run() {
   PartitioningSession session(config);
   SPINNER_CHECK_OK(session.Open(tu.graph.num_vertices, tu.graph.edges,
                                 tu.graph.directed));
-  PrintStandIn(tu, session.converted());
+  PrintStandIn(tu, session.store());
   const std::vector<PartitionId> initial = session.assignment();
   std::printf("initial partitioning: phi=%.3f rho=%.3f iterations=%d\n",
               session.last_result().metrics.phi,
@@ -58,7 +58,7 @@ void Run() {
     // Rewind to the day-0 state, then apply this percentage's churn.
     SPINNER_CHECK_OK(session.Restore(snapshot_path));
     const auto num_new = static_cast<int64_t>(
-        static_cast<double>(session.edges().size()) * pct / 100.0);
+        static_cast<double>(session.num_edges()) * pct / 100.0);
     auto delta =
         RandomEdgeAdditions(session.num_vertices(), session.edges(),
                             std::max<int64_t>(1, num_new), 1234);

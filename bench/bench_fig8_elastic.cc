@@ -51,7 +51,7 @@ void RunRescaleVsScratch(const StandIn& tu, int k,
   PartitioningSession session(config);
   SPINNER_CHECK_OK(session.Open(tu.graph.num_vertices, tu.graph.edges,
                                 tu.graph.directed));
-  PrintStandIn(tu, session.converted());
+  PrintStandIn(tu, session.store());
   const std::vector<PartitionId> initial = session.assignment();
   std::printf("initial partitioning (k=%d): phi=%.3f rho=%.3f\n", k,
               session.last_result().metrics.phi,

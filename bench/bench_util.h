@@ -141,10 +141,13 @@ inline void PrintBanner(const char* artifact, const char* expectation) {
   std::printf("==============================================================================\n");
 }
 
-inline void PrintStandIn(const StandIn& s, const CsrGraph& converted) {
+/// `graph` is a CsrGraph or a ShardedGraphStore (ComputeGraphStats reads
+/// either).
+template <typename Graph>
+void PrintStandIn(const StandIn& s, const Graph& graph) {
   std::printf("dataset %-3s <- %s\n        %s\n", s.name.c_str(),
               s.description.c_str(),
-              ToString(ComputeGraphStats(converted)).c_str());
+              ToString(ComputeGraphStats(graph)).c_str());
 }
 
 }  // namespace spinner::bench

@@ -43,10 +43,11 @@ int main(int argc, char** argv) {
   PartitioningSession session(config);
   SPINNER_CHECK_OK(session.Open(social->num_vertices, social->edges,
                                 social->directed));
-  std::printf("day 0: |V|=%lld |E|=%zu phi=%.3f rho=%.3f (%d iterations "
+  std::printf("day 0: |V|=%lld |E|=%lld phi=%.3f rho=%.3f (%d iterations "
               "from scratch)\n",
               static_cast<long long>(session.num_vertices()),
-              session.edges().size(), session.last_result().metrics.phi,
+              static_cast<long long>(session.num_edges()),
+              session.last_result().metrics.phi,
               session.last_result().metrics.rho,
               session.last_result().iterations);
 
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     const GraphDelta fresh = RandomEdgeAdditions(
         n, session.edges(),
         static_cast<int64_t>(
-            static_cast<double>(session.edges().size()) * daily_pct / 100.0),
+            static_cast<double>(session.num_edges()) * daily_pct / 100.0),
         1000 + static_cast<uint64_t>(day));
     const std::vector<PartitionId> before = session.assignment();
 
@@ -102,11 +103,12 @@ int main(int argc, char** argv) {
     SPINNER_CHECK_OK(moved.status());
 
     std::printf(
-        "day %d: |V|=%lld |E|=%zu phi=%.3f rho=%.3f | %lld windows, "
+        "day %d: |V|=%lld |E|=%lld phi=%.3f rho=%.3f | %lld windows, "
         "%lld events (%lld coalesced away), max staleness %.1f ms, "
         "%.1f%% of existing vertices moved\n",
         day, static_cast<long long>(session.num_vertices()),
-        session.edges().size(), stats.last_phi, stats.last_rho,
+        static_cast<long long>(session.num_edges()), stats.last_phi,
+        stats.last_rho,
         static_cast<long long>(stats.windows_applied),
         static_cast<long long>(stats.events_ingested),
         static_cast<long long>(stats.events_coalesced),

@@ -350,9 +350,10 @@ int RunServe(const CommandLine& cli) {
   PartitioningSession session(options.spinner, session_options);
   Status opened = session.Open(n, std::move(*edges), /*directed=*/true);
   if (!opened.ok()) return Fail(opened);
-  std::printf("serving: |V|=%lld |E|=%zu k=%d phi=%.4f rho=%.4f\n",
+  std::printf("serving: |V|=%lld |E|=%lld k=%d phi=%.4f rho=%.4f\n",
               static_cast<long long>(session.num_vertices()),
-              session.edges().size(), session.num_partitions(),
+              static_cast<long long>(session.num_edges()),
+              session.num_partitions(),
               session.last_result().metrics.phi,
               session.last_result().metrics.rho);
 
@@ -411,9 +412,10 @@ int RunServe(const CommandLine& cli) {
               static_cast<long long>(stats.windows_applied),
               static_cast<long long>(stats.events_coalesced),
               static_cast<long long>(stats.queue_high_water));
-  std::printf("final: |V|=%lld |E|=%zu phi=%.4f rho=%.4f\n",
+  std::printf("final: |V|=%lld |E|=%lld phi=%.4f rho=%.4f\n",
               static_cast<long long>(session.num_vertices()),
-              session.edges().size(), session.last_result().metrics.phi,
+              static_cast<long long>(session.num_edges()),
+              session.last_result().metrics.phi,
               session.last_result().metrics.rho);
   const std::string out = cli.GetString("out", "");
   if (!out.empty()) {

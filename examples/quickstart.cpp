@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("graph: %s\n",
-              ToString(ComputeGraphStats(session.converted())).c_str());
+              ToString(ComputeGraphStats(session.store())).c_str());
 
   // --- 3. Inspect the result. ---
   const PartitionResult& result = session.last_result();

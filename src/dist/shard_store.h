@@ -16,8 +16,9 @@
 // rolls back to the last valid record) rather than fatal — a crash
 // mid-append must never wedge a worker; at worst the coordinator
 // re-downloads one slice. Record granularity is the whole shard slice:
-// topology deltas re-slice entire shards (ShardedGraphStore::Update), so
-// the natural delta unit on the worker side is the replacement slice.
+// a topology delta rebuilds each dirty shard whole
+// (ShardedGraphStore::ApplyDelta), so the natural delta unit on the
+// worker side is the replacement slice.
 // Put() appends a record while the log is short and folds everything back
 // into a fresh base past `compact_after_records` (bounding replay time).
 //

@@ -50,6 +50,9 @@ class CsrGraph {
   /// converted graph; the unit in which partition loads are counted.
   int64_t WeightedDegree(VertexId v) const { return weighted_degree_[v]; }
 
+  /// WeightedDegree of every vertex, in vertex order.
+  std::span<const int64_t> WeightedDegrees() const { return weighted_degree_; }
+
   /// Neighbor ids of v, sorted ascending (ties = parallel arcs adjacent).
   std::span<const VertexId> Neighbors(VertexId v) const {
     return {targets_.data() + offsets_[v],

@@ -22,6 +22,15 @@
 // contents for every S, which is what makes partitioning results
 // bit-identical across shard and thread counts, S = 1 included.
 //
+// A session store (FromEdgeMultiset) also keeps the directed edge multiset
+// the CSR was converted from, as a copy count next to each arc plus a
+// self-loop count per vertex, and ApplyDelta patches it in place: a graph
+// delta costs O(Δ log Δ) plus one merge pass over each dirty shard, never
+// a reconversion of the whole graph. Presence and weight of an arc follow
+// from the counts of its two directions, out(v→w) in row v and out(w→v)
+// in row w: the arc exists iff out(v→w) + out(w→v) > 0, and its Eq. 3
+// weight is [out(v→w) > 0] + [out(w→v) > 0] (1 for an undirected store).
+//
 // Threading contract: during a parallel phase, shard s may be mutated only
 // by the task processing shard s (labels in [begin, end), its own loads),
 // while every shard's CSR and the whole label array are readable by all
@@ -32,10 +41,12 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "graph/csr_graph.h"
+#include "graph/delta.h"
 #include "graph/types.h"
 
 namespace spinner {
@@ -75,6 +86,14 @@ class ShardedGraphStore {
 
     /// Shard-local per-partition loads b_s(l); k entries after ResetLoads.
     std::vector<int64_t> loads;
+
+    /// Session stores only (empty otherwise, and never serialized): the
+    /// directed edge multiset. copies[i] counts the v→targets[i] edges of
+    /// the arc's row v (0 when only the reverse direction exists);
+    /// self_loops counts each owned vertex's v→v edges, which the CSR
+    /// drops.
+    std::vector<uint32_t> copies;
+    std::vector<uint32_t> self_loops;
 
     int64_t NumOwnedVertices() const { return end - begin; }
     int64_t NumArcs() const { return static_cast<int64_t>(targets.size()); }
@@ -123,6 +142,14 @@ class ShardedGraphStore {
   static Result<ShardedGraphStore> Build(const CsrGraph& converted,
                                          int num_shards);
 
+  /// Converts `edges` over `num_vertices` vertices (Eq. 3 weights when
+  /// `directed`, weight 1 otherwise), slices the result like Build() and
+  /// keeps the edge multiset, so Edges() and ApplyDelta() work.
+  static Result<ShardedGraphStore> FromEdgeMultiset(int64_t num_vertices,
+                                                    const EdgeList& edges,
+                                                    bool directed,
+                                                    int num_shards);
+
   // --- Topology ----------------------------------------------------------
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -158,29 +185,88 @@ class ShardedGraphStore {
   /// Global loads b(l) = Σ_s b_s(l), reduced in fixed shard order.
   std::vector<int64_t> MergedLoads() const;
 
+  /// Weighted degree of every vertex, in vertex order.
+  std::vector<int64_t> WeightedDegrees() const;
+
+  // --- Edge multiset (FromEdgeMultiset stores only) ----------------------
+
+  /// True if the CSR was converted with Eq. 3 weights.
+  bool directed() const { return directed_; }
+
+  /// Number of directed edges, duplicates and self-loops included.
+  int64_t NumEdges() const { return num_edges_; }
+
+  /// Number of src→dst copies in the multiset (0 for ids outside the
+  /// graph).
+  int64_t Copies(VertexId src, VertexId dst) const;
+
+  /// The edge multiset in canonical order: sorted by (src, dst), each
+  /// edge repeated once per copy. O(n + m).
+  EdgeList Edges() const;
+
   // --- Incremental update ------------------------------------------------
 
-  /// Re-slices only the shards owning a vertex in `dirty_vertices` from
-  /// `new_converted` (same vertex count — a grown graph needs a full
-  /// Build(), since block alignment moves every boundary). The existing
-  /// cuts are kept even when the delta shifts the cost balance. Labels and
-  /// loads are left untouched; the caller re-runs label propagation.
-  /// Fails on a vertex-count mismatch or out-of-range dirty vertex.
-  Status Update(const CsrGraph& new_converted,
-                std::span<const VertexId> dirty_vertices);
+  /// What ApplyDelta replaced; Revert() puts it back.
+  class Undo {
+   private:
+    friend class ShardedGraphStore;
+    int64_t num_vertices = 0;
+    int64_t num_arcs = 0;
+    int64_t total_arc_weight = 0;
+    int64_t num_edges = 0;
+    std::vector<std::pair<int, Shard>> replaced;  // dirty shards, as were
+    std::vector<std::vector<int64_t>> loads;      // every shard's loads
+    std::vector<int64_t> rebuild_counts;
+  };
+
+  /// Applies `delta` with the semantics of spinner::ApplyDelta (remove,
+  /// then add; a removal cancels one exact (src, dst) copy). The whole
+  /// delta is checked against the counts first: on error nothing changed.
+  /// Each dirty shard — one owning a vertex whose row or self-loop count
+  /// changes — is rebuilt by one merge pass into fresh arrays that are
+  /// swapped in; the old ones move into the returned Undo. New vertices
+  /// join the last shard, whose end is the only cut that moves. Labels of
+  /// new vertices are kNoPartition and loads are left as they are; the
+  /// caller re-runs label propagation.
+  Result<Undo> ApplyDelta(const GraphDelta& delta);
+
+  /// Restores the CSR, multiset, vertex range, loads and rebuild counts as
+  /// they were before the ApplyDelta that returned `undo` (which must be
+  /// the latest one). Labels are truncated to the old vertex range but
+  /// otherwise left to the caller.
+  void Revert(Undo undo);
 
   /// How many times shard s has been (re)built — Build counts once per
-  /// shard; Update increments only the dirty shards. Observability hook
-  /// for the "deltas touch only owning shards" contract.
+  /// shard; ApplyDelta increments only the dirty shards. Observability
+  /// hook for the "deltas touch only owning shards" contract.
   int64_t rebuild_count(int s) const { return rebuild_counts_[s]; }
 
  private:
+  /// A changed directed pair of one row: the new copy counts of row→target
+  /// (out) and target→row (in). target == row patches the self-loop count.
+  struct ArcPatch {
+    VertexId row;
+    VertexId target;
+    uint32_t out;
+    uint32_t in;
+  };
+
   /// Copies shard s's CSR slice out of `converted`.
   void FillShard(const CsrGraph& converted, int s);
+
+  /// Shard s rebuilt over [begin, new_end) with `patches` (sorted by
+  /// (row, target), rows inside the range) merged in. Adds the change in
+  /// arc weight to *weight_delta.
+  Shard PatchedShard(int s, VertexId new_end,
+                     std::span<const ArcPatch> patches,
+                     int64_t* weight_delta) const;
 
   int64_t num_vertices_ = 0;
   int64_t num_arcs_ = 0;
   int64_t total_arc_weight_ = 0;
+  bool counted_ = false;  // built by FromEdgeMultiset
+  bool directed_ = false;
+  int64_t num_edges_ = 0;
   std::vector<Shard> shards_;
   std::vector<PartitionId> labels_;
   std::vector<int64_t> rebuild_counts_;

@@ -1,23 +1,18 @@
 #include "graph/stats.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 
 namespace spinner {
 
-GraphStats ComputeGraphStats(const CsrGraph& graph) {
-  GraphStats s;
-  s.num_vertices = graph.NumVertices();
-  s.num_arcs = graph.NumArcs();
-  s.total_arc_weight = graph.TotalArcWeight();
-  if (s.num_vertices == 0) return s;
+namespace {
 
-  std::vector<int64_t> degrees(s.num_vertices);
-  for (VertexId v = 0; v < s.num_vertices; ++v) {
-    degrees[v] = graph.OutDegree(v);
-  }
+/// Fills the degree fields of `s` from every vertex's out-degree.
+GraphStats WithDegrees(GraphStats s, std::vector<int64_t> degrees) {
+  if (s.num_vertices == 0) return s;
   s.min_degree = *std::min_element(degrees.begin(), degrees.end());
   s.max_degree = *std::max_element(degrees.begin(), degrees.end());
   s.mean_degree =
@@ -27,6 +22,36 @@ GraphStats ComputeGraphStats(const CsrGraph& graph) {
   std::nth_element(degrees.begin(), degrees.begin() + p99_idx, degrees.end());
   s.p99_degree = degrees[p99_idx];
   return s;
+}
+
+}  // namespace
+
+GraphStats ComputeGraphStats(const CsrGraph& graph) {
+  GraphStats s;
+  s.num_vertices = graph.NumVertices();
+  s.num_arcs = graph.NumArcs();
+  s.total_arc_weight = graph.TotalArcWeight();
+  std::vector<int64_t> degrees(s.num_vertices);
+  for (VertexId v = 0; v < s.num_vertices; ++v) {
+    degrees[v] = graph.OutDegree(v);
+  }
+  return WithDegrees(s, std::move(degrees));
+}
+
+GraphStats ComputeGraphStats(const ShardedGraphStore& store) {
+  GraphStats s;
+  s.num_vertices = store.NumVertices();
+  s.num_arcs = store.NumArcs();
+  s.total_arc_weight = store.TotalArcWeight();
+  std::vector<int64_t> degrees;
+  degrees.reserve(static_cast<size_t>(s.num_vertices));
+  for (int i = 0; i < store.num_shards(); ++i) {
+    const ShardedGraphStore::Shard& shard = store.shard(i);
+    for (VertexId v = shard.begin; v < shard.end; ++v) {
+      degrees.push_back(shard.OutDegree(v));
+    }
+  }
+  return WithDegrees(s, std::move(degrees));
 }
 
 std::string ToString(const GraphStats& s) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "graph/csr_graph.h"
+#include "graph/sharded_store.h"
 
 namespace spinner {
 
@@ -24,6 +25,9 @@ struct GraphStats {
 
 /// Computes stats in one pass (plus a partial sort for the percentile).
 GraphStats ComputeGraphStats(const CsrGraph& graph);
+
+/// The same stats over the graph a ShardedGraphStore holds.
+GraphStats ComputeGraphStats(const ShardedGraphStore& store);
 
 /// One-line human-readable rendering.
 std::string ToString(const GraphStats& stats);

@@ -39,9 +39,10 @@ std::vector<PartitionId> RandomAssignment(int64_t num_vertices, int k,
 }
 
 Result<std::vector<PartitionId>> ExtendForNewVertices(
-    const CsrGraph& new_graph, std::span<const PartitionId> previous, int k) {
+    std::span<const int64_t> weighted_degrees,
+    std::span<const PartitionId> previous, int k) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  const int64_t n = new_graph.NumVertices();
+  const auto n = static_cast<int64_t>(weighted_degrees.size());
   if (static_cast<int64_t>(previous.size()) > n) {
     return Status::InvalidArgument(StrFormat(
         "previous assignment covers %zu vertices but graph has %lld",
@@ -53,14 +54,14 @@ Result<std::vector<PartitionId>> ExtendForNewVertices(
   std::vector<int64_t> loads(k, 0);
   for (size_t v = 0; v < previous.size(); ++v) {
     labels[v] = previous[v];
-    loads[previous[v]] += new_graph.WeightedDegree(static_cast<VertexId>(v));
+    loads[previous[v]] += weighted_degrees[v];
   }
   for (int64_t v = static_cast<int64_t>(previous.size()); v < n; ++v) {
     // "we initially assign them to the least loaded partition" (§III.D).
     const auto least = static_cast<PartitionId>(
         std::min_element(loads.begin(), loads.end()) - loads.begin());
     labels[v] = least;
-    loads[least] += new_graph.WeightedDegree(v);
+    loads[least] += weighted_degrees[v];
   }
   return labels;
 }

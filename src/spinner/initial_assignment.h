@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "graph/csr_graph.h"
 #include "graph/types.h"
 
 namespace spinner {
@@ -22,13 +21,15 @@ namespace spinner {
 std::vector<PartitionId> RandomAssignment(int64_t num_vertices, int k,
                                           uint64_t seed);
 
-/// Incremental restart: vertices [0, previous.size()) keep their previous
-/// label; each new vertex joins the currently least-loaded partition (by
-/// weighted degree over `new_graph`), processed in id order with loads
+/// Incremental restart over a graph whose vertex v has weighted degree
+/// `weighted_degrees[v]`: vertices [0, previous.size()) keep their
+/// previous label; each new vertex joins the currently least-loaded
+/// partition (by weighted degree), processed in id order with loads
 /// updated as it goes. Fails if previous labels fall outside [0, k) or the
 /// graph has fewer vertices than `previous`.
 Result<std::vector<PartitionId>> ExtendForNewVertices(
-    const CsrGraph& new_graph, std::span<const PartitionId> previous, int k);
+    std::span<const int64_t> weighted_degrees,
+    std::span<const PartitionId> previous, int k);
 
 /// Elastic scale-out (§III.E): with n = new_k − old_k added partitions,
 /// each vertex migrates with probability n/(old_k+n) to one of the new

@@ -8,13 +8,13 @@ namespace spinner {
 
 namespace {
 
-Status ValidateAssignment(const CsrGraph& graph,
+Status ValidateAssignment(int64_t num_vertices,
                           std::span<const PartitionId> assignment, int k) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (static_cast<int64_t>(assignment.size()) != graph.NumVertices()) {
+  if (static_cast<int64_t>(assignment.size()) != num_vertices) {
     return Status::InvalidArgument(StrFormat(
         "assignment size %zu != vertex count %lld", assignment.size(),
-        static_cast<long long>(graph.NumVertices())));
+        static_cast<long long>(num_vertices)));
   }
   for (size_t v = 0; v < assignment.size(); ++v) {
     if (assignment[v] < 0 || assignment[v] >= k) {
@@ -25,18 +25,15 @@ Status ValidateAssignment(const CsrGraph& graph,
   return Status::OK();
 }
 
-}  // namespace
-
-Result<PartitionMetrics> ComputeMetrics(
-    const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
-    double c) {
-  return ComputeMetricsEx(converted, assignment, k, c, BalanceSpec{});
-}
-
-Result<PartitionMetrics> ComputeMetricsEx(
-    const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
-    double c, const BalanceSpec& spec) {
-  SPINNER_RETURN_IF_ERROR(ValidateAssignment(converted, assignment, k));
+/// The metrics pass over any graph: `for_each_row(visit)` calls
+/// visit(v, weighted degree, neighbours, weights) for every vertex in
+/// ascending order, so both graph forms sum in the same order.
+template <typename ForEachRow>
+Result<PartitionMetrics> MetricsOver(int64_t n, int64_t total_weight,
+                                     std::span<const PartitionId> assignment,
+                                     int k, double c, const BalanceSpec& spec,
+                                     ForEachRow for_each_row) {
+  SPINNER_RETURN_IF_ERROR(ValidateAssignment(n, assignment, k));
   if (c <= 0) return Status::InvalidArgument("c must be > 0");
   if (!spec.partition_weights.empty()) {
     if (static_cast<int>(spec.partition_weights.size()) != k) {
@@ -52,22 +49,20 @@ Result<PartitionMetrics> ComputeMetricsEx(
 
   PartitionMetrics m;
   m.loads.assign(k, 0);
-  m.total_weight = converted.TotalArcWeight();
+  m.total_weight = total_weight;
 
   int64_t local_weight = 0;
   int64_t total_units = 0;
   double raw_score_locality = 0.0;
-  const int64_t n = converted.NumVertices();
-  for (VertexId v = 0; v < n; ++v) {
+  for_each_row([&](VertexId v, int64_t deg_w,
+                   std::span<const VertexId> nbrs,
+                   std::span<const EdgeWeight> wts) {
     const PartitionId lv = assignment[v];
-    const int64_t deg_w = converted.WeightedDegree(v);
     const int64_t units =
         spec.mode == BalanceMode::kVertices ? 1 : deg_w;
     m.loads[lv] += units;
     total_units += units;
-    if (deg_w == 0) continue;
-    auto nbrs = converted.Neighbors(v);
-    auto wts = converted.Weights(v);
+    if (deg_w == 0) return;
     int64_t local_v = 0;
     for (size_t i = 0; i < nbrs.size(); ++i) {
       if (assignment[nbrs[i]] == lv) local_v += wts[i];
@@ -75,7 +70,7 @@ Result<PartitionMetrics> ComputeMetricsEx(
     local_weight += local_v;
     raw_score_locality +=
         static_cast<double>(local_v) / static_cast<double>(deg_w);
-  }
+  });
 
   m.cut_weight = m.total_weight - local_weight;
   m.phi = m.total_weight == 0
@@ -116,10 +111,48 @@ Result<PartitionMetrics> ComputeMetricsEx(
   return m;
 }
 
+}  // namespace
+
+Result<PartitionMetrics> ComputeMetrics(
+    const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
+    double c) {
+  return ComputeMetricsEx(converted, assignment, k, c, BalanceSpec{});
+}
+
+Result<PartitionMetrics> ComputeMetricsEx(
+    const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
+    double c, const BalanceSpec& spec) {
+  return MetricsOver(
+      converted.NumVertices(), converted.TotalArcWeight(), assignment, k, c,
+      spec, [&](auto&& visit) {
+        for (VertexId v = 0; v < converted.NumVertices(); ++v) {
+          visit(v, converted.WeightedDegree(v), converted.Neighbors(v),
+                converted.Weights(v));
+        }
+      });
+}
+
+Result<PartitionMetrics> ComputeMetricsEx(
+    const ShardedGraphStore& store, std::span<const PartitionId> assignment,
+    int k, double c, const BalanceSpec& spec) {
+  return MetricsOver(
+      store.NumVertices(), store.TotalArcWeight(), assignment, k, c, spec,
+      [&](auto&& visit) {
+        for (int s = 0; s < store.num_shards(); ++s) {
+          const ShardedGraphStore::Shard& shard = store.shard(s);
+          for (VertexId v = shard.begin; v < shard.end; ++v) {
+            visit(v, shard.WeightedDegreeOf(v), shard.Neighbors(v),
+                  shard.WeightsOf(v));
+          }
+        }
+      });
+}
+
 Result<std::vector<int64_t>> ComputeLoads(
     const CsrGraph& converted, std::span<const PartitionId> assignment,
     int k) {
-  SPINNER_RETURN_IF_ERROR(ValidateAssignment(converted, assignment, k));
+  SPINNER_RETURN_IF_ERROR(
+      ValidateAssignment(converted.NumVertices(), assignment, k));
   std::vector<int64_t> loads(k, 0);
   for (VertexId v = 0; v < converted.NumVertices(); ++v) {
     loads[assignment[v]] += converted.WeightedDegree(v);

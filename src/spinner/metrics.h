@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "graph/csr_graph.h"
+#include "graph/sharded_store.h"
 #include "graph/types.h"
 #include "spinner/config.h"
 
@@ -52,6 +53,13 @@ Result<PartitionMetrics> ComputeMetrics(const CsrGraph& converted,
 /// locality. ρ is measured against each partition's own ideal share.
 Result<PartitionMetrics> ComputeMetricsEx(
     const CsrGraph& converted, std::span<const PartitionId> assignment,
+    int k, double c, const BalanceSpec& spec);
+
+/// The same metrics over the graph a ShardedGraphStore holds, summed in
+/// the same vertex order, so every value is bit-identical to the CsrGraph
+/// form over the same graph.
+Result<PartitionMetrics> ComputeMetricsEx(
+    const ShardedGraphStore& store, std::span<const PartitionId> assignment,
     int k, double c, const BalanceSpec& spec);
 
 /// b(l) per partition only (cheaper than full metrics).

@@ -34,7 +34,8 @@ Result<PartitionResult> SpinnerPartitioner::Repartition(
     std::span<const PartitionId> previous) const {
   SPINNER_ASSIGN_OR_RETURN(
       std::vector<PartitionId> initial,
-      ExtendForNewVertices(new_converted, previous, config_.num_partitions));
+      ExtendForNewVertices(new_converted.WeightedDegrees(), previous,
+                           config_.num_partitions));
   return RunOnGraph(new_converted, std::move(initial),
                     config_.num_partitions);
 }

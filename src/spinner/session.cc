@@ -6,7 +6,6 @@
 #include "dist/coordinator.h"
 #include "dist/registry.h"
 #include "graph/binary_io.h"
-#include "graph/conversion.h"
 #include "spinner/initial_assignment.h"
 #include "spinner/sharded_program.h"
 
@@ -24,12 +23,6 @@ PartitioningSession::PartitioningSession(const SpinnerConfig& config,
 
 PartitioningSession::~PartitioningSession() = default;
 
-Result<CsrGraph> PartitioningSession::Convert(int64_t num_vertices,
-                                              const EdgeList& edges) const {
-  return directed_ ? ConvertToWeightedUndirected(num_vertices, edges)
-                   : BuildSymmetric(num_vertices, edges);
-}
-
 Status PartitioningSession::CheckReady() const {
   SPINNER_RETURN_IF_ERROR(init_status_);
   if (!open_) {
@@ -40,9 +33,9 @@ Status PartitioningSession::CheckReady() const {
 }
 
 Result<ShardedGraphStore> PartitioningSession::BuildStore(
-    const CsrGraph& converted) const {
-  return ShardedGraphStore::Build(
-      converted, ResolveNumShards(config_, converted.NumVertices()));
+    int64_t num_vertices, const EdgeList& edges, bool directed) const {
+  return ShardedGraphStore::FromEdgeMultiset(
+      num_vertices, edges, directed, ResolveNumShards(config_, num_vertices));
 }
 
 void PartitioningSession::EnsurePool() {
@@ -73,13 +66,17 @@ Result<std::string> PartitioningSession::TcpAddress() {
   return registry_->address();
 }
 
-Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
-                                   std::vector<PartitionId> initial_labels,
+Status PartitioningSession::RunLpa(std::vector<PartitionId> initial_labels,
                                    int k, PartitionResult* out) {
   SpinnerConfig run_config = config_;
   run_config.num_partitions = k;
-  ShardedRunResult run;
-  if (config_.execution.mode != ExecutionMode::kInProcess) {
+  Result<ShardedRunResult> ran = [&]() -> Result<ShardedRunResult> {
+    if (config_.execution.mode == ExecutionMode::kInProcess) {
+      EnsurePool();
+      return RunShardedSpinner(run_config, &store_, std::move(initial_labels),
+                               pool_.get(),
+                               observer_.active() ? &observer_ : nullptr);
+    }
     // Cross-process execution: the coordinator drives the identical
     // superstep schedule over forked (kMultiProcess) or dial-in TCP
     // (kTcp) workers, so the session-visible outcome is bit-identical to
@@ -90,18 +87,16 @@ Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
       SPINNER_RETURN_IF_ERROR(EnsureRegistry());
       mp.worker_transport = registry_.get();
     }
-    SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunMultiProcessSpinner(
-                 run_config, &store_, std::move(initial_labels), mp,
-                 observer_.active() ? &observer_ : nullptr));
-  } else {
-    EnsurePool();
-    SPINNER_ASSIGN_OR_RETURN(
-        run,
-        RunShardedSpinner(run_config, &store_, std::move(initial_labels),
-                          pool_.get(),
-                          observer_.active() ? &observer_ : nullptr));
+    return dist::RunMultiProcessSpinner(
+        run_config, &store_, std::move(initial_labels), mp,
+        observer_.active() ? &observer_ : nullptr);
+  }();
+  if (!ran.ok()) {
+    // A failed run may leave partial labels behind; the assignment stands.
+    store_.labels() = assignment_;
+    return ran.status();
   }
+  ShardedRunResult run = std::move(ran).value();
   out->num_partitions = k;
   out->iterations = run.iterations;
   out->converged = run.converged;
@@ -116,7 +111,7 @@ Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
   spec.partition_weights = run_config.partition_weights;
   SPINNER_ASSIGN_OR_RETURN(
       out->metrics,
-      ComputeMetricsEx(metrics_graph, out->assignment, k,
+      ComputeMetricsEx(store_, out->assignment, k,
                        run_config.additional_capacity, spec));
   return Status::OK();
 }
@@ -128,18 +123,17 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
     return Status::FailedPrecondition(
         "session is already open; use a fresh session per graph");
   }
-  directed_ = directed;
-  SPINNER_ASSIGN_OR_RETURN(CsrGraph converted,
-                           Convert(num_vertices, edges));
-  SPINNER_ASSIGN_OR_RETURN(store_, BuildStore(converted));
+  SPINNER_ASSIGN_OR_RETURN(store_,
+                           BuildStore(num_vertices, edges, directed));
   std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
   PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted, std::move(no_labels), current_k_, &result));
+  const Status run_status =
+      RunLpa(std::move(no_labels), current_k_, &result);
+  if (!run_status.ok()) {
+    store_ = ShardedGraphStore();
+    return run_status;
+  }
 
-  num_vertices_ = num_vertices;
-  edges_ = std::move(edges);
-  converted_ = std::move(converted);
   assignment_ = result.assignment;
   last_result_ = std::move(result);
   open_ = true;
@@ -148,51 +142,22 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
 
 Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
   SPINNER_RETURN_IF_ERROR(CheckReady());
-  SPINNER_ASSIGN_OR_RETURN(EdgeList new_edges,
-                           spinner::ApplyDelta(num_vertices_, edges_, delta));
-  const int64_t new_num_vertices = num_vertices_ + delta.num_new_vertices;
-  SPINNER_ASSIGN_OR_RETURN(CsrGraph new_converted,
-                           Convert(new_num_vertices, new_edges));
-  // Incremental restart labels (§III.D) are computed before the store is
-  // touched, so every failure up to here leaves the session untouched.
-  SPINNER_ASSIGN_OR_RETURN(
-      std::vector<PartitionId> initial,
-      ExtendForNewVertices(new_converted, assignment_, current_k_));
-
-  if (delta.num_new_vertices > 0) {
-    // The vertex range grew: block alignment moves every shard boundary,
-    // so re-slice the whole store.
-    SPINNER_ASSIGN_OR_RETURN(store_, BuildStore(new_converted));
-  } else {
-    // Same vertex range: only the shards owning an endpoint of a changed
-    // edge have a stale CSR slice.
-    std::vector<VertexId> dirty;
-    dirty.reserve(2 * (delta.added_edges.size() + delta.removed_edges.size()));
-    for (const Edge& e : delta.added_edges) {
-      dirty.push_back(e.src);
-      dirty.push_back(e.dst);
-    }
-    for (const Edge& e : delta.removed_edges) {
-      dirty.push_back(e.src);
-      dirty.push_back(e.dst);
-    }
-    SPINNER_RETURN_IF_ERROR(store_.Update(new_converted, dirty));
-  }
-
+  // The store checks the whole delta before patching anything, so a bad
+  // delta leaves the session untouched.
+  SPINNER_ASSIGN_OR_RETURN(ShardedGraphStore::Undo undo,
+                           store_.ApplyDelta(delta));
+  // Incremental restart labels (§III.D) over the patched graph.
+  Result<std::vector<PartitionId>> initial = ExtendForNewVertices(
+      store_.WeightedDegrees(), assignment_, current_k_);
   PartitionResult result;
   const Status run_status =
-      RunLpa(new_converted, std::move(initial), current_k_, &result);
+      initial.ok() ? RunLpa(std::move(initial).value(), current_k_, &result)
+                   : initial.status();
   if (!run_status.ok()) {
-    // The store was already re-sliced for the new graph; put it back so
-    // the session's pre-call state stays self-consistent.
-    auto rebuilt = BuildStore(converted_);
-    if (rebuilt.ok()) store_ = std::move(rebuilt).value();
+    store_.Revert(std::move(undo));  // swap the old shard arrays back
     return run_status;
   }
 
-  num_vertices_ = new_num_vertices;
-  edges_ = std::move(new_edges);
-  converted_ = std::move(new_converted);
   assignment_ = result.assignment;
   last_result_ = std::move(result);
   return Status::OK();
@@ -216,8 +181,7 @@ Status PartitioningSession::Rescale(int new_k) {
     initial = assignment_;
   }
   PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), new_k, &result));
+  SPINNER_RETURN_IF_ERROR(RunLpa(std::move(initial), new_k, &result));
 
   current_k_ = new_k;
   config_.num_partitions = new_k;
@@ -228,12 +192,8 @@ Status PartitioningSession::Rescale(int new_k) {
 
 Status PartitioningSession::Refine() {
   SPINNER_RETURN_IF_ERROR(CheckReady());
-  SPINNER_ASSIGN_OR_RETURN(
-      std::vector<PartitionId> initial,
-      ExtendForNewVertices(converted_, assignment_, current_k_));
   PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), current_k_, &result));
+  SPINNER_RETURN_IF_ERROR(RunLpa(assignment_, current_k_, &result));
   assignment_ = result.assignment;
   last_result_ = std::move(result);
   return Status::OK();
@@ -260,9 +220,9 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
 Status PartitioningSession::Snapshot(const std::string& path) const {
   SPINNER_RETURN_IF_ERROR(CheckReady());
   graph_io::SessionSnapshot snapshot;
-  snapshot.num_vertices = num_vertices_;
-  snapshot.edges = edges_;
-  snapshot.directed = directed_;
+  snapshot.num_vertices = store_.NumVertices();
+  snapshot.edges = store_.Edges();
+  snapshot.directed = store_.directed();
   snapshot.num_partitions = current_k_;
   snapshot.assignment = assignment_;
   return graph_io::WriteSessionSnapshot(path, snapshot);
@@ -294,16 +254,11 @@ Status PartitioningSession::RestoreSnapshot(
       return Status::InvalidArgument("snapshot assignment label out of range");
     }
   }
-  directed_ = snapshot.directed;
   SPINNER_ASSIGN_OR_RETURN(
-      CsrGraph converted,
-      Convert(snapshot.num_vertices, snapshot.edges));
-  SPINNER_ASSIGN_OR_RETURN(ShardedGraphStore store, BuildStore(converted));
+      ShardedGraphStore store,
+      BuildStore(snapshot.num_vertices, snapshot.edges, snapshot.directed));
   store.labels() = snapshot.assignment;
 
-  num_vertices_ = snapshot.num_vertices;
-  edges_ = std::move(snapshot.edges);
-  converted_ = std::move(converted);
   store_ = std::move(store);
   assignment_ = std::move(snapshot.assignment);
   current_k_ = snapshot.num_partitions;
@@ -322,7 +277,7 @@ Result<PartitionMetrics> PartitioningSession::Metrics() const {
   BalanceSpec spec;
   spec.mode = config_.balance_mode;
   spec.partition_weights = config_.partition_weights;
-  return ComputeMetricsEx(converted_, assignment_, current_k_,
+  return ComputeMetricsEx(store_, assignment_, current_k_,
                           config_.additional_capacity, spec);
 }
 

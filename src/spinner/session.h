@@ -2,9 +2,9 @@
 //
 // The paper's central claim is that Spinner is not a one-shot partitioner
 // but a partitioning that is *kept* good as the graph changes (§III.D) and
-// the cluster resizes (§III.E). This class owns that lifecycle: the raw
-// edge list, the converted graph — held as a ShardedGraphStore whose
-// shard-local CSRs the shard-parallel LPA runs over — and the current
+// the cluster resizes (§III.E). This class owns that lifecycle: the graph —
+// one ShardedGraphStore, whose shard-local CSRs the shard-parallel LPA runs
+// over and which also keeps the directed edge multiset — and the current
 // assignment live here, so callers express intent ("the graph changed",
 // "we have 4 more machines") instead of re-wiring delta application,
 // conversion and label threading by hand.
@@ -24,8 +24,10 @@
 //
 // Sharding is a pure parallelism knob: the partitioning computed by a
 // session is bit-identical for every {num_shards, num_threads} choice
-// (see spinner/sharded_program.h for why). Deltas that do not grow the
-// vertex range re-slice only the shards owning a touched vertex.
+// (see spinner/sharded_program.h for why). A delta patches the store in
+// place: its cost before label propagation is O(Δ log Δ) plus one merge
+// pass over each shard owning a touched vertex, never a reconversion of the
+// whole graph.
 //
 // Every mutation runs label propagation from the previous assignment and
 // commits atomically: on error the session keeps its pre-call state.
@@ -39,7 +41,6 @@
 #include "common/result.h"
 #include "common/threadpool.h"
 #include "graph/binary_io.h"
-#include "graph/csr_graph.h"
 #include "graph/delta.h"
 #include "graph/sharded_store.h"
 #include "graph/types.h"
@@ -81,19 +82,21 @@ class PartitioningSession {
 
   // --- Lifecycle ---------------------------------------------------------
 
-  /// Takes ownership of `edges` over `num_vertices` vertices and computes
-  /// the initial partitioning from scratch. `directed` selects the
+  /// Converts `edges` over `num_vertices` vertices into the session's
+  /// store, which keeps the edge multiset, and computes the initial
+  /// partitioning from scratch. `directed` selects the
   /// conversion: true applies the paper's Eq. 3 weighting, false treats
   /// `edges` as an undirected edge list (each edge listed once).
   /// Fails (FailedPrecondition) if the session is already open.
   Status Open(int64_t num_vertices, EdgeList edges, bool directed = true);
 
-  /// Applies `delta` to the owned edge list, reconverts, and adapts the
-  /// partitioning incrementally (§III.D): existing vertices keep their
-  /// labels as the starting point, new vertices join the least-loaded
-  /// partition, then label propagation re-optimizes. A delta that does
-  /// not add vertices re-slices only the store shards owning an endpoint
-  /// of a changed edge.
+  /// Patches `delta` into the store (ShardedGraphStore::ApplyDelta: only
+  /// shards owning an endpoint of a changed edge are rebuilt, and new
+  /// vertices join the last shard) and adapts the partitioning
+  /// incrementally (§III.D): existing vertices keep their labels as the
+  /// starting point, new vertices join the least-loaded partition, then
+  /// label propagation re-optimizes. If that fails, the store's old
+  /// arrays are swapped back.
   Status ApplyDelta(const GraphDelta& delta);
 
   /// Elastic adaptation (§III.E) to `new_k` partitions. The probabilistic
@@ -151,18 +154,24 @@ class PartitioningSession {
   /// Shard count of the graph store (0 until the session is open).
   int num_shards() const { return store_.num_shards(); }
 
-  int64_t num_vertices() const { return num_vertices_; }
+  int64_t num_vertices() const { return store_.NumVertices(); }
 
-  /// True if the owned edge list is directed (the conversion applied the
+  /// True if the edge list is directed (the conversion applied the
   /// paper's Eq. 3 weighting). Fixed by Open()/Restore().
-  bool directed() const { return directed_; }
+  bool directed() const { return store_.directed(); }
 
-  const EdgeList& edges() const { return edges_; }
-  const CsrGraph& converted() const { return converted_; }
+  /// The edge multiset, rebuilt from the store in canonical order (sorted
+  /// by (src, dst), duplicates and self-loops included): O(n + m) per
+  /// call. Use num_edges() when only the count matters.
+  EdgeList edges() const { return store_.Edges(); }
 
-  /// The sharded graph store label propagation runs over. Valid while the
-  /// session is open; exposes shard ranges, per-shard loads and rebuild
-  /// counts (observability for the owning-shards-only delta contract).
+  /// Number of edges in the multiset, O(1).
+  int64_t num_edges() const { return store_.NumEdges(); }
+
+  /// The sharded graph store label propagation runs over — the session's
+  /// only copy of the graph. Valid while the session is open; exposes
+  /// shard ranges, per-shard loads and rebuild counts (observability for
+  /// the owning-shards-only delta contract).
   const ShardedGraphStore& store() const { return store_; }
 
   /// The execution-shape options the session was constructed with.
@@ -199,15 +208,13 @@ class PartitioningSession {
   const SpinnerConfig& config() const { return config_; }
 
  private:
-  /// Builds the converted graph for the owned edge list.
-  Result<CsrGraph> Convert(int64_t num_vertices,
-                           const EdgeList& edges) const;
-
   /// Fails unless the session is open and the config is valid.
   Status CheckReady() const;
 
-  /// Slices `converted` into the session's shard count.
-  Result<ShardedGraphStore> BuildStore(const CsrGraph& converted) const;
+  /// Converts `edges` into a store of the session's shard count.
+  Result<ShardedGraphStore> BuildStore(int64_t num_vertices,
+                                       const EdgeList& edges,
+                                       bool directed) const;
 
   /// Creates the thread pool on first use (after the shard count is known).
   void EnsurePool();
@@ -216,11 +223,10 @@ class PartitioningSession {
   Status EnsureRegistry();
 
   /// Runs shard-parallel label propagation over store_ from
-  /// `initial_labels` with `k` partitions and fills `out` (metrics are
-  /// computed against `metrics_graph`). On success store_.labels() is the
-  /// new assignment.
-  Status RunLpa(const CsrGraph& metrics_graph,
-                std::vector<PartitionId> initial_labels, int k,
+  /// `initial_labels` with `k` partitions and fills `out`, metrics
+  /// included. On success store_.labels() is the new assignment; if the
+  /// run fails they are reset to assignment().
+  Status RunLpa(std::vector<PartitionId> initial_labels, int k,
                 PartitionResult* out);
 
   /// num_partitions kept equal to current_k_; execution holds the merged
@@ -232,11 +238,7 @@ class PartitioningSession {
   /// lifecycle call of this session.
   std::unique_ptr<dist::WorkerRegistry> registry_;
   bool open_ = false;
-  bool directed_ = false;
   int current_k_ = 0;
-  int64_t num_vertices_ = 0;
-  EdgeList edges_;
-  CsrGraph converted_;
   ShardedGraphStore store_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<PartitionId> assignment_;

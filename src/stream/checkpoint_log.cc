@@ -1,5 +1,6 @@
 #include "stream/checkpoint_log.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -200,6 +201,10 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
       }
     }
     ++record_index;
+  }
+  // A session's Snapshot() writes its edges in canonical order.
+  if (record_index > 0) {
+    std::sort(snapshot.edges.begin(), snapshot.edges.end());
   }
   return snapshot;
 }

@@ -22,8 +22,9 @@
 //
 // Load() replays base + log into a SessionSnapshot whose state is
 // byte-identical to a full Snapshot() taken at the same point: edges are
-// rebuilt through the same ApplyDelta fold the session itself used, and
-// label updates replay the exact assignment transitions.
+// rebuilt through the ApplyDelta fold and sorted into the canonical order
+// Snapshot() writes, and label updates replay the exact assignment
+// transitions.
 //
 // Not thread-safe; the streaming ingestion service drives one instance
 // from its ingestion thread.

@@ -30,7 +30,7 @@ TEST(ExtendForNewVerticesTest, KeepsExistingAndBalancesNew) {
   auto g = BuildSymmetric(6, {{0, 1}, {1, 2}, {2, 3}, {4, 5}});
   ASSERT_TRUE(g.ok());
   const std::vector<PartitionId> previous = {0, 0, 0, 0};
-  auto labels = ExtendForNewVertices(*g, previous, 2);
+  auto labels = ExtendForNewVertices(g->WeightedDegrees(), previous, 2);
   ASSERT_TRUE(labels.ok());
   for (int v = 0; v < 4; ++v) EXPECT_EQ((*labels)[v], 0);
   // Partition 0 already carries all the old load; both new vertices must
@@ -44,7 +44,7 @@ TEST(ExtendForNewVerticesTest, NoNewVerticesIsIdentity) {
   auto g = BuildSymmetric(3, {{0, 1}, {1, 2}});
   ASSERT_TRUE(g.ok());
   const std::vector<PartitionId> previous = {1, 0, 1};
-  auto labels = ExtendForNewVertices(*g, previous, 2);
+  auto labels = ExtendForNewVertices(g->WeightedDegrees(), previous, 2);
   ASSERT_TRUE(labels.ok());
   EXPECT_EQ(*labels, previous);
 }
@@ -53,9 +53,9 @@ TEST(ExtendForNewVerticesTest, RejectsBadInputs) {
   auto g = BuildSymmetric(2, {{0, 1}});
   ASSERT_TRUE(g.ok());
   const std::vector<PartitionId> too_many = {0, 0, 0};
-  EXPECT_FALSE(ExtendForNewVertices(*g, too_many, 2).ok());
+  EXPECT_FALSE(ExtendForNewVertices(g->WeightedDegrees(), too_many, 2).ok());
   const std::vector<PartitionId> bad_label = {5, 0};
-  EXPECT_FALSE(ExtendForNewVertices(*g, bad_label, 2).ok());
+  EXPECT_FALSE(ExtendForNewVertices(g->WeightedDegrees(), bad_label, 2).ok());
 }
 
 TEST(ElasticExpandTest, MigratesExpectedFraction) {

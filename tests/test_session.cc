@@ -354,13 +354,18 @@ TEST(PartitioningSessionTest, EdgeDeltaRebuildsOnlyOwningShards) {
   EXPECT_EQ(session.store().rebuild_count(1), 1);
   EXPECT_EQ(session.store().rebuild_count(2), 1);
 
-  // Growing the vertex range moves the block-aligned boundaries: full
-  // re-slice.
+  // New vertices join the last shard, whose end is the only cut that
+  // moves; the edge to vertex 3 also patches shard 0.
   GraphDelta grow;
   grow.AddVertex(4).AddEdge(ws->num_vertices, 3);
   ASSERT_TRUE(session.ApplyDelta(grow).ok());
   EXPECT_EQ(session.store().NumVertices(), ws->num_vertices + 4);
-  EXPECT_EQ(session.store().rebuild_count(0), 1);  // fresh store
+  EXPECT_EQ(session.store().shard(0).end, 512);
+  EXPECT_EQ(session.store().shard(1).end, 768);
+  EXPECT_EQ(session.store().shard(2).end, ws->num_vertices + 4);
+  EXPECT_EQ(session.store().rebuild_count(0), 3);
+  EXPECT_EQ(session.store().rebuild_count(1), 1);
+  EXPECT_EQ(session.store().rebuild_count(2), 2);
 }
 
 TEST(PartitioningSessionTest, SnapshotRestoreRoundTripsAcrossShardShapes) {

@@ -12,6 +12,7 @@
 
 #include "common/threadpool.h"
 #include "graph/conversion.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/sharded_store.h"
 #include "spinner/partitioner.h"
@@ -70,6 +71,10 @@ void ExpectSlicesMatch(const ShardedGraphStore& store, const CsrGraph& g) {
     for (VertexId v = shard.begin; v < shard.end; ++v) {
       ASSERT_EQ(store.ShardOf(v), s) << "v=" << v;
       ASSERT_EQ(shard.WeightedDegreeOf(v), g.WeightedDegree(v));
+      ASSERT_EQ(shard.InvWeightedDegreeOf(v),
+                g.WeightedDegree(v) > 0
+                    ? 1.0 / static_cast<double>(g.WeightedDegree(v))
+                    : 0.0);
       const auto got_n = shard.Neighbors(v);
       const auto want_n = g.Neighbors(v);
       ASSERT_EQ(got_n.size(), want_n.size());
@@ -185,33 +190,31 @@ TEST(ShardedGraphStoreTest, HeavyLastBlockCapsCutsAtItsStart) {
 TEST(ShardedGraphStoreTest, UpdateKeepsTheExistingCuts) {
   auto ba = BarabasiAlbert(5000, 4, 4, 9);
   ASSERT_TRUE(ba.ok());
-  auto before = BuildSymmetric(ba->num_vertices, ba->edges);
-  ASSERT_TRUE(before.ok());
-  auto store = ShardedGraphStore::Build(*before, 4);
+  auto store = ShardedGraphStore::FromEdgeMultiset(ba->num_vertices,
+                                                   ba->edges, false, 4);
   ASSERT_TRUE(store.ok());
   std::vector<std::pair<VertexId, VertexId>> cuts;
   for (int s = 0; s < 4; ++s) {
     cuts.emplace_back(store->shard(s).begin, store->shard(s).end);
   }
   // Turn the last ten vertices into hubs of the tail: a fresh Build would
-  // cut differently, Update must not move any boundary.
+  // cut differently, a patch must not move any boundary.
   const VertexId n = ba->num_vertices;
   EdgeList edges = ba->edges;
-  std::vector<VertexId> dirty;
+  GraphDelta delta;
   for (VertexId hub = n - 10; hub < n; ++hub) {
     for (VertexId v = n - 1000; v < n - 10; ++v) {
       edges.push_back({hub, v});
-      dirty.push_back(v);
+      delta.AddEdge(hub, v);
     }
-    dirty.push_back(hub);
   }
-  auto after = BuildSymmetric(ba->num_vertices, edges);
-  ASSERT_TRUE(after.ok());
-  ASSERT_TRUE(store->Update(*after, dirty).ok());
+  ASSERT_TRUE(store->ApplyDelta(delta).ok());
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(store->shard(s).begin, cuts[s].first) << s;
     EXPECT_EQ(store->shard(s).end, cuts[s].second) << s;
   }
+  auto after = BuildSymmetric(ba->num_vertices, edges);
+  ASSERT_TRUE(after.ok());
   ExpectSlicesMatch(*store, *after);
   auto rebuilt = ShardedGraphStore::Build(*after, 4);
   ASSERT_TRUE(rebuilt.ok());
@@ -239,9 +242,8 @@ TEST(ShardedGraphStoreTest, MergedLoadsReducesAcrossShards) {
 TEST(ShardedGraphStoreTest, UpdateRebuildsOnlyOwningShards) {
   auto ws = WattsStrogatz(1100, 3, 0.3, 11);
   ASSERT_TRUE(ws.ok());
-  auto before = BuildSymmetric(ws->num_vertices, ws->edges);
-  ASSERT_TRUE(before.ok());
-  auto store = ShardedGraphStore::Build(*before, 3);
+  auto store = ShardedGraphStore::FromEdgeMultiset(ws->num_vertices,
+                                                   ws->edges, false, 3);
   ASSERT_TRUE(store.ok());
   for (int s = 0; s < 3; ++s) EXPECT_EQ(store->rebuild_count(s), 1);
 
@@ -249,24 +251,166 @@ TEST(ShardedGraphStoreTest, UpdateRebuildsOnlyOwningShards) {
   // shard's CSR slice is stale.
   EdgeList new_edges = ws->edges;
   new_edges.push_back({1, 5});
-  auto after = BuildSymmetric(ws->num_vertices, new_edges);
-  ASSERT_TRUE(after.ok());
-  const std::vector<VertexId> dirty = {1, 5};
-  ASSERT_TRUE(store->Update(*after, dirty).ok());
+  ASSERT_TRUE(store->ApplyDelta(GraphDelta{}.AddEdge(1, 5)).ok());
   EXPECT_EQ(store->rebuild_count(0), 2);
   EXPECT_EQ(store->rebuild_count(1), 1);
   EXPECT_EQ(store->rebuild_count(2), 1);
+  auto after = BuildSymmetric(ws->num_vertices, new_edges);
+  ASSERT_TRUE(after.ok());
   ExpectSlicesMatch(*store, *after);
 }
 
-TEST(ShardedGraphStoreTest, UpdateRejectsGrownGraphAndBadVertices) {
-  const CsrGraph g = SmallWorldConverted(520);
-  auto store = ShardedGraphStore::Build(g, 2);
+/// Everything a store holds per shard, for before/after comparisons.
+struct ShardArrays {
+  VertexId begin, end;
+  std::vector<int64_t> offsets;
+  std::vector<VertexId> targets;
+  std::vector<EdgeWeight> weights;
+  std::vector<int64_t> weighted_degree;
+  std::vector<double> inv_weighted_degree;
+  std::vector<int64_t> loads;
+  std::vector<uint32_t> copies, self_loops;
+  int64_t rebuild_count;
+  bool operator==(const ShardArrays&) const = default;
+};
+
+std::vector<ShardArrays> ArraysOf(const ShardedGraphStore& store) {
+  std::vector<ShardArrays> out;
+  for (int s = 0; s < store.num_shards(); ++s) {
+    const auto& sh = store.shard(s);
+    out.push_back({sh.begin, sh.end, sh.offsets, sh.targets, sh.weights,
+                   sh.weighted_degree, sh.inv_weighted_degree, sh.loads,
+                   sh.copies, sh.self_loops, store.rebuild_count(s)});
+  }
+  return out;
+}
+
+TEST(ShardedGraphStoreTest, ApplyDeltaRejectsBadDeltasLeavingStoreUntouched) {
+  auto ws = WattsStrogatz(520, 3, 0.3, 11);
+  ASSERT_TRUE(ws.ok());
+  auto store = ShardedGraphStore::FromEdgeMultiset(ws->num_vertices,
+                                                   ws->edges, true, 2);
   ASSERT_TRUE(store.ok());
-  const CsrGraph grown = SmallWorldConverted(600);
-  EXPECT_FALSE(store->Update(grown, {}).ok());
-  EXPECT_FALSE(store->Update(g, std::vector<VertexId>{-1}).ok());
-  EXPECT_FALSE(store->Update(g, std::vector<VertexId>{520}).ok());
+  store->ResetLoads(3);
+  const std::vector<ShardArrays> before = ArraysOf(*store);
+  const Edge e = ws->edges.front();
+  ASSERT_EQ(store->Copies(e.src, e.dst), 1);
+  ASSERT_EQ(store->Copies(e.dst, e.src), 0);
+
+  const std::vector<GraphDelta> bad = {
+      GraphDelta{}.AddEdge(0, 520),                      // outside range
+      GraphDelta{}.AddVertex(1).AddEdge(-1, 3),          // negative id
+      GraphDelta{}.AddVertex(-1),                        // shrink
+      GraphDelta{}.AddEdge(1, 2).RemoveEdge(e.dst, e.src),  // reverse only
+      GraphDelta{}.RemoveEdge(e.src, e.dst).RemoveEdge(e.src, e.dst),
+      GraphDelta{}.RemoveEdge(7, 7),                     // no self-loop
+      GraphDelta{}.RemoveEdge(600, 1),                   // outside range
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(store->ApplyDelta(bad[i]).ok()) << "delta " << i;
+    EXPECT_EQ(ArraysOf(*store), before) << "delta " << i;
+    EXPECT_EQ(store->NumVertices(), 520);
+    EXPECT_EQ(store->NumEdges(), static_cast<int64_t>(ws->edges.size()));
+  }
+
+  // A store sliced from a bare CSR keeps no multiset to patch.
+  auto bare = ShardedGraphStore::Build(SmallWorldConverted(520), 2);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(bare->ApplyDelta(GraphDelta{}.AddEdge(1, 2)).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedGraphStoreTest, EdgesRoundTripTheMultisetInCanonicalOrder) {
+  // Duplicates, a reciprocal pair and self-loops: the CSR drops all of
+  // them but the multiset keeps them.
+  const EdgeList edges = {{3, 1}, {0, 2}, {1, 3}, {2, 2}, {0, 2},
+                          {4, 0}, {2, 2}, {0, 2}, {1, 0}, {600, 2}};
+  for (const bool directed : {true, false}) {
+    auto store = ShardedGraphStore::FromEdgeMultiset(700, edges, directed, 3);
+    ASSERT_TRUE(store.ok());
+    EdgeList sorted = edges;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(store->Edges(), sorted);
+    EXPECT_EQ(store->NumEdges(), 10);
+    EXPECT_EQ(store->Copies(0, 2), 3);
+    EXPECT_EQ(store->Copies(2, 0), 0);
+    EXPECT_EQ(store->Copies(2, 2), 2);
+    EXPECT_EQ(store->Copies(1, 3), 1);
+    EXPECT_EQ(store->Copies(700, 1), 0);
+    auto converted = directed ? ConvertToWeightedUndirected(700, edges)
+                              : BuildSymmetric(700, edges);
+    ASSERT_TRUE(converted.ok());
+    ExpectSlicesMatch(*store, *converted);
+    // An input already grouped by source counts the same.
+    auto from_sorted =
+        ShardedGraphStore::FromEdgeMultiset(700, sorted, directed, 3);
+    ASSERT_TRUE(from_sorted.ok());
+    EXPECT_EQ(from_sorted->Edges(), sorted);
+  }
+}
+
+TEST(ShardedGraphStoreTest, ApplyDeltaGrowsOnlyTheLastShard) {
+  auto ws = WattsStrogatz(1100, 3, 0.3, 11);
+  ASSERT_TRUE(ws.ok());
+  auto store = ShardedGraphStore::FromEdgeMultiset(ws->num_vertices,
+                                                   ws->edges, true, 3);
+  ASSERT_TRUE(store.ok());
+  const VertexId n = ws->num_vertices;
+  const VertexId cut0 = store->shard(0).end;
+  const VertexId cut1 = store->shard(1).end;
+  const VertexId in_shard1 = cut0;
+  ASSERT_LT(in_shard1, cut1);
+  // 300 new vertices, all but one isolated; one reciprocal pair between a
+  // new vertex and shard 1.
+  const GraphDelta delta = GraphDelta{}
+                               .AddVertex(300)
+                               .AddEdge(n, in_shard1)
+                               .AddEdge(in_shard1, n);
+  ASSERT_TRUE(store->ApplyDelta(delta).ok());
+  EXPECT_EQ(store->NumVertices(), n + 300);
+  EXPECT_EQ(store->labels().size(), static_cast<size_t>(n + 300));
+  EXPECT_EQ(store->shard(0).end, cut0);
+  EXPECT_EQ(store->shard(1).end, cut1);
+  EXPECT_EQ(store->shard(2).end, n + 300);
+  EXPECT_EQ(store->rebuild_count(0), 1);
+  EXPECT_EQ(store->rebuild_count(1), 2);
+  EXPECT_EQ(store->rebuild_count(2), 2);
+  EdgeList edges = ws->edges;
+  edges.push_back({n, in_shard1});
+  edges.push_back({in_shard1, n});
+  auto converted = ConvertToWeightedUndirected(n + 300, edges);
+  ASSERT_TRUE(converted.ok());
+  ExpectSlicesMatch(*store, *converted);
+  EXPECT_EQ(store->shard(2).WeightsOf(n)[0], 2u);  // Eq. 3: both ways
+}
+
+TEST(ShardedGraphStoreTest, RevertRestoresThePreviousStore) {
+  auto ws = WattsStrogatz(1100, 3, 0.3, 11);
+  ASSERT_TRUE(ws.ok());
+  auto store = ShardedGraphStore::FromEdgeMultiset(ws->num_vertices,
+                                                   ws->edges, true, 3);
+  ASSERT_TRUE(store.ok());
+  store->ResetLoads(4);
+  store->mutable_shard(1).loads[2] = 9;
+  const std::vector<ShardArrays> before = ArraysOf(*store);
+  const int64_t arcs = store->NumArcs();
+  const int64_t weight = store->TotalArcWeight();
+  const Edge e = ws->edges[7];
+  auto undo = store->ApplyDelta(GraphDelta{}
+                                    .AddVertex(5)
+                                    .AddEdge(3, 1101)
+                                    .AddEdge(e.dst, e.src)
+                                    .RemoveEdge(e.src, e.dst)
+                                    .AddEdge(9, 9));
+  ASSERT_TRUE(undo.ok());
+  store->ResetLoads(4);  // a label propagation run would
+  store->Revert(std::move(undo).value());
+  EXPECT_EQ(ArraysOf(*store), before);
+  EXPECT_EQ(store->NumVertices(), ws->num_vertices);
+  EXPECT_EQ(store->labels().size(), static_cast<size_t>(ws->num_vertices));
+  EXPECT_EQ(store->NumArcs(), arcs);
+  EXPECT_EQ(store->TotalArcWeight(), weight);
+  EXPECT_EQ(store->NumEdges(), static_cast<int64_t>(ws->edges.size()));
 }
 
 // --- The substrate guarantee: results don't depend on S or threads -------
