@@ -333,7 +333,7 @@ CaseResult RunCase(const std::string& name, const std::string& recipe,
     run_config.max_iterations = iters;
     run_config.use_halting = false;
     run_config.record_history = false;
-    ThreadPool pool(ResolveNumThreads(run_config, stealing_shards));
+    ThreadPool pool(ResolveNumThreads(run_config));
     result.stealing_ms = 1e300;
     for (int rep = 0; rep < kRepeats; ++rep) {
       auto steal_store = ShardedGraphStore::Build(g, stealing_shards);

@@ -911,7 +911,6 @@ class MultiProcessBackend final : public SuperstepBackend {
 /// Final cross-process consistency gate: every worker's shard state must
 /// equal the coordinator's merged view bit-for-bit.
 Status VerifyFinalSnapshots(Coordinator* coordinator,
-                            MultiProcessBackend* backend,
                             ShardedGraphStore* store) {
   SPINNER_RETURN_IF_ERROR(
       coordinator->SendToAll(MessageType::kSnapshot, {}));
@@ -941,7 +940,6 @@ Status VerifyFinalSnapshots(Coordinator* coordinator,
       }
     }
   }
-  (void)backend;
   return Status::OK();
 }
 
@@ -972,8 +970,7 @@ Result<ShardedRunResult> RunMultiProcessSpinner(
     coordinator.Abort();
     return run.status();
   }
-  const Status verified =
-      VerifyFinalSnapshots(&coordinator, &backend, store);
+  const Status verified = VerifyFinalSnapshots(&coordinator, store);
   if (!verified.ok()) {
     coordinator.Abort();
     return verified;

@@ -115,4 +115,12 @@ Result<std::vector<PartitionId>> ElasticShrink(
   return labels;
 }
 
+Result<std::vector<PartitionId>> ElasticRelabel(
+    std::span<const PartitionId> previous, int old_k, int new_k,
+    uint64_t seed) {
+  if (new_k > old_k) return ElasticExpand(previous, old_k, new_k, seed);
+  if (new_k < old_k) return ElasticShrink(previous, old_k, new_k, seed);
+  return std::vector<PartitionId>(previous.begin(), previous.end());
+}
+
 }  // namespace spinner

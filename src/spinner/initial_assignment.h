@@ -46,6 +46,13 @@ Result<std::vector<PartitionId>> ElasticShrink(
     std::span<const PartitionId> previous, int old_k, int new_k,
     uint64_t seed);
 
+/// Elastic restart labels (§III.E) for a move from old_k to new_k
+/// partitions: ElasticExpand when growing, ElasticShrink when shrinking,
+/// a copy of `previous` when k is unchanged.
+Result<std::vector<PartitionId>> ElasticRelabel(
+    std::span<const PartitionId> previous, int old_k, int new_k,
+    uint64_t seed);
+
 }  // namespace spinner
 
 #endif  // SPINNER_SPINNER_INITIAL_ASSIGNMENT_H_

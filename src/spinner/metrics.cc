@@ -113,6 +113,10 @@ Result<PartitionMetrics> MetricsOver(int64_t n, int64_t total_weight,
 
 }  // namespace
 
+BalanceSpec BalanceSpecOf(const SpinnerConfig& config) {
+  return {config.balance_mode, config.partition_weights};
+}
+
 Result<PartitionMetrics> ComputeMetrics(
     const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
     double c) {

@@ -21,6 +21,10 @@ struct BalanceSpec {
   std::vector<double> partition_weights;
 };
 
+/// The balance objective a run of `config` optimizes (balance_mode and
+/// partition_weights).
+BalanceSpec BalanceSpecOf(const SpinnerConfig& config);
+
 /// Quality summary of an assignment over a converted (weighted symmetric)
 /// graph.
 struct PartitionMetrics {

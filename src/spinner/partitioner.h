@@ -15,10 +15,13 @@
 // PartitionerRegistry (baselines/partitioner_registry.h) constructs any
 // partitioner, Spinner included, behind the uniform GraphPartitioner
 // interface. These free-standing entry points remain as thin shims for
-// callers that manage graph state themselves.
+// callers that manage graph state themselves: each computes its initial
+// labels and calls RunSpinner below, the same run path a session takes, so
+// both report the same PartitionResult — scheduler counters included.
 #ifndef SPINNER_SPINNER_PARTITIONER_H_
 #define SPINNER_SPINNER_PARTITIONER_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,6 +36,10 @@
 #include "spinner/types.h"
 
 namespace spinner {
+
+namespace dist {
+class WorkerRegistry;
+}  // namespace dist
 
 /// Everything a run produces: the assignment plus quality metrics,
 /// convergence curves and engine statistics (used by the adaptation
@@ -62,6 +69,44 @@ struct PartitionResult {
   /// for the cross-process modes).
   ScheduleStats schedule;
 };
+
+/// The execution resources a Spinner run borrows, each created on first
+/// use: the in-process ThreadPool and the kTcp WorkerRegistry (listener
+/// plus pooled worker connections). A PartitioningSession keeps one for
+/// its lifetime, so pooled TCP workers stay connected across lifecycle
+/// calls; each SpinnerPartitioner call uses a throwaway one.
+class ExecutionResources {
+ public:
+  ~ExecutionResources();  // out-of-line: owns a forward-declared registry
+
+  /// The pool, created with ResolveNumThreads(config) threads on first use.
+  ThreadPool* Pool(const SpinnerConfig& config);
+
+  /// The registry, bound on first use to execution.listen_address (an
+  /// ephemeral loopback port when empty) with its handshake timeout.
+  Result<dist::WorkerRegistry*> Registry(const ExecutionOptions& execution);
+
+  /// The registry if one is bound, else null.
+  dist::WorkerRegistry* bound_registry() const { return registry_.get(); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<dist::WorkerRegistry> registry_;
+};
+
+/// The one Spinner run: label propagation with `k` partitions over `store`
+/// from `initial_labels` (RunShardedSpinner's contract), executed as
+/// config.execution.mode selects — RunShardedSpinner on the resources'
+/// pool, or dist::RunMultiProcessSpinner over forked (kMultiProcess) or
+/// dial-in (kTcp, through the resources' registry) workers. Returns the
+/// complete result, metrics computed over the store. On success
+/// store->labels() equals the result's assignment; after a failure they
+/// are unspecified and the caller restores them.
+Result<PartitionResult> RunSpinner(const SpinnerConfig& config, int k,
+                                   ShardedGraphStore* store,
+                                   std::vector<PartitionId> initial_labels,
+                                   ExecutionResources* resources,
+                                   const ProgressObserver& observer);
 
 /// Stateless facade; safe to reuse and — observer mutation aside — to
 /// share across threads.
@@ -105,10 +150,8 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// Runs label propagation with `k` partitions over a throwaway
-  /// ShardedGraphStore of `converted`, in the execution mode
-  /// config.execution selects (spinner/sharded_program.h,
-  /// dist/coordinator.h).
+  /// RunSpinner with `k` partitions over a throwaway ShardedGraphStore of
+  /// `converted`, on throwaway execution resources.
   Result<PartitionResult> RunOnGraph(const CsrGraph& converted,
                                      std::vector<PartitionId> initial_labels,
                                      int k) const;

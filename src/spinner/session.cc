@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "dist/coordinator.h"
 #include "dist/registry.h"
 #include "graph/binary_io.h"
 #include "spinner/initial_assignment.h"
@@ -15,13 +14,10 @@ PartitioningSession::PartitioningSession(const SpinnerConfig& config,
                                          SessionOptions options)
     : config_(config),
       options_(options),
-      init_status_(config.Validate()),
-      current_k_(config.num_partitions) {
+      init_status_(config.Validate()) {
   config_.execution = MergedExecution(options_.execution, config_.execution);
   if (init_status_.ok()) init_status_ = config_.Validate();
 }
-
-PartitioningSession::~PartitioningSession() = default;
 
 Status PartitioningSession::CheckReady() const {
   SPINNER_RETURN_IF_ERROR(init_status_);
@@ -38,81 +34,24 @@ Result<ShardedGraphStore> PartitioningSession::BuildStore(
       num_vertices, edges, directed, ResolveNumShards(config_, num_vertices));
 }
 
-void PartitioningSession::EnsurePool() {
-  const int threads = ResolveNumThreads(config_, store_.num_shards());
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-}
-
-Status PartitioningSession::EnsureRegistry() {
-  if (registry_ != nullptr) return Status::OK();
-  dist::RegistryOptions options;
-  if (!config_.execution.listen_address.empty()) {
-    options.listen_address = config_.execution.listen_address;
-  }
-  options.handshake_timeout_ms = config_.execution.handshake_timeout_ms;
-  SPINNER_ASSIGN_OR_RETURN(registry_,
-                           dist::WorkerRegistry::Listen(options));
-  return Status::OK();
-}
-
 Result<std::string> PartitioningSession::TcpAddress() {
   if (config_.execution.mode != ExecutionMode::kTcp) {
     return Status::FailedPrecondition(
         "TcpAddress() is only meaningful in ExecutionMode::kTcp");
   }
-  SPINNER_RETURN_IF_ERROR(EnsureRegistry());
-  return registry_->address();
+  SPINNER_ASSIGN_OR_RETURN(dist::WorkerRegistry * registry,
+                           resources_.Registry(config_.execution));
+  return registry->address();
 }
 
-Status PartitioningSession::RunLpa(std::vector<PartitionId> initial_labels,
-                                   int k, PartitionResult* out) {
-  SpinnerConfig run_config = config_;
-  run_config.num_partitions = k;
-  Result<ShardedRunResult> ran = [&]() -> Result<ShardedRunResult> {
-    if (config_.execution.mode == ExecutionMode::kInProcess) {
-      EnsurePool();
-      return RunShardedSpinner(run_config, &store_, std::move(initial_labels),
-                               pool_.get(),
-                               observer_.active() ? &observer_ : nullptr);
-    }
-    // Cross-process execution: the coordinator drives the identical
-    // superstep schedule over forked (kMultiProcess) or dial-in TCP
-    // (kTcp) workers, so the session-visible outcome is bit-identical to
-    // the in-process path.
-    dist::MultiProcessOptions mp =
-        dist::MultiProcessOptionsFor(config_.execution);
-    if (config_.execution.mode == ExecutionMode::kTcp) {
-      SPINNER_RETURN_IF_ERROR(EnsureRegistry());
-      mp.worker_transport = registry_.get();
-    }
-    return dist::RunMultiProcessSpinner(
-        run_config, &store_, std::move(initial_labels), mp,
-        observer_.active() ? &observer_ : nullptr);
-  }();
-  if (!ran.ok()) {
+Status PartitioningSession::Commit(Result<PartitionResult> run) {
+  if (!run.ok()) {
     // A failed run may leave partial labels behind; the assignment stands.
     store_.labels() = assignment_;
-    return ran.status();
+    return run.status();
   }
-  ShardedRunResult run = std::move(ran).value();
-  out->num_partitions = k;
-  out->iterations = run.iterations;
-  out->converged = run.converged;
-  out->cancelled = run.cancelled;
-  out->history = std::move(run.history);
-  out->run_stats = std::move(run.run_stats);
-  out->wire = std::move(run.wire);
-  out->assignment = store_.labels();
-
-  BalanceSpec spec;
-  spec.mode = run_config.balance_mode;
-  spec.partition_weights = run_config.partition_weights;
-  SPINNER_ASSIGN_OR_RETURN(
-      out->metrics,
-      ComputeMetricsEx(store_, out->assignment, k,
-                       run_config.additional_capacity, spec));
+  assignment_ = run->assignment;
+  last_result_ = std::move(run).value();
   return Status::OK();
 }
 
@@ -126,16 +65,13 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
   SPINNER_ASSIGN_OR_RETURN(store_,
                            BuildStore(num_vertices, edges, directed));
   std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
-  PartitionResult result;
-  const Status run_status =
-      RunLpa(std::move(no_labels), current_k_, &result);
-  if (!run_status.ok()) {
+  const Status status =
+      Commit(RunSpinner(config_, num_partitions(), &store_,
+                        std::move(no_labels), &resources_, observer_));
+  if (!status.ok()) {
     store_ = ShardedGraphStore();
-    return run_status;
+    return status;
   }
-
-  assignment_ = result.assignment;
-  last_result_ = std::move(result);
   open_ = true;
   return Status::OK();
 }
@@ -148,18 +84,16 @@ Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
                            store_.ApplyDelta(delta));
   // Incremental restart labels (§III.D) over the patched graph.
   Result<std::vector<PartitionId>> initial = ExtendForNewVertices(
-      store_.WeightedDegrees(), assignment_, current_k_);
-  PartitionResult result;
-  const Status run_status =
-      initial.ok() ? RunLpa(std::move(initial).value(), current_k_, &result)
+      store_.WeightedDegrees(), assignment_, num_partitions());
+  const Status status =
+      initial.ok() ? Commit(RunSpinner(config_, num_partitions(), &store_,
+                                       std::move(initial).value(),
+                                       &resources_, observer_))
                    : initial.status();
-  if (!run_status.ok()) {
+  if (!status.ok()) {
     store_.Revert(std::move(undo));  // swap the old shard arrays back
-    return run_status;
+    return status;
   }
-
-  assignment_ = result.assignment;
-  last_result_ = std::move(result);
   return Status::OK();
 }
 
@@ -170,33 +104,19 @@ Status PartitioningSession::Rescale(int new_k) {
         StrFormat("new_k must be >= 1 (got %d)", new_k));
   }
   // The probabilistic elastic re-labeling (§III.E) seeds the restart.
-  std::vector<PartitionId> initial;
-  if (new_k > current_k_) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticExpand(assignment_, current_k_, new_k, config_.seed));
-  } else if (new_k < current_k_) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticShrink(assignment_, current_k_, new_k, config_.seed));
-  } else {
-    initial = assignment_;
-  }
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(RunLpa(std::move(initial), new_k, &result));
-
-  current_k_ = new_k;
+  SPINNER_ASSIGN_OR_RETURN(
+      std::vector<PartitionId> initial,
+      ElasticRelabel(assignment_, num_partitions(), new_k, config_.seed));
+  SPINNER_RETURN_IF_ERROR(Commit(RunSpinner(
+      config_, new_k, &store_, std::move(initial), &resources_, observer_)));
   config_.num_partitions = new_k;
-  assignment_ = result.assignment;
-  last_result_ = std::move(result);
   return Status::OK();
 }
 
 Status PartitioningSession::Refine() {
   SPINNER_RETURN_IF_ERROR(CheckReady());
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(RunLpa(assignment_, current_k_, &result));
-  assignment_ = result.assignment;
-  last_result_ = std::move(result);
-  return Status::OK();
+  return Commit(RunSpinner(config_, num_partitions(), &store_, assignment_,
+                           &resources_, observer_));
 }
 
 Status PartitioningSession::ResizeWorkers(int num_workers) {
@@ -211,8 +131,8 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
         "kInProcess has no worker fleet");
   }
   config_.execution.num_workers = num_workers;
-  if (config_.execution.mode == ExecutionMode::kTcp && registry_ != nullptr) {
-    registry_->DrainPooled(num_workers);
+  if (dist::WorkerRegistry* registry = resources_.bound_registry()) {
+    registry->DrainPooled(num_workers);
   }
   return Status::OK();
 }
@@ -223,7 +143,7 @@ Status PartitioningSession::Snapshot(const std::string& path) const {
   snapshot.num_vertices = store_.NumVertices();
   snapshot.edges = store_.Edges();
   snapshot.directed = store_.directed();
-  snapshot.num_partitions = current_k_;
+  snapshot.num_partitions = num_partitions();
   snapshot.assignment = assignment_;
   return graph_io::WriteSessionSnapshot(path, snapshot);
 }
@@ -261,8 +181,7 @@ Status PartitioningSession::RestoreSnapshot(
 
   store_ = std::move(store);
   assignment_ = std::move(snapshot.assignment);
-  current_k_ = snapshot.num_partitions;
-  config_.num_partitions = current_k_;
+  config_.num_partitions = snapshot.num_partitions;
   last_result_ = PartitionResult{};
   open_ = true;
   return Status::OK();
@@ -274,11 +193,8 @@ void PartitioningSession::SetProgressObserver(ProgressObserver observer) {
 
 Result<PartitionMetrics> PartitioningSession::Metrics() const {
   SPINNER_RETURN_IF_ERROR(CheckReady());
-  BalanceSpec spec;
-  spec.mode = config_.balance_mode;
-  spec.partition_weights = config_.partition_weights;
-  return ComputeMetricsEx(store_, assignment_, current_k_,
-                          config_.additional_capacity, spec);
+  return ComputeMetricsEx(store_, assignment_, num_partitions(),
+                          config_.additional_capacity, BalanceSpecOf(config_));
 }
 
 }  // namespace spinner

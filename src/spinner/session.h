@@ -34,12 +34,10 @@
 #ifndef SPINNER_SPINNER_SESSION_H_
 #define SPINNER_SPINNER_SESSION_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "common/threadpool.h"
 #include "graph/binary_io.h"
 #include "graph/delta.h"
 #include "graph/sharded_store.h"
@@ -50,10 +48,6 @@
 #include "spinner/partitioner.h"
 
 namespace spinner {
-
-namespace dist {
-class WorkerRegistry;
-}  // namespace dist
 
 /// Execution-shape knobs of a session, orthogonal to the algorithm
 /// configuration. Every field of `execution` that differs from its
@@ -78,7 +72,6 @@ class PartitioningSession {
   /// first lifecycle call rather than by crashing the constructor.
   explicit PartitioningSession(const SpinnerConfig& config,
                                SessionOptions options = {});
-  ~PartitioningSession();  // out-of-line: owns a forward-declared registry
 
   // --- Lifecycle ---------------------------------------------------------
 
@@ -149,7 +142,7 @@ class PartitioningSession {
   bool is_open() const { return open_; }
 
   /// Current partition count (k). Tracks Rescale().
-  int num_partitions() const { return current_k_; }
+  int num_partitions() const { return config_.num_partitions; }
 
   /// Shard count of the graph store (0 until the session is open).
   int num_shards() const { return store_.num_shards(); }
@@ -196,9 +189,10 @@ class PartitioningSession {
   /// vertex.
   const std::vector<PartitionId>& assignment() const { return assignment_; }
 
-  /// Full result (iterations, history, run stats, metrics) of the last
-  /// lifecycle call that ran label propagation. Empty default after
-  /// Restore() — quality is available via Metrics().
+  /// Full result (iterations, history, run stats, scheduler counters,
+  /// wire traffic, metrics) of the last lifecycle call that ran label
+  /// propagation — the same PartitionResult SpinnerPartitioner returns.
+  /// Empty default after Restore() — quality is available via Metrics().
   const PartitionResult& last_result() const { return last_result_; }
 
   /// Quality of the current assignment, computed on demand.
@@ -216,31 +210,21 @@ class PartitioningSession {
                                        const EdgeList& edges,
                                        bool directed) const;
 
-  /// Creates the thread pool on first use (after the shard count is known).
-  void EnsurePool();
+  /// Installs the outcome of a RunSpinner over store_: on success its
+  /// assignment and result become the session state; on failure
+  /// store_.labels() is reset to assignment() and the error returned.
+  Status Commit(Result<PartitionResult> run);
 
-  /// kTcp only: binds the persistent WorkerRegistry on first use.
-  Status EnsureRegistry();
-
-  /// Runs shard-parallel label propagation over store_ from
-  /// `initial_labels` with `k` partitions and fills `out`, metrics
-  /// included. On success store_.labels() is the new assignment; if the
-  /// run fails they are reset to assignment().
-  Status RunLpa(std::vector<PartitionId> initial_labels, int k,
-                PartitionResult* out);
-
-  /// num_partitions kept equal to current_k_; execution holds the merged
-  /// session + config execution options.
+  /// num_partitions is the current k; execution holds the merged session
+  /// + config execution options.
   SpinnerConfig config_;
   SessionOptions options_;
   Status init_status_;     // config validation outcome, reported lazily
-  /// kTcp: the listener + pooled worker connections, shared by every
-  /// lifecycle call of this session.
-  std::unique_ptr<dist::WorkerRegistry> registry_;
+  /// The thread pool and (kTcp) the listener + pooled worker connections,
+  /// shared by every lifecycle call of this session.
+  ExecutionResources resources_;
   bool open_ = false;
-  int current_k_ = 0;
   ShardedGraphStore store_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<PartitionId> assignment_;
   PartitionResult last_result_;
   ProgressObserver observer_;

@@ -210,12 +210,11 @@ int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices) {
       std::clamp<int64_t>(blocks, 1, HardwareThreads()));
 }
 
-int ResolveNumThreads(const SpinnerConfig& config, int num_shards) {
+int ResolveNumThreads(const SpinnerConfig& config) {
   if (config.execution.num_threads > 0) return config.execution.num_threads;
   // Work stealing decouples threads from shards: extra threads drain
-  // blocks of whatever shard has the most left, so the shard count no
-  // longer caps useful parallelism.
-  (void)num_shards;
+  // blocks of whatever shard has the most left, so the shard count does
+  // not cap useful parallelism.
   return HardwareThreads();
 }
 

@@ -20,7 +20,8 @@
 //    order, and all randomness is hash-derived per (seed, superstep,
 //    vertex) through the shared lpa kernel.
 //
-// This is the in-process execution path behind SpinnerPartitioner and
+// This is the in-process execution path of RunSpinner
+// (spinner/partitioner.h), behind SpinnerPartitioner and
 // PartitioningSession; directed inputs are converted first (§IV.A.1,
 // graph/conversion.h).
 #ifndef SPINNER_SPINNER_SHARDED_PROGRAM_H_
@@ -127,11 +128,10 @@ struct ShardedRunResult {
 int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices);
 
 /// The OS-thread count a run should use: config.execution.num_threads when
-/// set, else the hardware concurrency (capped by the graph's block count
-/// through `num_shards`-independent stealing — more threads than shards is
-/// useful now that workers steal blocks, so the shard count no longer caps
-/// the thread count). Never affects results.
-int ResolveNumThreads(const SpinnerConfig& config, int num_shards);
+/// set, else the hardware concurrency. Workers steal blocks, so more
+/// threads than shards is useful and the shard count does not cap the
+/// thread count. Never affects results.
+int ResolveNumThreads(const SpinnerConfig& config);
 
 /// Runs Spinner label propagation shard-parallel over `store` on `pool`.
 /// `initial_labels` follows the driver's contract: one fixed label per

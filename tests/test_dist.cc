@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "graph/conversion.h"
 #include "graph/generators.h"
 #include "graph/sharded_store.h"
+#include "spinner/partitioner.h"
 #include "spinner/sharded_program.h"
 
 namespace spinner {
@@ -755,6 +757,90 @@ TEST(MultiProcessSubscriptionTest, LowCutLabelTrafficIsBoundaryBound) {
     step_total += bytes;
   }
   EXPECT_LE(step_total, wire.bytes_sent);
+}
+
+// --- SpinnerPartitioner over forked workers ----------------------------
+
+/// A partitioner running in `mode`: 3 shards, and 2 forked workers when
+/// the mode is off-thread.
+SpinnerPartitioner PartitionerIn(ExecutionMode mode) {
+  SpinnerConfig config;
+  config.num_partitions = 5;
+  config.seed = 3;
+  config.max_iterations = 12;
+  config.execution.mode = mode;
+  config.execution.num_shards = 3;
+  config.execution.num_workers = 2;
+  return SpinnerPartitioner(config);
+}
+
+/// The forked-worker result against the in-process one: assignment, float
+/// history and metrics bit for bit.
+void ExpectSameResult(const PartitionResult& got,
+                      const PartitionResult& want) {
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.num_partitions, want.num_partitions);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  ASSERT_EQ(got.history.size(), want.history.size());
+  for (size_t i = 0; i < got.history.size(); ++i) {
+    EXPECT_EQ(got.history[i].score, want.history[i].score) << i;
+    EXPECT_EQ(got.history[i].phi, want.history[i].phi) << i;
+    EXPECT_EQ(got.history[i].rho, want.history[i].rho) << i;
+    EXPECT_EQ(got.history[i].migrations, want.history[i].migrations) << i;
+    EXPECT_EQ(got.history[i].loads, want.history[i].loads) << i;
+  }
+  EXPECT_EQ(got.metrics.phi, want.metrics.phi);
+  EXPECT_EQ(got.metrics.rho, want.metrics.rho);
+  EXPECT_EQ(got.metrics.score, want.metrics.score);
+  EXPECT_EQ(got.metrics.loads, want.metrics.loads);
+  EXPECT_EQ(got.metrics.cut_weight, want.metrics.cut_weight);
+  EXPECT_EQ(got.metrics.total_weight, want.metrics.total_weight);
+  // The run really left the process, and only that one.
+  EXPECT_GT(got.wire.bytes_sent, 0);
+  EXPECT_EQ(want.wire.bytes_sent, 0);
+}
+
+TEST(MultiProcessPartitionerTest, PartitionMatchesInProcess) {
+  const CsrGraph g = SmallWorldConverted(900, 13);
+  auto in_process = PartitionerIn(ExecutionMode::kInProcess).Partition(g);
+  ASSERT_TRUE(in_process.ok()) << in_process.status();
+  auto forked = PartitionerIn(ExecutionMode::kMultiProcess).Partition(g);
+  ASSERT_TRUE(forked.ok()) << forked.status();
+  ExpectSameResult(*forked, *in_process);
+}
+
+TEST(MultiProcessPartitionerTest, RepartitionMatchesInProcess) {
+  const CsrGraph g = SmallWorldConverted(900, 13);
+  auto scratch = PartitionerIn(ExecutionMode::kInProcess).Partition(g);
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  // The last 60 vertices are new: they join the least-loaded partition.
+  const std::span<const PartitionId> previous(
+      scratch->assignment.data(), scratch->assignment.size() - 60);
+  auto in_process =
+      PartitionerIn(ExecutionMode::kInProcess).Repartition(g, previous);
+  ASSERT_TRUE(in_process.ok()) << in_process.status();
+  auto forked =
+      PartitionerIn(ExecutionMode::kMultiProcess).Repartition(g, previous);
+  ASSERT_TRUE(forked.ok()) << forked.status();
+  ExpectSameResult(*forked, *in_process);
+}
+
+TEST(MultiProcessPartitionerTest, RescaleMatchesInProcess) {
+  const CsrGraph g = SmallWorldConverted(900, 13);
+  auto scratch = PartitionerIn(ExecutionMode::kInProcess).Partition(g);
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  for (const int new_k : {8, 3}) {
+    SCOPED_TRACE("new_k " + std::to_string(new_k));
+    auto in_process = PartitionerIn(ExecutionMode::kInProcess)
+                          .Rescale(g, scratch->assignment, new_k);
+    ASSERT_TRUE(in_process.ok()) << in_process.status();
+    auto forked = PartitionerIn(ExecutionMode::kMultiProcess)
+                      .Rescale(g, scratch->assignment, new_k);
+    ASSERT_TRUE(forked.ok()) << forked.status();
+    EXPECT_EQ(forked->num_partitions, new_k);
+    ExpectSameResult(*forked, *in_process);
+  }
 }
 
 }  // namespace

@@ -406,6 +406,38 @@ TEST(PartitioningSessionTest, CancellationTokenStopsTheRun) {
   EXPECT_TRUE(session.last_result().cancelled);
 }
 
+TEST(PartitioningSessionTest, LastResultCarriesSchedulerCounters) {
+  // The session and SpinnerPartitioner assemble one PartitionResult, so
+  // every in-process lifecycle call reports the work-stealing counters.
+  // (stolen_tasks depends on thread timing and is not checked.)
+  const GeneratedGraph g = SmallWorld();
+  PartitioningSession session(SmallConfig(4));
+  const auto expect_counted = [&](const char* call) {
+    const ScheduleStats& schedule = session.last_result().schedule;
+    EXPECT_GT(schedule.tasks, 0) << call;
+    EXPECT_GT(schedule.phases, 0) << call;
+    EXPECT_GE(schedule.tasks, schedule.phases) << call;
+  };
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  expect_counted("Open");
+
+  auto converted = BuildSymmetric(g.num_vertices, g.edges);
+  ASSERT_TRUE(converted.ok());
+  auto direct = SpinnerPartitioner(SmallConfig(4)).Partition(*converted);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(session.last_result().schedule.tasks, direct->schedule.tasks);
+  EXPECT_EQ(session.last_result().schedule.phases, direct->schedule.phases);
+
+  GraphDelta delta = RandomEdgeAdditions(g.num_vertices, g.edges, 20, 5);
+  delta.AddVertex(3).AddEdge(g.num_vertices, 0);
+  ASSERT_TRUE(session.ApplyDelta(delta).ok());
+  expect_counted("ApplyDelta");
+  ASSERT_TRUE(session.Rescale(6).ok());
+  expect_counted("Rescale");
+  ASSERT_TRUE(session.Refine().ok());
+  expect_counted("Refine");
+}
+
 // --- Cross-process execution: the same lifecycle over worker processes ---
 
 TEST(MultiProcessSessionTest, LifecycleMatchesInProcessAcrossShapes) {
@@ -504,6 +536,25 @@ TEST(MultiProcessSessionTest, ExecutionModeIsIntrospectableAndConfigDriven) {
   const GeneratedGraph g = SmallWorld();
   ASSERT_TRUE(by_config.Open(g.num_vertices, g.edges, g.directed).ok());
   ExpectValidAssignment(by_config);
+}
+
+TEST(MultiProcessSessionTest, LastResultReportsNoSchedulerCounters) {
+  // The coordinator schedules supersteps itself: no work-stealing claims.
+  const GeneratedGraph g = SmallWorld();
+  PartitioningSession session(SmallConfig(4), MultiProcessOptions(2, 2));
+  const auto expect_zero = [&](const char* call) {
+    const ScheduleStats& schedule = session.last_result().schedule;
+    EXPECT_EQ(schedule.tasks, 0) << call;
+    EXPECT_EQ(schedule.stolen_tasks, 0) << call;
+    EXPECT_EQ(schedule.phases, 0) << call;
+    EXPECT_GT(session.last_result().wire.bytes_sent, 0) << call;
+  };
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  expect_zero("Open");
+  ASSERT_TRUE(session.Rescale(5).ok());
+  expect_zero("Rescale");
+  ASSERT_TRUE(session.Refine().ok());
+  expect_zero("Refine");
 }
 
 }  // namespace

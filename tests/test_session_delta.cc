@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -321,6 +322,66 @@ TEST(MultiProcessSessionTest, FailedApplyDeltaRestoresTheStore) {
   const Status applied = session.ApplyDelta(delta);
   ASSERT_TRUE(applied.ok()) << applied;
   ExpectSameState(session, reference);
+}
+
+/// Opens a forked-worker session and makes `call` fail on it: every
+/// worker connection dies on its 10th reply frame, after labels have
+/// migrated, with recovery off. Nothing observable may change. Then
+/// `call` is retried and must match an in-process session that ran it
+/// without failing.
+void ExpectFailedCallLeavesSessionUntouched(
+    const std::function<Status(PartitioningSession*)>& call) {
+  const GeneratedGraph g = MultisetGraph(700, 3);
+  SessionOptions options;
+  options.execution.mode = ExecutionMode::kMultiProcess;
+  options.execution.num_shards = kShards;
+  options.execution.num_workers = 2;
+  PartitioningSession session(DeltaConfig(4), options);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, true).ok());
+  const std::vector<PartitionId> assignment = session.assignment();
+  const int iterations = session.last_result().iterations;
+
+  ASSERT_EQ(::setenv("SPINNER_FAULT_PLAN", "close:dir=w2c:frame=9", 1), 0);
+  const Status failed = call(&session);
+  ASSERT_EQ(::unsetenv("SPINNER_FAULT_PLAN"), 0);
+  ASSERT_FALSE(failed.ok());
+
+  EXPECT_EQ(session.num_partitions(), 4);
+  EXPECT_EQ(session.config().num_partitions, 4);
+  EXPECT_EQ(session.assignment(), assignment);
+  EXPECT_EQ(session.last_result().iterations, iterations);
+  EXPECT_EQ(session.store().labels(), session.assignment());
+
+  SessionOptions in_process;
+  in_process.execution.num_shards = kShards;
+  PartitioningSession reference(DeltaConfig(4), in_process);
+  ASSERT_TRUE(reference.Open(g.num_vertices, g.edges, true).ok());
+  ASSERT_TRUE(call(&reference).ok());
+  const Status retried = call(&session);
+  ASSERT_TRUE(retried.ok()) << retried;
+  EXPECT_EQ(session.num_partitions(), reference.num_partitions());
+  EXPECT_EQ(session.config().num_partitions, reference.num_partitions());
+  EXPECT_EQ(session.assignment(), reference.assignment());
+  EXPECT_EQ(session.store().labels(), session.assignment());
+  EXPECT_EQ(session.last_result().iterations,
+            reference.last_result().iterations);
+  ExpectMetricsEqual(session.last_result().metrics,
+                     reference.last_result().metrics);
+}
+
+TEST(MultiProcessSessionTest, FailedRescaleLeavesTheSessionUntouched) {
+  for (const int new_k : {6, 2}) {
+    SCOPED_TRACE("new_k " + std::to_string(new_k));
+    ExpectFailedCallLeavesSessionUntouched(
+        [new_k](PartitioningSession* session) {
+          return session->Rescale(new_k);
+        });
+  }
+}
+
+TEST(MultiProcessSessionTest, FailedRefineLeavesTheSessionUntouched) {
+  ExpectFailedCallLeavesSessionUntouched(
+      [](PartitioningSession* session) { return session->Refine(); });
 }
 
 }  // namespace

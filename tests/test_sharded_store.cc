@@ -526,7 +526,7 @@ TEST(ShardedSpinnerTest, ResolveHelpersHonorExplicitConfig) {
   config.execution.num_shards = 9;
   config.execution.num_threads = 3;
   EXPECT_EQ(ResolveNumShards(config, 100000), 9);
-  EXPECT_EQ(ResolveNumThreads(config, 9), 3);
+  EXPECT_EQ(ResolveNumThreads(config), 3);
 
   config.execution.num_shards = 0;
   config.execution.num_threads = 0;
@@ -538,9 +538,9 @@ TEST(ShardedSpinnerTest, ResolveHelpersHonorExplicitConfig) {
   EXPECT_EQ(ResolveNumShards(config, 100000),
             static_cast<int>(std::min<int64_t>(hardware, blocks)));
   // Block stealing decouples threads from shards: the default is the
-  // hardware concurrency even when it exceeds the shard count.
-  EXPECT_GE(ResolveNumThreads(config, 5), 1);
-  EXPECT_EQ(ResolveNumThreads(config, 5), hardware);
+  // hardware concurrency whatever the shard count.
+  EXPECT_GE(ResolveNumThreads(config), 1);
+  EXPECT_EQ(ResolveNumThreads(config), hardware);
 
   // Tiny graphs never get more shards than blocks.
   EXPECT_EQ(ResolveNumShards(config, 10), 1);
