@@ -205,7 +205,7 @@ if [[ -n "${MODE}" ]]; then
   if [[ "${MODE}" == "tcp" ]]; then
     echo "=== TCP-subsystem tests ==="
     ctest --test-dir "${build_dir}" \
-      -R '^(Tcp|PersistentShardStore|WorkerLayout|ExecutionOptions|WireFormat|Transport)' \
+      -R '^(Tcp|PersistentShardStore|BaseLog|WorkerLayout|ExecutionOptions|WireFormat|Transport)' \
       --output-on-failure -j "${JOBS}"
 
     echo "=== coordinator + 3 dial-in workers smoke (byte-for-byte diff) ==="

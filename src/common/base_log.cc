@@ -1,0 +1,127 @@
+#include "common/base_log.h"
+
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+
+#include "common/fnv.h"
+#include "common/string_util.h"
+
+namespace spinner {
+
+namespace {
+
+constexpr size_t kLogHeaderSize = 4 + sizeof(uint32_t) + sizeof(uint64_t);
+/// A record's size u64 before its bytes and fnv u64 after them.
+constexpr size_t kRecordFrameSize = 2 * sizeof(uint64_t);
+
+template <typename T>
+void PutRaw(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+template <typename T>
+T GetRaw(std::span<const uint8_t> bytes, size_t pos) {
+  T value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(T));
+  return value;
+}
+
+}  // namespace
+
+Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+  // file_size fails for anything but a regular file, so a directory or a
+  // FIFO is rejected before any buffer is sized or any open could block.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (ec == std::errc::no_such_file_or_directory) {
+    return Status::NotFound("no such file: " + path);
+  }
+  if (ec) return Status::IOError("not a regular file: " + path);
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(size))) {
+    return Status::IOError("cannot read: " + path);
+  }
+  return bytes;
+}
+
+Status ReplaceFile(const std::string& path,
+                   const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (out) {
+    write(out);
+    out.close();
+  }
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot write and rename into place: " + path);
+  }
+  return Status::OK();
+}
+
+Status CreateLog(const std::string& path, const char (&magic)[4],
+                 uint32_t version, uint64_t base_fnv) {
+  return ReplaceFile(path, [&](std::ostream& out) {
+    out.write(magic, sizeof(magic));
+    PutRaw(out, version);
+    PutRaw(out, base_fnv);
+  });
+}
+
+Status AppendLogRecord(const std::string& path,
+                       std::span<const uint8_t> bytes) {
+  std::ofstream log(path, std::ios::binary | std::ios::app);
+  if (!log) return Status::IOError("cannot open for append: " + path);
+  PutRaw(log, static_cast<uint64_t>(bytes.size()));
+  log.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  PutRaw(log, ChecksumBytes(bytes));
+  log.close();
+  if (log.fail()) return Status::IOError("write error on: " + path);
+  return Status::OK();
+}
+
+Result<ParsedLog> ParseLog(std::span<const uint8_t> bytes,
+                           const char (&magic)[4], uint32_t version) {
+  if (bytes.size() < kLogHeaderSize) {
+    return Status::IOError("truncated log header");
+  }
+  if (std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "bad magic (not a %.4s log)", magic));
+  }
+  const auto found_version = GetRaw<uint32_t>(bytes, sizeof(magic));
+  if (found_version != version) {
+    return Status::InvalidArgument(StrFormat(
+        "unsupported %.4s log version %u", magic, found_version));
+  }
+  ParsedLog log;
+  log.base_fnv = GetRaw<uint64_t>(bytes, sizeof(magic) + sizeof(version));
+  size_t pos = kLogHeaderSize;
+  while (pos < bytes.size()) {
+    const size_t rest = bytes.size() - pos;
+    const uint64_t size =
+        rest < kRecordFrameSize ? 0 : GetRaw<uint64_t>(bytes, pos);
+    if (rest < kRecordFrameSize || size > rest - kRecordFrameSize) {
+      log.tail = Status::IOError(StrFormat(
+          "torn log record %zu", log.records.size()));
+      break;
+    }
+    const auto record = bytes.subspan(pos + sizeof(uint64_t), size);
+    pos += sizeof(uint64_t) + size;
+    if (GetRaw<uint64_t>(bytes, pos) != ChecksumBytes(record)) {
+      log.tail = Status::InvalidArgument(StrFormat(
+          "checksum mismatch on log record %zu", log.records.size()));
+      break;
+    }
+    pos += sizeof(uint64_t);
+    log.records.push_back(record);
+  }
+  return log;
+}
+
+}  // namespace spinner

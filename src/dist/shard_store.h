@@ -2,23 +2,19 @@
 // lets a dial-in worker keep its shard slices across runs (and process
 // restarts) instead of re-downloading the graph every time.
 //
-// Layout, rooted at a directory (one store may be shared by every worker
-// on a host — workers own disjoint shards, so they touch disjoint files):
+// Each shard is one base-plus-log pair (common/base_log.h) under a root
+// directory (one store may be shared by every worker on a host — workers
+// own disjoint shards, so they touch disjoint files):
 //   shard_<id>.base   magic "SPSB" | version u32 | SPSL slice bytes |
 //                     fnv u64 over the slice bytes
-//   shard_<id>.dlog   magic "SPSD" | version u32 | base_fnv u64 |
-//                     record*  where record =
-//                       size u64 | SPSL slice bytes | fnv u64
-//
-// The delta-log idiom mirrors stream/checkpoint_log: the log is bound to
-// its base by the base's slice fingerprint, records are individually
-// checksummed, and a truncated or corrupt tail is *ignored* (the slice
-// rolls back to the last valid record) rather than fatal — a crash
-// mid-append must never wedge a worker; at worst the coordinator
-// re-downloads one slice. Record granularity is the whole shard slice:
-// a topology delta rebuilds each dirty shard whole
-// (ShardedGraphStore::ApplyDelta), so the natural delta unit on the
-// worker side is the replacement slice.
+//   shard_<id>.dlog   an "SPSD" log bound to that fnv; each record is a
+//                     whole SPSL slice
+// A damaged log tail is *ignored* (the slice rolls back to the last valid
+// record) rather than fatal — a crash mid-append must never wedge a
+// worker; at worst the coordinator re-downloads one slice. Record
+// granularity is the whole shard slice: a topology delta rebuilds each
+// dirty shard whole (ShardedGraphStore::ApplyDelta), so the natural delta
+// unit on the worker side is the replacement slice.
 // Put() appends a record while the log is short and folds everything back
 // into a fresh base past `compact_after_records` (bounding replay time).
 //
@@ -80,7 +76,6 @@ class PersistentShardStore {
   /// already matches the current content is a no-op.
   Status Put(int32_t shard_id, std::span<const uint8_t> slice_bytes);
 
-  const std::string& root() const { return root_; }
   std::string BasePath(int32_t shard_id) const;
   std::string LogPath(int32_t shard_id) const;
 
@@ -94,8 +89,8 @@ class PersistentShardStore {
   /// Reads the current slice bytes of shard `id` (base + log replay)
   /// without decoding; nullopt when absent/unusable. `records_out` gets
   /// the number of valid log records replayed.
-  Result<std::optional<std::vector<uint8_t>>> CurrentBytes(
-      int32_t shard_id, int64_t* records_out);
+  std::optional<std::vector<uint8_t>> CurrentBytes(int32_t shard_id,
+                                                   int64_t* records_out);
 
   Status WriteBase(int32_t shard_id, std::span<const uint8_t> slice_bytes);
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/fnv.h"
 #include "common/string_util.h"
 
 namespace spinner::dist {
@@ -459,15 +460,6 @@ Result<Frame> RecvMessage(int fd, const TransportOptions& options,
   }
   if (counters != nullptr) ++counters->chunked_messages_received;
   return message;
-}
-
-uint64_t ChecksumBytes(std::span<const uint8_t> bytes, uint64_t seed) {
-  uint64_t h = seed;
-  for (const uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 }  // namespace spinner::dist

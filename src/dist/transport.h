@@ -206,16 +206,6 @@ Result<Frame> RecvMessage(int fd, const TransportOptions& options = {},
                           int64_t timeout_ms = -1,
                           int64_t poll_period_ms = kDefaultPollPeriodMs);
 
-/// FNV-1a offset basis — the seed of an empty ChecksumBytes fold.
-inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-
-/// FNV-1a over raw bytes, continuing from `seed` — the per-message
-/// integrity checksum of the chunk layer, and the single FNV
-/// implementation behind dist/wire_format.h's label checksums
-/// (incremental folds chain the previous digest as the seed).
-uint64_t ChecksumBytes(std::span<const uint8_t> bytes,
-                       uint64_t seed = kFnvOffsetBasis);
-
 }  // namespace spinner::dist
 
 #endif  // SPINNER_DIST_TRANSPORT_H_

@@ -50,7 +50,6 @@ void SetupMessage::EncodeHeader(WireWriter* w, uint64_t slice_count) const {
   w->PutI64(num_vertices);
   w->PutI32(num_shards_total);
   w->PutVector(owned_shards);
-  w->PutI32(fail_after_score_steps);
   w->PutU64(slice_count);
 }
 
@@ -88,8 +87,7 @@ Result<SetupMessage> SetupMessage::Decode(std::span<const uint8_t> payload) {
   if (!r.GetI32(&m.num_partitions) || !r.GetU64(&m.seed) ||
       !r.GetU8(&m.balance_on_vertices) || !r.GetU8(&m.per_worker_async) ||
       !r.GetI64(&m.num_vertices) || !r.GetI32(&m.num_shards_total) ||
-      !r.GetVector(&m.owned_shards) ||
-      !r.GetI32(&m.fail_after_score_steps) || !r.GetU64(&num_slices)) {
+      !r.GetVector(&m.owned_shards) || !r.GetU64(&num_slices)) {
     return Truncated("Setup");
   }
   if (num_slices != m.owned_shards.size()) {

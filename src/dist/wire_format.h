@@ -89,7 +89,7 @@ enum class MessageType : uint32_t {
 
 /// Version of the Hello/Assign/Resume handshake. A worker advertising a
 /// different version is rejected at the registry before it can join a run.
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {
@@ -275,9 +275,6 @@ struct SetupMessage {
   /// Global shard ids of the slices below, ascending.
   std::vector<int32_t> owned_shards;
   std::vector<ShardedGraphStore::Shard> shards;
-  /// Test hook: _exit(3) right before replying to the
-  /// (fail_after_score_steps+1)-th Scores request; -1 = never.
-  int32_t fail_after_score_steps = -1;
 
   std::vector<uint8_t> Encode() const;
   static Result<SetupMessage> Decode(std::span<const uint8_t> payload);

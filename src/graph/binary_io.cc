@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/base_log.h"
 #include "common/string_util.h"
 #include "graph/edge_list.h"
 
@@ -17,7 +18,7 @@ constexpr char kSnapshotMagic[4] = {'S', 'P', 'N', 'S'};
 constexpr uint32_t kSnapshotVersion = 1;
 
 template <typename T>
-void PutRaw(std::ofstream& out, const T& value) {
+void PutRaw(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
@@ -43,19 +44,16 @@ Status WriteBinaryGraph(const std::string& path, int64_t num_vertices,
     return Status::InvalidArgument(
         "edge endpoint outside the vertex range");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  PutRaw(out, kVersion);
-  PutRaw(out, num_vertices);
-  PutRaw(out, static_cast<int64_t>(edges.size()));
-  for (const Edge& e : edges) {
-    PutRaw(out, e.src);
-    PutRaw(out, e.dst);
-  }
-  out.flush();
-  if (!out) return Status::IOError("write error on: " + path);
-  return Status::OK();
+  return ReplaceFile(path, [&](std::ostream& out) {
+    out.write(kMagic, sizeof(kMagic));
+    PutRaw(out, kVersion);
+    PutRaw(out, num_vertices);
+    PutRaw(out, static_cast<int64_t>(edges.size()));
+    for (const Edge& e : edges) {
+      PutRaw(out, e.src);
+      PutRaw(out, e.dst);
+    }
+  });
 }
 
 Result<BinaryGraph> ReadBinaryGraph(const std::string& path) {
@@ -127,22 +125,19 @@ Status WriteSessionSnapshot(const std::string& path,
         "assignment present but num_partitions is 0");
   }
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  PutRaw(out, kSnapshotVersion);
-  PutRaw(out, snapshot.num_vertices);
-  PutRaw(out, static_cast<int64_t>(snapshot.edges.size()));
-  PutRaw(out, snapshot.num_partitions);
-  PutRaw(out, static_cast<uint32_t>(snapshot.directed ? 1 : 0));
-  for (const Edge& e : snapshot.edges) {
-    PutRaw(out, e.src);
-    PutRaw(out, e.dst);
-  }
-  for (PartitionId l : snapshot.assignment) PutRaw(out, l);
-  out.flush();
-  if (!out) return Status::IOError("write error on: " + path);
-  return Status::OK();
+  return ReplaceFile(path, [&](std::ostream& out) {
+    out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
+    PutRaw(out, kSnapshotVersion);
+    PutRaw(out, snapshot.num_vertices);
+    PutRaw(out, static_cast<int64_t>(snapshot.edges.size()));
+    PutRaw(out, snapshot.num_partitions);
+    PutRaw(out, static_cast<uint32_t>(snapshot.directed ? 1 : 0));
+    for (const Edge& e : snapshot.edges) {
+      PutRaw(out, e.src);
+      PutRaw(out, e.dst);
+    }
+    for (PartitionId l : snapshot.assignment) PutRaw(out, l);
+  });
 }
 
 namespace {

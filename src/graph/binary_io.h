@@ -25,8 +25,9 @@ struct BinaryGraph {
   EdgeList edges;
 };
 
-/// Writes the binary format. Fails with InvalidArgument if an edge
-/// references a vertex outside [0, num_vertices).
+/// Writes the binary format, replacing `path` atomically (ReplaceFile,
+/// common/base_log.h). Fails with InvalidArgument if an edge references a
+/// vertex outside [0, num_vertices).
 Status WriteBinaryGraph(const std::string& path, int64_t num_vertices,
                         const EdgeList& edges);
 
@@ -52,8 +53,9 @@ struct SessionSnapshot {
   std::vector<PartitionId> assignment;
 };
 
-/// Writes a session snapshot. Fails with InvalidArgument on out-of-range
-/// edges or an assignment inconsistent with num_vertices/num_partitions.
+/// Writes a session snapshot, replacing `path` atomically (ReplaceFile,
+/// common/base_log.h). Fails with InvalidArgument on out-of-range edges
+/// or an assignment inconsistent with num_vertices/num_partitions.
 Status WriteSessionSnapshot(const std::string& path,
                             const SessionSnapshot& snapshot);
 
@@ -112,7 +114,7 @@ struct DeltaLogRecord {
 ///   added (num_added × {i64, i64}) | removed (num_removed × {i64, i64}) |
 ///   updates (num_label_updates × {vertex i64, label i32})
 /// Integrity (per-record checksum, file header) is the log file's concern
-/// — see stream/checkpoint_log.h for the framing that wraps this.
+/// — see common/base_log.h for the framing that wraps this.
 void AppendDeltaLogRecord(const DeltaLogRecord& record,
                           std::vector<uint8_t>* out);
 

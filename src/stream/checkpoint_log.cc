@@ -1,39 +1,26 @@
 #include "stream/checkpoint_log.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "common/base_log.h"
+#include "common/fnv.h"
 #include "common/string_util.h"
-#include "dist/transport.h"
 
 namespace spinner::stream {
 
 namespace {
 
 constexpr char kLogMagic[4] = {'S', 'P', 'D', 'G'};
-constexpr uint32_t kLogVersion = 1;
-
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open: " + path);
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IOError("short read: " + path);
-  }
-  return bytes;
-}
+/// Version 2 adopted the shared record framing (common/base_log.h).
+constexpr uint32_t kLogVersion = 2;
 
 /// FNV-1a of the base file — binds a log to the exact base image it was
 /// appended against.
 Result<uint64_t> BaseFingerprint(const std::string& base_path) {
   SPINNER_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                            ReadFileBytes(base_path));
-  return dist::ChecksumBytes(bytes);
+  return ChecksumBytes(bytes);
 }
 
 }  // namespace
@@ -49,15 +36,8 @@ Status IncrementalCheckpointer::WriteBase(
   SPINNER_RETURN_IF_ERROR(session.Snapshot(base_path_));
   SPINNER_ASSIGN_OR_RETURN(const uint64_t fingerprint,
                            BaseFingerprint(base_path_));
-  std::ofstream log(log_path(), std::ios::binary | std::ios::trunc);
-  if (!log) return Status::IOError("cannot open for writing: " + log_path());
-  log.write(kLogMagic, sizeof(kLogMagic));
-  log.write(reinterpret_cast<const char*>(&kLogVersion),
-            sizeof(kLogVersion));
-  log.write(reinterpret_cast<const char*>(&fingerprint),
-            sizeof(fingerprint));
-  log.flush();
-  if (!log) return Status::IOError("write error on: " + log_path());
+  SPINNER_RETURN_IF_ERROR(
+      CreateLog(log_path(), kLogMagic, kLogVersion, fingerprint));
   has_base_ = true;
   records_since_base_ = 0;
   ++bases_written_;
@@ -92,15 +72,7 @@ Status IncrementalCheckpointer::Append(const PartitioningSession& session,
 
   std::vector<uint8_t> bytes;
   graph_io::AppendDeltaLogRecord(record, &bytes);
-  const uint64_t checksum = dist::ChecksumBytes(bytes);
-
-  std::ofstream log(log_path(), std::ios::binary | std::ios::app);
-  if (!log) return Status::IOError("cannot open for append: " + log_path());
-  log.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  log.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  log.flush();
-  if (!log) return Status::IOError("write error on: " + log_path());
+  SPINNER_RETURN_IF_ERROR(AppendLogRecord(log_path(), bytes));
   ++records_since_base_;
   last_assignment_ = session.assignment();
   return Status::OK();
@@ -113,68 +85,38 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
 
   const std::string log_path = base_path + ".dlog";
   auto log_bytes = ReadFileBytes(log_path);
-  if (!log_bytes.ok()) return snapshot;  // base only: nothing was appended
-
-  const std::vector<uint8_t>& bytes = *log_bytes;
-  constexpr size_t kHeaderSize =
-      sizeof(kLogMagic) + sizeof(kLogVersion) + sizeof(uint64_t);
-  if (bytes.size() < kHeaderSize) {
-    return Status::IOError("truncated delta-log header: " + log_path);
+  if (log_bytes.status().code() == StatusCode::kNotFound) {
+    return snapshot;  // base only: nothing was appended
   }
-  if (std::memcmp(bytes.data(), kLogMagic, sizeof(kLogMagic)) != 0) {
-    return Status::InvalidArgument(
-        "bad magic (not a SPDG delta log): " + log_path);
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kLogMagic), sizeof(version));
-  if (version != kLogVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported delta-log version %u", version));
-  }
-  uint64_t expected_fingerprint = 0;
-  std::memcpy(&expected_fingerprint,
-              bytes.data() + sizeof(kLogMagic) + sizeof(version),
-              sizeof(expected_fingerprint));
+  if (!log_bytes.ok()) return log_bytes.status();
+  SPINNER_ASSIGN_OR_RETURN(ParsedLog log,
+                           ParseLog(*log_bytes, kLogMagic, kLogVersion));
   SPINNER_ASSIGN_OR_RETURN(const uint64_t fingerprint,
                            BaseFingerprint(base_path));
-  if (fingerprint != expected_fingerprint) {
+  if (fingerprint != log.base_fnv) {
     return Status::InvalidArgument(
         "delta log was appended against a different base image: " +
         log_path);
   }
+  // A torn or corrupt record fails the load: a checkpoint restores the
+  // state it recorded last, or nothing.
+  SPINNER_RETURN_IF_ERROR(log.tail);
 
-  size_t pos = kHeaderSize;
-  int64_t record_index = 0;
-  while (pos < bytes.size()) {
-    const size_t record_begin = pos;
+  for (size_t i = 0; i < log.records.size(); ++i) {
+    const auto record_index = static_cast<long long>(i);
+    size_t pos = 0;
     SPINNER_ASSIGN_OR_RETURN(
         graph_io::DeltaLogRecord record,
-        graph_io::DecodeDeltaLogRecord(bytes, &pos));
-    if (bytes.size() - pos < sizeof(uint64_t)) {
-      return Status::IOError(StrFormat(
-          "truncated checksum on delta record %lld",
-          static_cast<long long>(record_index)));
-    }
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum, bytes.data() + pos,
-                sizeof(stored_checksum));
-    pos += sizeof(stored_checksum);
-    const uint64_t computed = dist::ChecksumBytes(
-        std::span<const uint8_t>(bytes.data() + record_begin,
-                                 pos - sizeof(stored_checksum) -
-                                     record_begin));
-    if (computed != stored_checksum) {
+        graph_io::DecodeDeltaLogRecord(log.records[i], &pos));
+    if (pos != log.records[i].size()) {
       return Status::InvalidArgument(StrFormat(
-          "checksum mismatch on delta record %lld",
-          static_cast<long long>(record_index)));
+          "trailing bytes in delta record %lld", record_index));
     }
-
     // Replay: the same ApplyDelta fold the live session used, then the
     // recorded assignment transitions.
     if (record.new_k < 1) {
-      return Status::InvalidArgument(StrFormat(
-          "delta record %lld carries invalid k",
-          static_cast<long long>(record_index)));
+      return Status::InvalidArgument(
+          StrFormat("delta record %lld carries invalid k", record_index));
     }
     SPINNER_ASSIGN_OR_RETURN(
         snapshot.edges,
@@ -189,7 +131,7 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
           label >= record.new_k) {
         return Status::InvalidArgument(StrFormat(
             "label update out of range in delta record %lld",
-            static_cast<long long>(record_index)));
+            record_index));
       }
       snapshot.assignment[static_cast<size_t>(vertex)] = label;
     }
@@ -197,13 +139,12 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
       if (snapshot.assignment[static_cast<size_t>(v)] == kNoPartition) {
         return Status::InvalidArgument(StrFormat(
             "delta record %lld grew vertices without labeling them",
-            static_cast<long long>(record_index)));
+            record_index));
       }
     }
-    ++record_index;
   }
   // A session's Snapshot() writes its edges in canonical order.
-  if (record_index > 0) {
+  if (!log.records.empty()) {
     std::sort(snapshot.edges.begin(), snapshot.edges.end());
   }
   return snapshot;

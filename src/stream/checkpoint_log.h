@@ -9,16 +9,14 @@
 // a threshold, it is folded back into a fresh base and truncated
 // (compaction), bounding replay time.
 //
-// On-disk layout, for a base at <path>:
+// On-disk, a base at <path> is one base-plus-log pair (common/base_log.h):
 //   <path>        full SPNS session snapshot (graph/binary_io.h)
-//   <path>.dlog   header | record*  where
-//     header: magic "SPDG" | version u32 | base_fnv u64
-//     record: SPDR record bytes (graph_io::AppendDeltaLogRecord) |
-//             fnv u64 over those bytes
-// base_fnv is the FNV-1a digest of the base file, so a log can never be
-// replayed against the wrong (or rewritten) base. Truncated or corrupt
-// log tails are rejected with a clean Status — a crash mid-append must
-// never poison restore.
+//   <path>.dlog   an "SPDG" log (version 2) bound to the FNV-1a digest of
+//                 the whole base file; each record is one SPDR record
+//                 (graph_io::AppendDeltaLogRecord)
+// So a log can never be replayed against the wrong (or rewritten) base.
+// A torn or corrupt log tail is rejected with a clean Status — a crash
+// mid-append must never poison restore.
 //
 // Load() replays base + log into a SessionSnapshot whose state is
 // byte-identical to a full Snapshot() taken at the same point: edges are

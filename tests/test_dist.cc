@@ -108,7 +108,6 @@ TEST(WireFormatTest, SetupMessageRoundTrips) {
   setup.num_shards_total = 4;
   setup.owned_shards = {1, 2};
   setup.shards = {store->shard(1), store->shard(2)};
-  setup.fail_after_score_steps = 5;
 
   auto decoded = dist::SetupMessage::Decode(setup.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -116,7 +115,6 @@ TEST(WireFormatTest, SetupMessageRoundTrips) {
   EXPECT_EQ(decoded->seed, 1234u);
   EXPECT_EQ(decoded->num_vertices, g.NumVertices());
   EXPECT_EQ(decoded->owned_shards, setup.owned_shards);
-  EXPECT_EQ(decoded->fail_after_score_steps, 5);
   ASSERT_EQ(decoded->shards.size(), 2u);
   EXPECT_EQ(decoded->shards[0].targets, store->shard(1).targets);
   EXPECT_EQ(decoded->shards[1].offsets, store->shard(2).offsets);

@@ -455,6 +455,23 @@ TEST_F(IncrementalCheckpointTest, LogBoundToADifferentBaseIsRejected) {
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(IncrementalCheckpointTest, DirectoryAtLogPathIsAnIOError) {
+  // Only a missing log means "bare base"; a log path that cannot be read
+  // as a file must fail the load instead of restoring a stale state.
+  auto g = WattsStrogatz(400, 3, 0.3, /*seed=*/9);
+  ASSERT_TRUE(g.ok());
+  PartitioningSession session(Config());
+  ASSERT_TRUE(session.Open(g->num_vertices, g->edges, g->directed).ok());
+
+  const std::string base = Register(TempPath("dirlog.spns"));
+  ASSERT_TRUE(session.Snapshot(base).ok());
+  std::filesystem::remove_all(base + ".dlog");
+  ASSERT_TRUE(std::filesystem::create_directory(base + ".dlog"));
+  auto loaded = stream::IncrementalCheckpointer::Load(base);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+}
+
 TEST_F(IncrementalCheckpointTest, MissingLogRestoresTheBareBase) {
   auto g = WattsStrogatz(400, 3, 0.3, /*seed=*/9);
   ASSERT_TRUE(g.ok());

@@ -265,6 +265,17 @@ TEST(PersistentShardStoreTest, LogBoundToADifferentBaseIsRejectedWhole) {
   EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
 }
 
+TEST(PersistentShardStoreTest, DirectoryAtBasePathLoadsAsAbsent) {
+  // A directory is not a base: Load must report the shard absent (the
+  // coordinator re-downloads it), not size a buffer from the directory.
+  const std::string dir = FreshDir("spsb_dir_base");
+  PersistentShardStore disk(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(disk.BasePath(0)));
+  auto loaded = disk.Load(0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_FALSE(loaded->has_value());
+}
+
 // --- Worker layout (the index remap) --------------------------------------
 
 TEST(WorkerLayoutTest, SlotsCoverOwnedPlusSubscribedNotAllOfV) {

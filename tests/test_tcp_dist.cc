@@ -163,9 +163,9 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
 }
 
 TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
-  // Protocol 2 added compute_ns to ScoresReply/MigrateReply and changed
-  // the DeltasAck digest, so a version-1 worker must be turned away too.
-  EXPECT_EQ(dist::kProtocolVersion, 2u);
+  // Protocol 3 dropped Setup's fail_after_score_steps field, so a
+  // version-2 worker must be turned away too.
+  EXPECT_EQ(dist::kProtocolVersion, 3u);
   for (const uint32_t version :
        {dist::kProtocolVersion + 7, dist::kProtocolVersion - 1}) {
     RegistryOptions options;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.h"
 #include "dist/transport.h"
 
 namespace spinner {
@@ -148,7 +149,7 @@ TEST(TransportChunkTest, TruncatedMidChunkIsAnIOError) {
   const std::vector<uint8_t> payload = Pattern(60);
   TestEnvelope env;
   env.total_size = 100;
-  env.checksum = dist::ChecksumBytes(payload);
+  env.checksum = ChecksumBytes(payload);
   ASSERT_TRUE(dist::SendFrame(pair->first.fd(), dist::kChunkFrameType,
                               ChunkFramePayload(env, payload), options)
                   .ok());
@@ -257,7 +258,7 @@ TEST(TransportChunkTest, ZeroLengthChunksAreRejected) {
     const std::vector<uint8_t> full = Pattern(80);
     TestEnvelope env;
     env.total_size = 80;
-    env.checksum = dist::ChecksumBytes(full);
+    env.checksum = ChecksumBytes(full);
     if (empty_first) {
       ASSERT_TRUE(dist::SendFrame(pair->first.fd(), dist::kChunkFrameType,
                                   ChunkFramePayload(env, {}), options)
