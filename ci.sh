@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification matrix: Debug + Release, warnings as errors, tests
-# labeled tier1 (benches build but are excluded from the gate).
+# labeled tier1 (benches build but are excluded from the gate); the
+# Release leg also compiles the perfbench/ end-to-end driver.
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 # Sanitizer mode (one configuration instead of the matrix):
@@ -297,6 +298,13 @@ for build_type in Debug Release; do
     -DSPINNER_WERROR=ON
   cmake --build "${build_dir}" -j "${JOBS}"
   ctest --test-dir "${build_dir}" -L tier1 --output-on-failure -j "${JOBS}"
+  if [[ "${build_type}" == "Release" ]]; then
+    # Compile (not run) the end-to-end benchmark driver, so a library
+    # API change that breaks it fails here rather than when it runs.
+    echo "=== perfbench spinner_e2e (compile only) ==="
+    cmake -S perfbench -B build-ci-perfbench
+    cmake --build build-ci-perfbench --target spinner_e2e -j "${JOBS}"
+  fi
 done
 
 echo "ci.sh: all configurations passed"

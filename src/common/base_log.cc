@@ -50,14 +50,29 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 
 Status ReplaceFile(const std::string& path,
                    const std::function<void(std::ostream&)>& write) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  // A rename cannot replace a target that exists but is not a regular
+  // file (/dev/stdout, a FIFO); such a target is written in place.
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  const bool in_place = std::filesystem::exists(status) &&
+                        !std::filesystem::is_regular_file(status);
+  // A symlink is followed: the file it names is replaced, not the link.
+  std::string target = path;
+  if (!in_place && std::filesystem::is_symlink(path, ec)) {
+    target = std::filesystem::canonical(path, ec).string();
+    if (ec) target = path;  // dangling: the link itself is replaced
+  }
+  const std::string written = in_place ? path : target + ".tmp";
+  std::ofstream out(written, std::ios::binary | std::ios::trunc);
   if (out) {
     write(out);
     out.close();
   }
-  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (in_place) {
+    return out ? Status::OK() : Status::IOError("cannot write: " + path);
+  }
+  if (!out || std::rename(written.c_str(), target.c_str()) != 0) {
+    std::remove(written.c_str());
     return Status::IOError("cannot write and rename into place: " + path);
   }
   return Status::OK();

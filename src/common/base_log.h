@@ -29,7 +29,10 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 /// Streams `write` into `path` + ".tmp" and renames it over `path`, so a
 /// reader sees the old file or the new one, never a torn one. On any
 /// failure (open, a stream error after `write`, the rename) the tmp file
-/// is removed, `path` is untouched and the result is IOError.
+/// is removed, `path` is untouched and the result is IOError. A symlink
+/// is followed: the file it names is replaced. A `path` that exists but
+/// is not a regular file (/dev/stdout, a FIFO) cannot be renamed over and
+/// is written in place instead.
 Status ReplaceFile(const std::string& path,
                    const std::function<void(std::ostream&)>& write);
 

@@ -14,7 +14,7 @@
 //
 // Activation paths: unit tests construct FaultInjectingTransport
 // directly around a real transport; release binaries are wrapped by
-// Coordinator::Spawn when the SPINNER_FAULT_PLAN environment variable
+// RunMultiProcessSpinner when the SPINNER_FAULT_PLAN environment variable
 // holds a parseable plan (see FaultPlan::Parse) — no dedicated flag on
 // any entry point.
 #ifndef SPINNER_DIST_FAULT_INJECTION_H_

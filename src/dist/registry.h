@@ -1,6 +1,6 @@
 // Worker supply for the cross-process coordinator: the Transport
 // interface abstracts *where worker connections come from*, so the
-// Coordinator (dist/coordinator.h) speaks one protocol over fds it is
+// coordinator (dist/coordinator.h) speaks one protocol over fds it is
 // handed, regardless of whether the peer is a forked child on this host
 // or a process that dialed in over TCP from anywhere.
 //
@@ -48,7 +48,7 @@ struct WorkerEndpoint {
 };
 
 /// Supplies and retires worker connections. Implementations own the
-/// lifecycle (fork/reap, accept/pool); the Coordinator owns the protocol.
+/// lifecycle (fork/reap, accept/pool); the coordinator owns the protocol.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -86,24 +86,22 @@ std::optional<std::vector<uint8_t>> PersistentShardStore::CurrentBytes(
   return std::vector<uint8_t>(current.begin(), current.end());
 }
 
-Result<std::optional<PersistentShardStore::LoadedSlice>>
-PersistentShardStore::Load(int32_t shard_id) {
+std::optional<PersistentShardStore::LoadedSlice> PersistentShardStore::Load(
+    int32_t shard_id) {
   int64_t records = 0;
   const auto bytes = CurrentBytes(shard_id, &records);
-  if (!bytes.has_value()) {
-    return std::optional<LoadedSlice>();
-  }
+  if (!bytes.has_value()) return std::nullopt;
   size_t consumed = 0;
   auto shard = graph_io::DecodeShardSlice(*bytes, &consumed);
   if (!shard.ok() || consumed != bytes->size()) {
     // The stored bytes checksummed but do not decode (foreign content or
     // partial write that happened to checksum): treat as absent.
-    return std::optional<LoadedSlice>();
+    return std::nullopt;
   }
   LoadedSlice loaded;
   loaded.shard = std::move(*shard);
   loaded.fingerprint = ChecksumBytes(*bytes);
-  return std::optional(std::move(loaded));
+  return loaded;
 }
 
 Status PersistentShardStore::WriteBase(int32_t shard_id,

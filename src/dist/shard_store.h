@@ -68,7 +68,7 @@ class PersistentShardStore {
   /// checksum mismatch, log bound to a different base) — callers treat
   /// that as "re-download", never as fatal. Corrupt log *tails* roll back
   /// to the last valid record and count in corrupt_tails_ignored().
-  Result<std::optional<LoadedSlice>> Load(int32_t shard_id);
+  std::optional<LoadedSlice> Load(int32_t shard_id);
 
   /// Makes `slice_bytes` (canonical SPSL encoding) the current content of
   /// shard `id`: writes the base when none exists (or compaction is due),

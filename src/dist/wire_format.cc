@@ -42,39 +42,28 @@ bool GetMoves(WireReader* r, std::vector<LabelDelta>* moves) {
 
 // --- SetupMessage --------------------------------------------------------
 
-void SetupMessage::EncodeHeader(WireWriter* w, uint64_t slice_count) const {
-  w->PutI32(num_partitions);
-  w->PutU64(seed);
-  w->PutU8(balance_on_vertices);
-  w->PutU8(per_worker_async);
-  w->PutI64(num_vertices);
-  w->PutI32(num_shards_total);
-  w->PutVector(owned_shards);
-  w->PutU64(slice_count);
-}
-
 std::vector<uint8_t> SetupMessage::Encode() const {
   WireWriter w;
-  EncodeHeader(&w, shards.size());
+  w.PutVector(owned_shards);
   for (const ShardedGraphStore::Shard& shard : shards) {
     graph_io::AppendShardSlice(shard, &w.buffer());
   }
   return w.Take();
 }
 
-std::vector<uint8_t> EncodeSetupFromStore(const SetupMessage& header,
-                                          const ShardedGraphStore& store) {
+std::vector<uint8_t> EncodeSetupFromStore(
+    const std::vector<int32_t>& owned_shards, const ShardedGraphStore& store) {
   WireWriter w;
-  header.EncodeHeader(&w, header.owned_shards.size());
+  w.PutVector(owned_shards);
   // Reserve the exact slice footprint up front: a Setup payload can reach
   // many chunk frames' worth of bytes, and growth reallocations at that
   // scale double the peak memory of the send path.
   size_t total = w.buffer().size();
-  for (const int32_t s : header.owned_shards) {
+  for (const int32_t s : owned_shards) {
     total += graph_io::EncodedShardSliceSize(store.shard(s));
   }
   w.buffer().reserve(total);
-  for (const int32_t s : header.owned_shards) {
+  for (const int32_t s : owned_shards) {
     graph_io::AppendShardSlice(store.shard(s), &w.buffer());
   }
   return w.Take();
@@ -83,35 +72,15 @@ std::vector<uint8_t> EncodeSetupFromStore(const SetupMessage& header,
 Result<SetupMessage> SetupMessage::Decode(std::span<const uint8_t> payload) {
   WireReader r(payload);
   SetupMessage m;
-  uint64_t num_slices = 0;
-  if (!r.GetI32(&m.num_partitions) || !r.GetU64(&m.seed) ||
-      !r.GetU8(&m.balance_on_vertices) || !r.GetU8(&m.per_worker_async) ||
-      !r.GetI64(&m.num_vertices) || !r.GetI32(&m.num_shards_total) ||
-      !r.GetVector(&m.owned_shards) || !r.GetU64(&num_slices)) {
-    return Truncated("Setup");
-  }
-  if (num_slices != m.owned_shards.size()) {
-    return Status::InvalidArgument(
-        "Setup: slice count does not match owned shard count");
-  }
-  m.shards.reserve(static_cast<size_t>(num_slices));
+  if (!r.GetVector(&m.owned_shards)) return Truncated("Setup");
+  m.shards.reserve(m.owned_shards.size());
   size_t consumed = r.position();
-  for (uint64_t i = 0; i < num_slices; ++i) {
+  for (size_t i = 0; i < m.owned_shards.size(); ++i) {
     SPINNER_ASSIGN_OR_RETURN(ShardedGraphStore::Shard shard,
                              graph_io::DecodeShardSlice(payload, &consumed));
     m.shards.push_back(std::move(shard));
   }
   return m;
-}
-
-SpinnerConfig SetupMessage::ToConfig() const {
-  SpinnerConfig config;
-  config.num_partitions = num_partitions;
-  config.seed = seed;
-  config.balance_mode = balance_on_vertices != 0 ? BalanceMode::kVertices
-                                                 : BalanceMode::kEdges;
-  config.per_worker_async = per_worker_async != 0;
-  return config;
 }
 
 // --- Hello / Assign / Resume ---------------------------------------------
@@ -120,15 +89,13 @@ std::vector<uint8_t> HelloMessage::Encode() const {
   WireWriter w;
   w.PutU32(protocol_version);
   w.PutI64(capacity);
-  w.PutU32(flags);
   return w.Take();
 }
 
 Result<HelloMessage> HelloMessage::Decode(std::span<const uint8_t> payload) {
   WireReader r(payload);
   HelloMessage m;
-  if (!r.GetU32(&m.protocol_version) || !r.GetI64(&m.capacity) ||
-      !r.GetU32(&m.flags)) {
+  if (!r.GetU32(&m.protocol_version) || !r.GetI64(&m.capacity)) {
     return Truncated("Hello");
   }
   return m;

@@ -89,7 +89,7 @@ enum class MessageType : uint32_t {
 
 /// Version of the Hello/Assign/Resume handshake. A worker advertising a
 /// different version is rejected at the registry before it can join a run.
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {
@@ -209,9 +209,6 @@ struct HelloMessage {
   /// Relative shard-hosting capacity (>= 1); a host advertising 2 is
   /// assigned roughly twice the shards of a host advertising 1.
   int64_t capacity = 1;
-  /// Reserved capability bits (zero today; lets future workers advertise
-  /// optional features without a version bump).
-  uint32_t flags = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<HelloMessage> Decode(std::span<const uint8_t> payload);
@@ -258,44 +255,23 @@ struct ResumeMessage {
   static Result<ResumeMessage> Decode(std::span<const uint8_t> payload);
 };
 
-/// Setup: shard slices for a worker (binary_io SPSL encoding). Since the
-/// Hello/Assign/Resume handshake the authoritative run config and full
-/// assignment travel in Assign; a Setup carries only the slices whose
-/// Resume fingerprint missed (its owned_shards list the shards of the
-/// slices actually present — a subset of the Assign list, possibly empty).
-/// The config header fields are retained for self-containedness and
-/// cross-checked against Assign by the worker.
+/// Setup (c→w): the shard slices (binary_io SPSL encoding) whose Resume
+/// fingerprint missed — a subset of the Assign list, possibly empty. The
+/// run config and the full assignment travel once, in Assign.
 struct SetupMessage {
-  int32_t num_partitions = 0;
-  uint64_t seed = 0;
-  uint8_t balance_on_vertices = 0;  // BalanceMode::kVertices
-  uint8_t per_worker_async = 1;
-  int64_t num_vertices = 0;
-  int32_t num_shards_total = 0;
-  /// Global shard ids of the slices below, ascending.
+  /// Global shard ids of the slices below, ascending; one slice each.
   std::vector<int32_t> owned_shards;
   std::vector<ShardedGraphStore::Shard> shards;
 
   std::vector<uint8_t> Encode() const;
   static Result<SetupMessage> Decode(std::span<const uint8_t> payload);
-
-  /// The SpinnerConfig subset the shard superstep kernels read.
-  SpinnerConfig ToConfig() const;
-
- private:
-  friend std::vector<uint8_t> EncodeSetupFromStore(
-      const SetupMessage& header, const ShardedGraphStore& store);
-  /// The fixed fields + owned_shards + `slice_count`, everything up to
-  /// the slices themselves.
-  void EncodeHeader(WireWriter* w, uint64_t slice_count) const;
 };
 
-/// Encodes a Setup payload whose slices are appended straight from
-/// `store` for `header.owned_shards` (header.shards stays empty) — the
-/// coordinator's send path, which must not deep-copy every CSR slice
-/// into an intermediate SetupMessage first.
-std::vector<uint8_t> EncodeSetupFromStore(const SetupMessage& header,
-                                          const ShardedGraphStore& store);
+/// Encodes a Setup whose slices are appended straight from `store` for
+/// `owned_shards` — the coordinator's send path, which must not deep-copy
+/// every CSR slice into an intermediate SetupMessage first.
+std::vector<uint8_t> EncodeSetupFromStore(
+    const std::vector<int32_t>& owned_shards, const ShardedGraphStore& store);
 
 struct InitRequest {
   /// Global vertex id of initial_labels[0]. The coordinator sends each

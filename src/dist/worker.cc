@@ -256,10 +256,9 @@ class ShardWorker {
     loaded_.resize(owned_shards_.size());
     if (store_.has_value()) {
       for (size_t i = 0; i < owned_shards_.size(); ++i) {
-        auto slice = store_->Load(owned_shards_[i]);
-        if (slice.ok() && slice->has_value()) {
-          resume.fingerprints[i] = (*slice)->fingerprint;
-          loaded_[i] = std::move(**slice);
+        loaded_[i] = store_->Load(owned_shards_[i]);
+        if (loaded_[i].has_value()) {
+          resume.fingerprints[i] = loaded_[i]->fingerprint;
         }
       }
     }
@@ -275,16 +274,6 @@ class ShardWorker {
     }
     SPINNER_ASSIGN_OR_RETURN(SetupMessage setup,
                              SetupMessage::Decode(payload));
-    // The Setup header repeats the run config; it must agree with the
-    // Assign this run started with — a mismatch means crossed runs.
-    const SpinnerConfig from_setup = setup.ToConfig();
-    if (from_setup.num_partitions != config_.num_partitions ||
-        from_setup.seed != config_.seed ||
-        from_setup.balance_mode != config_.balance_mode ||
-        from_setup.per_worker_async != config_.per_worker_async ||
-        setup.num_vertices != n_) {
-      return Status::InvalidArgument("Setup contradicts the Assign header");
-    }
 
     // Merge: Setup carries only the slices whose Resume fingerprint
     // missed; everything else must come from the local store with a
@@ -362,22 +351,13 @@ class ShardWorker {
       return Status::InvalidArgument(
           "Init: label slice does not cover this worker's owned range");
     }
-    ShardStateReply reply;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      ShardedGraphStore::Shard& shard = shards_[i];
-      const int64_t messages =
-          ShardInitialize(config_, &shard, labels_, request.initial_labels,
-                          layout_.owned_begin);
-      ShardState state;
-      state.shard = owned_shards_[i];
-      state.labels.assign(
-          labels_.begin() + (shard.begin - layout_.owned_begin),
-          labels_.begin() + (shard.end - layout_.owned_begin));
-      state.loads = shard.loads;
-      state.messages = messages;
-      reply.shards.push_back(std::move(state));
+    std::vector<int64_t> messages;
+    for (ShardedGraphStore::Shard& shard : shards_) {
+      messages.push_back(ShardInitialize(config_, &shard, labels_,
+                                         request.initial_labels,
+                                         layout_.owned_begin));
     }
-    return Send(MessageType::kInitReply, reply.Encode());
+    return Send(MessageType::kInitReply, StateReply(messages).Encode());
   }
 
   Status HandleLabels(std::span<const uint8_t> payload) {
@@ -499,6 +479,13 @@ class ShardWorker {
 
   Status HandleSnapshot() {
     SPINNER_RETURN_IF_ERROR(CheckSetup());
+    return Send(MessageType::kSnapshotReply,
+                StateReply(std::vector<int64_t>(shards_.size(), 0)).Encode());
+  }
+
+  /// Every owned shard's label slice and loads, with `messages[i]` as
+  /// shard i's message count (InitReply and SnapshotReply).
+  ShardStateReply StateReply(const std::vector<int64_t>& messages) const {
     ShardStateReply reply;
     for (size_t i = 0; i < shards_.size(); ++i) {
       const ShardedGraphStore::Shard& shard = shards_[i];
@@ -508,9 +495,10 @@ class ShardWorker {
           labels_.begin() + (shard.begin - layout_.owned_begin),
           labels_.begin() + (shard.end - layout_.owned_begin));
       state.loads = shard.loads;
+      state.messages = messages[i];
       reply.shards.push_back(std::move(state));
     }
-    return Send(MessageType::kSnapshotReply, reply.Encode());
+    return reply;
   }
 
   int fd_;

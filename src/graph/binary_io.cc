@@ -12,8 +12,6 @@
 namespace spinner::graph_io {
 
 namespace {
-constexpr char kMagic[4] = {'S', 'P', 'N', 'B'};
-constexpr uint32_t kVersion = 1;
 constexpr char kSnapshotMagic[4] = {'S', 'P', 'N', 'S'};
 constexpr uint32_t kSnapshotVersion = 1;
 
@@ -34,69 +32,6 @@ bool GetRaw(std::ifstream& in, T* value) {
 /// an uncatchable std::length_error from reserve().
 constexpr int64_t kMaxReserve = 1 << 20;
 }  // namespace
-
-Status WriteBinaryGraph(const std::string& path, int64_t num_vertices,
-                        const EdgeList& edges) {
-  if (num_vertices < 0) {
-    return Status::InvalidArgument("negative vertex count");
-  }
-  if (!EdgesInRange(edges, num_vertices)) {
-    return Status::InvalidArgument(
-        "edge endpoint outside the vertex range");
-  }
-  return ReplaceFile(path, [&](std::ostream& out) {
-    out.write(kMagic, sizeof(kMagic));
-    PutRaw(out, kVersion);
-    PutRaw(out, num_vertices);
-    PutRaw(out, static_cast<int64_t>(edges.size()));
-    for (const Edge& e : edges) {
-      PutRaw(out, e.src);
-      PutRaw(out, e.dst);
-    }
-  });
-}
-
-Result<BinaryGraph> ReadBinaryGraph(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("bad magic (not a SPNB file): " + path);
-  }
-  uint32_t version = 0;
-  if (!GetRaw(in, &version)) return Status::IOError("truncated header");
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported version %u", version));
-  }
-
-  BinaryGraph graph;
-  int64_t num_edges = 0;
-  if (!GetRaw(in, &graph.num_vertices) || !GetRaw(in, &num_edges)) {
-    return Status::IOError("truncated header");
-  }
-  if (graph.num_vertices < 0 || num_edges < 0) {
-    return Status::InvalidArgument("negative counts in header");
-  }
-  graph.edges.reserve(std::min(num_edges, kMaxReserve));
-  for (int64_t i = 0; i < num_edges; ++i) {
-    Edge e;
-    if (!GetRaw(in, &e.src) || !GetRaw(in, &e.dst)) {
-      return Status::IOError(StrFormat(
-          "truncated edge section at edge %lld of %lld",
-          static_cast<long long>(i), static_cast<long long>(num_edges)));
-    }
-    if (e.src < 0 || e.src >= graph.num_vertices || e.dst < 0 ||
-        e.dst >= graph.num_vertices) {
-      return Status::InvalidArgument(StrFormat(
-          "edge %lld endpoint out of range", static_cast<long long>(i)));
-    }
-    graph.edges.push_back(e);
-  }
-  return graph;
-}
 
 Status WriteSessionSnapshot(const std::string& path,
                             const SessionSnapshot& snapshot) {

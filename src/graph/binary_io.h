@@ -1,8 +1,6 @@
-// Binary graph format: a compact, fast-loading on-disk representation for
-// repeated benchmarking on the same graph (text edge lists parse ~20×
-// slower). Layout (little-endian):
-//   magic "SPNB" (4 bytes) | version u32 | num_vertices i64 |
-//   num_edges i64 | edges (num_edges × {src i64, dst i64})
+// Binary on-disk and wire formats of graph state, little-endian, each
+// opening with a 4-byte magic: the SPNS session snapshot (edge list plus
+// assignment), the SPSL shard slice and the SPDR delta-log record.
 #ifndef SPINNER_GRAPH_BINARY_IO_H_
 #define SPINNER_GRAPH_BINARY_IO_H_
 
@@ -18,23 +16,6 @@
 #include "graph/types.h"
 
 namespace spinner::graph_io {
-
-/// A graph as stored in the binary format.
-struct BinaryGraph {
-  int64_t num_vertices = 0;
-  EdgeList edges;
-};
-
-/// Writes the binary format, replacing `path` atomically (ReplaceFile,
-/// common/base_log.h). Fails with InvalidArgument if an edge references a
-/// vertex outside [0, num_vertices).
-Status WriteBinaryGraph(const std::string& path, int64_t num_vertices,
-                        const EdgeList& edges);
-
-/// Reads the binary format. Fails with IOError on open/short-read and
-/// InvalidArgument on bad magic, unsupported version, negative counts, or
-/// out-of-range endpoints.
-Result<BinaryGraph> ReadBinaryGraph(const std::string& path);
 
 /// A partitioning-session checkpoint: the raw edge list plus the current
 /// assignment and partition count. Layout (little-endian):
@@ -64,7 +45,7 @@ Status WriteSessionSnapshot(const std::string& path,
 Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path);
 
 /// In-memory codec for one ShardedGraphStore shard slice: the same
-/// magic + version + counts framing as the file formats above, applied to a
+/// magic + version + counts framing as the file format above, applied to a
 /// byte buffer. This is how the cross-process wire protocol (src/dist)
 /// downloads shard-local CSR slices into ShardWorker processes, and the
 /// intended seed of the distributed store's per-shard persistence format.

@@ -3,12 +3,12 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/base_log.h"
 #include "common/string_util.h"
 
 namespace spinner::graph_io {
@@ -146,18 +146,11 @@ Result<EdgeList> ReadEdgeList(const std::string& path) {
 }
 
 Status WriteEdgeList(const std::string& path, const EdgeList& edges) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  for (const Edge& e : edges) {
-    out << e.src << ' ' << e.dst << '\n';
-  }
-  out.flush();
-  if (!out) {
-    return Status::IOError("write error on: " + path);
-  }
-  return Status::OK();
+  return ReplaceFile(path, [&](std::ostream& out) {
+    for (const Edge& e : edges) {
+      out << e.src << ' ' << e.dst << '\n';
+    }
+  });
 }
 
 Result<std::vector<PartitionId>> ReadPartitioning(const std::string& path,
@@ -204,18 +197,11 @@ Result<std::vector<PartitionId>> ReadPartitioning(const std::string& path,
 
 Status WritePartitioning(const std::string& path,
                          const std::vector<PartitionId>& assignment) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  for (size_t v = 0; v < assignment.size(); ++v) {
-    out << v << ' ' << assignment[v] << '\n';
-  }
-  out.flush();
-  if (!out) {
-    return Status::IOError("write error on: " + path);
-  }
-  return Status::OK();
+  return ReplaceFile(path, [&](std::ostream& out) {
+    for (size_t v = 0; v < assignment.size(); ++v) {
+      out << v << ' ' << assignment[v] << '\n';
+    }
+  });
 }
 
 }  // namespace spinner::graph_io

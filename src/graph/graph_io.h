@@ -21,7 +21,8 @@ namespace spinner::graph_io {
 /// the line number).
 Result<EdgeList> ReadEdgeList(const std::string& path);
 
-/// Writes "src dst" per edge.
+/// Writes "src dst" per edge, replacing `path` atomically (ReplaceFile,
+/// common/base_log.h): a failed write leaves the old file whole.
 Status WriteEdgeList(const std::string& path, const EdgeList& edges);
 
 /// Reads a partition map for `num_vertices` vertices. Every vertex must be
@@ -29,7 +30,8 @@ Status WriteEdgeList(const std::string& path, const EdgeList& edges);
 Result<std::vector<PartitionId>> ReadPartitioning(const std::string& path,
                                                   int64_t num_vertices);
 
-/// Writes "vertex partition" per vertex.
+/// Writes "vertex partition" per vertex, replacing `path` atomically like
+/// WriteEdgeList.
 Status WritePartitioning(const std::string& path,
                          const std::vector<PartitionId>& assignment);
 

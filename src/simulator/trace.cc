@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/base_log.h"
 #include "common/random.h"
 #include "common/string_util.h"
 
@@ -136,14 +137,8 @@ Result<LoadTrace> ReadLoadTrace(const std::string& path) {
 }
 
 Status WriteLoadTrace(const std::string& path, const LoadTrace& trace) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open trace file for writing: " + path);
-  }
-  out << FormatLoadTrace(trace);
-  out.flush();
-  if (!out) return Status::IOError("short write to trace file: " + path);
-  return Status::OK();
+  return ReplaceFile(
+      path, [&](std::ostream& out) { out << FormatLoadTrace(trace); });
 }
 
 LoadTrace SyntheticLoadTrace(const SyntheticTraceOptions& options) {

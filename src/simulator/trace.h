@@ -64,7 +64,8 @@ Result<LoadTrace> ParseLoadTrace(std::string_view text);
 /// Renders a trace in the text format (ParseLoadTrace round-trips it).
 std::string FormatLoadTrace(const LoadTrace& trace);
 
-/// File wrappers around the two above.
+/// File wrappers around the two above; the write replaces `path`
+/// atomically (ReplaceFile, common/base_log.h).
 Result<LoadTrace> ReadLoadTrace(const std::string& path);
 Status WriteLoadTrace(const std::string& path, const LoadTrace& trace);
 

@@ -128,11 +128,10 @@ class InProcessBackend final : public SuperstepBackend {
     return Status::OK();
   }
 
-  void CollectScheduleStats(ScheduleStats* out) override {
+  /// The run's claim counters, for the result's `schedule`.
+  ScheduleStats schedule_stats() const {
     const StealSchedule::Stats stats = schedule_.stats();
-    out->tasks = stats.tasks;
-    out->stolen_tasks = stats.stolen;
-    out->phases = phases_;
+    return {stats.tasks, stats.stolen, phases_};
   }
 
  private:
@@ -228,8 +227,10 @@ Result<ShardedRunResult> RunShardedSpinner(
     return Status::InvalidArgument("cannot partition an empty graph");
   }
   InProcessBackend backend(config, store, pool);
-  return DriveSpinnerSupersteps(config, store, std::move(initial_labels),
-                                &backend, observer);
+  Result<ShardedRunResult> run = DriveSpinnerSupersteps(
+      config, store, std::move(initial_labels), &backend, observer);
+  if (run.ok()) run->schedule = backend.schedule_stats();
+  return run;
 }
 
 }  // namespace spinner

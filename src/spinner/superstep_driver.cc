@@ -54,10 +54,6 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     ++stats.supersteps;
   };
 
-  // Message-passing backends wire up their label subscriptions before any
-  // label state exists (no-op in-process).
-  SPINNER_RETURN_IF_ERROR(backend->SetupSubscriptions());
-
   // --- Superstep 0: Initialize. Labels are the caller's fixed restart
   // labels or hash-drawn; loads accumulate shard-locally.
   {
@@ -192,8 +188,6 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
   }
 
   stats.total_wall_seconds = total_timer.ElapsedSeconds();
-  backend->CollectWireTraffic(&out.wire);
-  backend->CollectScheduleStats(&out.schedule);
   return out;
 }
 

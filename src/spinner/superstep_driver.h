@@ -65,23 +65,6 @@ class SuperstepBackend {
     std::vector<int64_t> messages_out;
   };
 
-  /// Called once by the driver before Initialize, after the store
-  /// topology is final: a message-passing backend establishes its label
-  /// subscriptions here (the cross-process coordinator collects each
-  /// worker's out-of-range neighbor set and builds the per-worker
-  /// subscription index). Shared-memory backends need nothing.
-  virtual Status SetupSubscriptions() { return Status::OK(); }
-
-  /// Called once by the driver after the superstep loop: the backend
-  /// reports its wire traffic (WireTraffic contract). Shared-memory
-  /// backends leave the zeros.
-  virtual void CollectWireTraffic(WireTraffic* out) { (void)out; }
-
-  /// Called once by the driver after the superstep loop: the backend
-  /// reports its scheduler claim counters (ScheduleStats contract).
-  /// Backends without block-granular scheduling leave the zeros.
-  virtual void CollectScheduleStats(ScheduleStats* out) { (void)out; }
-
   /// Superstep 0: initialize labels and loads from `initial_labels`
   /// (ShardInitialize contract).
   virtual Status Initialize(const std::vector<PartitionId>& initial_labels,

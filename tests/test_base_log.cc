@@ -1,16 +1,21 @@
 // The base-plus-log file layer (common/base_log.h): a log torn at any byte
 // yields exactly its complete records, a damaged record is never returned,
-// and ReplaceFile leaves the old file whole when a write fails.
+// ReplaceFile leaves the old file whole when a write fails, replaces the
+// file a symlink names, and writes a target that is not a regular file in
+// place.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,6 +24,7 @@
 #include "graph/binary_io.h"
 #include "graph/conversion.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "graph/sharded_store.h"
 
 namespace spinner {
@@ -211,8 +217,61 @@ TEST(BaseLogTest, FailedShardBaseWriteLeavesTheOldBaseWhole) {
   EXPECT_EQ(FileBytes(disk.BasePath(0)), before);
   EXPECT_FALSE(std::filesystem::exists(disk.BasePath(0) + ".tmp"));
   auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.ok() && loaded->has_value());
-  EXPECT_EQ((*loaded)->fingerprint, dist::ShardSliceFingerprint(first));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->fingerprint, dist::ShardSliceFingerprint(first));
+}
+
+TEST(BaseLogTest, FailedPartitionWriteLeavesTheOldFileWhole) {
+  const std::string path = FreshPath("base_log_replace.part");
+  ASSERT_TRUE(
+      graph_io::WritePartitioning(path, std::vector<PartitionId>(2000, 1))
+          .ok());
+  const std::vector<uint8_t> before = FileBytes(path);
+  ASSERT_GT(before.size(), 4096u);
+
+  const std::vector<PartitionId> next(4000, 2);
+  EXPECT_TRUE(FailsWithIOErrorUnderFileSizeLimit(
+      4096, [&] { return graph_io::WritePartitioning(path, next); }));
+  EXPECT_EQ(FileBytes(path), before);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(BaseLogTest, NonRegularTargetIsWrittenInPlace) {
+  // A FIFO (like /dev/stdout) cannot be renamed over: the partition file
+  // must flow through it, and it must stay a FIFO.
+  const std::string path = FreshPath("base_log_replace.fifo");
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  const pid_t reader = fork();
+  ASSERT_GE(reader, 0);
+  if (reader == 0) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    _exit(text == "0 3\n1 4\n" ? 0 : 1);
+  }
+  const Status written = graph_io::WritePartitioning(path, {3, 4});
+  // A replaced FIFO was never opened for writing: unblock its reader.
+  if (!std::filesystem::is_fifo(path)) kill(reader, SIGKILL);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(reader, &wstatus, 0), reader);
+  EXPECT_TRUE(written.ok()) << written;
+  EXPECT_TRUE(std::filesystem::is_fifo(path));
+  EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(BaseLogTest, SymlinkedTargetIsReplacedThroughTheLink) {
+  const std::string file = FreshPath("base_log_replace_target.part");
+  const std::string link = FreshPath("base_log_replace_link.part");
+  ASSERT_TRUE(graph_io::WritePartitioning(file, {0, 0}).ok());
+  std::filesystem::create_symlink(file, link);
+
+  ASSERT_TRUE(graph_io::WritePartitioning(link, {3, 4}).ok());
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  const std::vector<uint8_t> bytes = FileBytes(file);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "0 3\n1 4\n");
+  EXPECT_FALSE(std::filesystem::exists(link + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
 }
 
 }  // namespace

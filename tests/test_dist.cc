@@ -100,27 +100,15 @@ TEST(WireFormatTest, SetupMessageRoundTrips) {
   auto store = ShardedGraphStore::Build(g, 4);
   ASSERT_TRUE(store.ok());
   dist::SetupMessage setup;
-  setup.num_partitions = 9;
-  setup.seed = 1234;
-  setup.balance_on_vertices = 1;
-  setup.per_worker_async = 0;
-  setup.num_vertices = g.NumVertices();
-  setup.num_shards_total = 4;
   setup.owned_shards = {1, 2};
   setup.shards = {store->shard(1), store->shard(2)};
 
   auto decoded = dist::SetupMessage::Decode(setup.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->num_partitions, 9);
-  EXPECT_EQ(decoded->seed, 1234u);
-  EXPECT_EQ(decoded->num_vertices, g.NumVertices());
   EXPECT_EQ(decoded->owned_shards, setup.owned_shards);
   ASSERT_EQ(decoded->shards.size(), 2u);
   EXPECT_EQ(decoded->shards[0].targets, store->shard(1).targets);
   EXPECT_EQ(decoded->shards[1].offsets, store->shard(2).offsets);
-  const SpinnerConfig config = decoded->ToConfig();
-  EXPECT_EQ(config.balance_mode, BalanceMode::kVertices);
-  EXPECT_FALSE(config.per_worker_async);
 }
 
 TEST(WireFormatTest, RunMessagesRoundTrip) {

@@ -1,6 +1,6 @@
-// Id remapping and the binary graph format, including corruption paths —
-// plus the delta-log record codec and incremental (base + delta-log)
-// checkpoint equivalence with full snapshots.
+// Id remapping and the SPNS session snapshot format, including corruption
+// paths — plus the delta-log record codec and incremental (base +
+// delta-log) checkpoint equivalence with full snapshots.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,53 +61,51 @@ class BinaryIoTest : public ::testing::Test {
   }
 };
 
-TEST_F(BinaryIoTest, RoundTrip) {
-  const EdgeList edges = {{0, 1}, {1, 2}, {2, 0}, {3, 1}};
-  const std::string path = TempPath("graph.spnb");
-  ASSERT_TRUE(graph_io::WriteBinaryGraph(path, 4, edges).ok());
-  auto read = graph_io::ReadBinaryGraph(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->num_vertices, 4);
-  EXPECT_EQ(read->edges, edges);
-  std::remove(path.c_str());
-}
-
 TEST_F(BinaryIoTest, EmptyGraphRoundTrip) {
-  const std::string path = TempPath("empty.spnb");
-  ASSERT_TRUE(graph_io::WriteBinaryGraph(path, 0, {}).ok());
-  auto read = graph_io::ReadBinaryGraph(path);
+  const std::string path = TempPath("empty.spns");
+  ASSERT_TRUE(graph_io::WriteSessionSnapshot(path, {}).ok());
+  auto read = graph_io::ReadSessionSnapshot(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->num_vertices, 0);
   EXPECT_TRUE(read->edges.empty());
+  EXPECT_EQ(read->num_partitions, 0);
   std::remove(path.c_str());
 }
 
 TEST_F(BinaryIoTest, WriteRejectsOutOfRangeEdges) {
+  graph_io::SessionSnapshot snapshot;
+  snapshot.num_vertices = 2;
+  snapshot.edges = {{0, 5}};
   EXPECT_FALSE(
-      graph_io::WriteBinaryGraph(TempPath("x.spnb"), 2, {{0, 5}}).ok());
-  EXPECT_FALSE(graph_io::WriteBinaryGraph(TempPath("x.spnb"), -1, {}).ok());
+      graph_io::WriteSessionSnapshot(TempPath("x.spns"), snapshot).ok());
+  snapshot.num_vertices = -1;
+  snapshot.edges.clear();
+  EXPECT_FALSE(
+      graph_io::WriteSessionSnapshot(TempPath("x.spns"), snapshot).ok());
 }
 
 TEST_F(BinaryIoTest, MissingFileIsIOError) {
-  auto read = graph_io::ReadBinaryGraph("/nonexistent/g.spnb");
+  auto read = graph_io::ReadSessionSnapshot("/nonexistent/g.spns");
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(BinaryIoTest, BadMagicRejected) {
-  const std::string path = TempPath("bad_magic.spnb");
+  const std::string path = TempPath("bad_magic.spns");
   std::ofstream(path, std::ios::binary) << "NOPE garbage";
-  auto read = graph_io::ReadBinaryGraph(path);
+  auto read = graph_io::ReadSessionSnapshot(path);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
 TEST_F(BinaryIoTest, TruncatedFileRejected) {
-  const EdgeList edges = {{0, 1}, {1, 2}};
-  const std::string path = TempPath("trunc.spnb");
-  ASSERT_TRUE(graph_io::WriteBinaryGraph(path, 3, edges).ok());
-  // Chop the last 8 bytes off.
+  graph_io::SessionSnapshot snapshot;
+  snapshot.num_vertices = 3;
+  snapshot.edges = {{0, 1}, {1, 2}};
+  const std::string path = TempPath("trunc.spns");
+  ASSERT_TRUE(graph_io::WriteSessionSnapshot(path, snapshot).ok());
+  // Chop the last 8 bytes off (half of the last edge).
   std::ifstream in(path, std::ios::binary);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
@@ -116,7 +114,7 @@ TEST_F(BinaryIoTest, TruncatedFileRejected) {
   out.write(content.data(),
             static_cast<std::streamsize>(content.size() - 8));
   out.close();
-  auto read = graph_io::ReadBinaryGraph(path);
+  auto read = graph_io::ReadSessionSnapshot(path);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
@@ -154,28 +152,20 @@ TEST_F(BinaryIoTest, SessionSnapshotRejectsInconsistentAssignment) {
       graph_io::WriteSessionSnapshot(TempPath("bad2.spns"), snapshot).ok());
 }
 
-TEST_F(BinaryIoTest, SessionSnapshotRejectsGraphMagic) {
-  // A SPNB graph file is not a SPNS snapshot; the magic keeps the two
-  // formats from being confused for one another.
-  const std::string path = TempPath("graph_as_session.spnb");
-  ASSERT_TRUE(graph_io::WriteBinaryGraph(path, 2, {{0, 1}}).ok());
-  auto read = graph_io::ReadSessionSnapshot(path);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
 TEST_F(BinaryIoTest, CorruptEdgeRangeRejected) {
-  const std::string path = TempPath("corrupt_edge.spnb");
-  ASSERT_TRUE(graph_io::WriteBinaryGraph(path, 3, {{0, 1}}).ok());
+  graph_io::SessionSnapshot snapshot;
+  snapshot.num_vertices = 3;
+  snapshot.edges = {{0, 1}};
+  const std::string path = TempPath("corrupt_edge.spns");
+  ASSERT_TRUE(graph_io::WriteSessionSnapshot(path, snapshot).ok());
   // Overwrite the edge target with an out-of-range id (offset: 4 magic +
-  // 4 version + 8 n + 8 m + 8 src = 32).
+  // 4 version + 8 n + 8 m + 4 k + 4 flags + 8 src = 40).
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(32);
+  f.seekp(40);
   const int64_t bogus = 999;
   f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
   f.close();
-  auto read = graph_io::ReadBinaryGraph(path);
+  auto read = graph_io::ReadSessionSnapshot(path);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());

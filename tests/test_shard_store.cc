@@ -69,14 +69,12 @@ TEST(PersistentShardStoreTest, BaseRoundTripsWithMatchingFingerprint) {
     const auto bytes = SliceBytes(store->shard(s));
     ASSERT_TRUE(disk.Put(s, bytes).ok());
     auto loaded = disk.Load(s);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ASSERT_TRUE(loaded->has_value());
-    EXPECT_EQ((*loaded)->fingerprint, ShardSliceFingerprint(bytes));
-    EXPECT_EQ((*loaded)->fingerprint,
-              ShardSliceFingerprint(store->shard(s)));
-    EXPECT_EQ((*loaded)->shard.begin, store->shard(s).begin);
-    EXPECT_EQ((*loaded)->shard.targets, store->shard(s).targets);
-    EXPECT_EQ((*loaded)->shard.weights, store->shard(s).weights);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(bytes));
+    EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(store->shard(s)));
+    EXPECT_EQ(loaded->shard.begin, store->shard(s).begin);
+    EXPECT_EQ(loaded->shard.targets, store->shard(s).targets);
+    EXPECT_EQ(loaded->shard.weights, store->shard(s).weights);
   }
   EXPECT_EQ(disk.bases_written(), 3);
   EXPECT_EQ(disk.records_appended(), 0);
@@ -85,8 +83,7 @@ TEST(PersistentShardStoreTest, BaseRoundTripsWithMatchingFingerprint) {
 TEST(PersistentShardStoreTest, AbsentShardLoadsAsNullopt) {
   PersistentShardStore disk(FreshDir("spsb_absent"));
   auto loaded = disk.Load(7);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(loaded->has_value());
+  EXPECT_FALSE(loaded.has_value());
 }
 
 TEST(PersistentShardStoreTest, MatchingPutIsANoOpAndUpdatesAppend) {
@@ -106,10 +103,9 @@ TEST(PersistentShardStoreTest, MatchingPutIsANoOpAndUpdatesAppend) {
   ASSERT_TRUE(disk.Put(0, SliceBytes(s2->shard(0))).ok());
   EXPECT_EQ(disk.records_appended(), 1);
   auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.ok() && loaded->has_value());
-  EXPECT_EQ((*loaded)->fingerprint,
-            ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_EQ((*loaded)->shard.targets, s2->shard(0).targets);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
+  EXPECT_EQ(loaded->shard.targets, s2->shard(0).targets);
 }
 
 TEST(PersistentShardStoreTest, CompactionFoldsTheLogIntoAFreshBase) {
@@ -124,9 +120,8 @@ TEST(PersistentShardStoreTest, CompactionFoldsTheLogIntoAFreshBase) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(disk.Put(0, SliceBytes(store->shard(0))).ok());
     auto loaded = disk.Load(0);
-    ASSERT_TRUE(loaded.ok() && loaded->has_value());
-    EXPECT_EQ((*loaded)->fingerprint,
-              ShardSliceFingerprint(store->shard(0)));
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(store->shard(0)));
   }
   EXPECT_GT(disk.compactions(), 0);
   // Replay stays bounded: the live log never exceeds the threshold.
@@ -148,10 +143,8 @@ TEST(PersistentShardStoreTest, CorruptLogTailRollsBackToLastValidRecord) {
   // ignored — the slice rolls back to the last valid record.
   AppendGarbage(disk.LogPath(0), 21);
   auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->has_value());
-  EXPECT_EQ((*loaded)->fingerprint,
-            ShardSliceFingerprint(s2->shard(0)));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
   EXPECT_GT(disk.corrupt_tails_ignored(), 0);
 }
 
@@ -171,8 +164,7 @@ TEST(PersistentShardStoreTest, CorruptBaseMeansRedownloadNotCrash) {
   std::fclose(f);
 
   auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(loaded->has_value());  // "re-download", never fatal
+  EXPECT_FALSE(loaded.has_value());  // "re-download", never fatal
 }
 
 TEST(PersistentShardStoreTest, CorruptRecordRollsBackAndRedownloadHeals) {
@@ -213,18 +205,17 @@ TEST(PersistentShardStoreTest, CorruptRecordRollsBackAndRedownloadHeals) {
   // re-download. Never an error, never a wedge.
   PersistentShardStore replacement(dir);
   auto loaded = replacement.Load(0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->has_value());
-  EXPECT_EQ((*loaded)->fingerprint, ShardSliceFingerprint(s1->shard(0)));
-  EXPECT_NE((*loaded)->fingerprint, ShardSliceFingerprint(s2->shard(0)));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s1->shard(0)));
+  EXPECT_NE(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
   EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
 
   // The re-download (a Put of the authoritative bytes) heals the store.
   ASSERT_TRUE(replacement.Put(0, SliceBytes(s2->shard(0))).ok());
   auto healed = replacement.Load(0);
-  ASSERT_TRUE(healed.ok() && healed->has_value());
-  EXPECT_EQ((*healed)->fingerprint, ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_EQ((*healed)->shard.targets, s2->shard(0).targets);
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->fingerprint, ShardSliceFingerprint(s2->shard(0)));
+  EXPECT_EQ(healed->shard.targets, s2->shard(0).targets);
 }
 
 TEST(PersistentShardStoreTest, LogBoundToADifferentBaseIsRejectedWhole) {
@@ -258,10 +249,9 @@ TEST(PersistentShardStoreTest, LogBoundToADifferentBaseIsRejectedWhole) {
 
   PersistentShardStore replacement(dir);
   auto loaded = replacement.Load(0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->has_value());
+  ASSERT_TRUE(loaded.has_value());
   // The stale log must not replay its v2 record onto v3's base.
-  EXPECT_EQ((*loaded)->fingerprint, ShardSliceFingerprint(s3->shard(0)));
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s3->shard(0)));
   EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
 }
 
@@ -272,8 +262,7 @@ TEST(PersistentShardStoreTest, DirectoryAtBasePathLoadsAsAbsent) {
   PersistentShardStore disk(dir);
   ASSERT_TRUE(std::filesystem::create_directories(disk.BasePath(0)));
   auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(loaded->has_value());
+  EXPECT_FALSE(loaded.has_value());
 }
 
 // --- Worker layout (the index remap) --------------------------------------

@@ -23,6 +23,7 @@
 
 #include "common/threadpool.h"
 #include "dist/coordinator.h"
+#include "dist/fault_injection.h"
 #include "dist/registry.h"
 #include "dist/shard_store.h"
 #include "dist/tcp_transport.h"
@@ -90,7 +91,6 @@ void ReapAll(std::vector<pid_t>* pids) {
 TEST(TcpWireFormatTest, HelloAssignResumeRoundTrip) {
   dist::HelloMessage hello;
   hello.capacity = 4;
-  hello.flags = 0;
   auto hello2 = dist::HelloMessage::Decode(hello.Encode());
   ASSERT_TRUE(hello2.ok()) << hello2.status();
   EXPECT_EQ(hello2->protocol_version, dist::kProtocolVersion);
@@ -163,9 +163,9 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
 }
 
 TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
-  // Protocol 3 dropped Setup's fail_after_score_steps field, so a
-  // version-2 worker must be turned away too.
-  EXPECT_EQ(dist::kProtocolVersion, 3u);
+  // Protocol 4 dropped Setup's run-config header and Hello's flags, so a
+  // version-3 worker must be turned away too.
+  EXPECT_EQ(dist::kProtocolVersion, 4u);
   for (const uint32_t version :
        {dist::kProtocolVersion + 7, dist::kProtocolVersion - 1}) {
     RegistryOptions options;
@@ -320,6 +320,51 @@ TEST(TcpSpinnerTest, WorkerDiesMidSuperstepSurfacesStatusNeverHangs) {
     registry->reset();
     ReapAll(&workers);
   }
+}
+
+TEST(TcpSpinnerTest, LostTeardownAckPoolsOnlyTheWorkerThatAcked) {
+  // Every run ends on one retire path: each worker is probed with the
+  // Teardown handshake, the ones that ack are released, the rest are
+  // destroyed. Here worker 1's connection closes as it sends its
+  // TeardownAck after an otherwise clean run: the run reports the
+  // IOError, and worker 0, which acked, is still pooled.
+  const CsrGraph g = SmallWorldConverted(800, 17);
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 3;  // M
+  config.use_halting = false;
+  auto registry = WorkerRegistry::Listen(RegistryOptions{});
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  // Worker→coordinator frames per connection (the Hello is consumed
+  // before the proxy interposes): Resume=0, Subscribe=1, InitReply=2,
+  // ScoresReply/MigrateReply/DeltasAck for each of the first M-1
+  // iterations, the last iteration's ScoresReply (it stops before
+  // migrating), SnapshotReply, then TeardownAck = 3M+2 = 11.
+  auto plan = dist::FaultPlan::Parse("close:dir=w2c:worker=1:frame=11");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto faulty = std::make_unique<dist::FaultInjectingTransport>(
+      registry->get(), std::move(*plan));
+  MultiProcessOptions options;
+  options.num_workers = 2;
+  options.worker_transport = faulty.get();
+  std::vector<pid_t> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.push_back(ForkTcpWorker((*registry)->address(), options.transport));
+  }
+
+  auto store = ShardedGraphStore::Build(g, 4);
+  ASSERT_TRUE(store.ok());
+  std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+  auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                          options, nullptr);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kIOError) << run.status();
+  EXPECT_EQ(faulty->counters().connections_closed.load(), 1);
+  EXPECT_EQ((*registry)->num_pooled(), 1);
+
+  faulty.reset();
+  registry->reset();
+  ReapAll(&workers);
 }
 
 TEST(TcpSpinnerTest, LostWorkerFailsOverToSurvivorsBitIdentical) {
