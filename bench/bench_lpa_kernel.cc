@@ -201,6 +201,7 @@ std::vector<double> CapacitiesOf(const SpinnerConfig& config,
 struct CaseResult {
   std::string name;
   std::string recipe;
+  int k = 0;
   int64_t vertices = 0;
   int64_t arcs = 0;
   double seed_ms = 0.0;       // seed kernel, ms per iteration
@@ -242,6 +243,7 @@ CaseResult RunCase(const std::string& name, const std::string& recipe,
   CaseResult result;
   result.name = name;
   result.recipe = recipe;
+  result.k = config.num_partitions;
   auto converted = BuildSymmetric(graph.num_vertices, graph.edges);
   SPINNER_CHECK(converted.ok());
   const CsrGraph& g = *converted;
@@ -353,7 +355,7 @@ CaseResult RunCase(const std::string& name, const std::string& recipe,
   return result;
 }
 
-void WriteJson(const std::string& path, bool smoke, int k, int iters,
+void WriteJson(const std::string& path, bool smoke, int iters,
                const std::vector<CaseResult>& cases) {
   std::FILE* json = std::fopen(path.c_str(), "w");
   SPINNER_CHECK(json != nullptr) << "cannot write " << path;
@@ -364,18 +366,19 @@ void WriteJson(const std::string& path, bool smoke, int k, int iters,
 #else
   std::fprintf(json, "  \"simd\": false,\n");
 #endif
-  std::fprintf(json, "  \"k\": %d,\n  \"iterations\": %d,\n", k, iters);
+  std::fprintf(json, "  \"iterations\": %d,\n", iters);
   std::fprintf(json, "  \"cases\": [\n");
   for (size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     std::fprintf(
         json,
-        "    {\"case\": \"%s\", \"vertices\": %lld, \"arcs\": %lld,\n"
+        "    {\"case\": \"%s\", \"k\": %d, \"vertices\": %lld, "
+        "\"arcs\": %lld,\n"
         "     \"seed_ms_per_iter\": %.4f, \"kernel_ms_per_iter\": %.4f,\n"
         "     \"stealing_ms_per_iter\": %.4f, \"kernel_speedup\": %.4f,\n"
         "     \"stealing_speedup\": %.4f, \"tasks\": %lld, "
         "\"stolen_tasks\": %lld}%s\n",
-        c.name.c_str(), static_cast<long long>(c.vertices),
+        c.name.c_str(), c.k, static_cast<long long>(c.vertices),
         static_cast<long long>(c.arcs), c.seed_ms, c.kernel_ms,
         c.stealing_ms, c.kernel_speedup, c.stealing_speedup,
         static_cast<long long>(c.tasks),
@@ -400,8 +403,9 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
   config.seed = 42;
 
   // Degree-skew sweep: the dense masked scan only engages where
-  // OutDegree >= k, so uniform graphs exercise the sparse path and the
-  // power-law cases mix in hub vertices that hit the dense path hard.
+  // OutDegree >= k, so the degree-16 uniform graph runs all-dense at k = 8
+  // and all-sparse at k = 32, and the power-law cases mix low-degree
+  // vertices with hubs that hit the dense path hard.
   auto uniform = WattsStrogatz(n, 8, 0.3, 42);
   SPINNER_CHECK(uniform.ok());
   auto skewed = BarabasiAlbert(n, 8, 8, 42);
@@ -422,31 +426,46 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
     }
   }
 
+  // Every topology runs at the sweep's k and again at k = 32, perfbench's
+  // k, where the degree-16 uniform graph sits below the dense cutover.
+  struct Topology {
+    std::string name;
+    std::string recipe;
+    GeneratedGraph graph;
+  };
+  const std::vector<Topology> topologies = {
+      {"uniform", "WattsStrogatz(deg=16, beta=0.3)",
+       std::move(uniform).value()},
+      {"skewed", "BarabasiAlbert(m=8) power-law", std::move(skewed).value()},
+      {"hubs", "power-law + celebrity overlay", std::move(hubs.graph)}};
+  constexpr int kWideK = 32;
   const int stealing_shards = 7;
   std::vector<CaseResult> cases;
-  cases.push_back(RunCase("uniform", "WattsStrogatz(deg=16, beta=0.3)",
-                          std::move(uniform).value(), config, iters,
-                          stealing_shards));
-  cases.push_back(RunCase("skewed", "BarabasiAlbert(m=8) power-law",
-                          std::move(skewed).value(), config, iters,
-                          stealing_shards));
-  cases.push_back(RunCase("hubs", "power-law + celebrity overlay",
-                          std::move(hubs.graph), config, iters,
-                          stealing_shards));
+  std::vector<int> sweep_ks = {k};
+  if (k != kWideK) sweep_ks.push_back(kWideK);
+  for (const int case_k : sweep_ks) {
+    config.num_partitions = case_k;
+    const std::string suffix =
+        case_k == k ? "" : "_k" + std::to_string(case_k);
+    for (const Topology& t : topologies) {
+      cases.push_back(RunCase(t.name + suffix, t.recipe, t.graph, config,
+                              iters, stealing_shards));
+    }
+  }
 
-  std::printf("\n%-10s %9s %10s | %10s %10s %10s | %8s %8s | %7s\n", "case",
+  std::printf("\n%-12s %9s %10s | %10s %10s %10s | %8s %8s | %7s\n", "case",
               "vertices", "arcs", "seed ms", "kernel ms", "steal ms",
               "k-spd", "s-spd", "stolen");
   for (const CaseResult& c : cases) {
     std::printf(
-        "%-10s %9lld %10lld | %10.2f %10.2f %10.2f | %7.2fx %7.2fx | "
+        "%-12s %9lld %10lld | %10.2f %10.2f %10.2f | %7.2fx %7.2fx | "
         "%7lld\n",
         c.name.c_str(), static_cast<long long>(c.vertices),
         static_cast<long long>(c.arcs), c.seed_ms, c.kernel_ms,
         c.stealing_ms, c.kernel_speedup, c.stealing_speedup,
         static_cast<long long>(c.stolen_tasks));
   }
-  WriteJson(out_path, smoke, k, iters, cases);
+  WriteJson(out_path, smoke, iters, cases);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/string_util.h"
 #include "dist/transport.h"
 #include "graph/binary_io.h"
 
@@ -79,6 +80,11 @@ Result<SetupMessage> SetupMessage::Decode(std::span<const uint8_t> payload) {
     SPINNER_ASSIGN_OR_RETURN(ShardedGraphStore::Shard shard,
                              graph_io::DecodeShardSlice(payload, &consumed));
     m.shards.push_back(std::move(shard));
+  }
+  if (consumed != payload.size()) {
+    return Status::InvalidArgument(
+        StrFormat("Setup has %zu bytes after its last slice",
+                  payload.size() - consumed));
   }
   return m;
 }

@@ -290,6 +290,11 @@ class ShardWorker {
             static_cast<int>(setup.owned_shards[i])));
       }
       const size_t j = static_cast<size_t>(it - owned_shards_.begin());
+      if (downloaded[j]) {
+        return Status::InvalidArgument(
+            StrFormat("Setup carries shard %d twice",
+                      static_cast<int>(setup.owned_shards[i])));
+      }
       merged[j] = std::move(setup.shards[i]);
       downloaded[j] = true;
     }

@@ -204,6 +204,10 @@ Result<ShardedGraphStore::Shard> DecodeShardSlice(
       return Status::InvalidArgument("shard slice offsets not monotonic");
     }
   }
+  if (std::find(shard.weights.begin(), shard.weights.end(), 0u) !=
+      shard.weights.end()) {
+    return Status::InvalidArgument("shard slice has an arc of weight 0");
+  }
   shard.RebuildInvDegrees();
   *consumed = in.pos();
   return shard;

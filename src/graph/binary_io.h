@@ -66,8 +66,9 @@ size_t EncodedShardSliceSize(const ShardedGraphStore::Shard& shard);
 
 /// Decodes one shard slice from the front of `bytes`, advancing `*consumed`
 /// past it. Fails with IOError on truncation and InvalidArgument on bad
-/// magic/version or internally inconsistent counts (non-monotonic offsets,
-/// mismatched array sizes).
+/// magic/version, internally inconsistent counts (non-monotonic offsets,
+/// mismatched array sizes) or an arc of weight 0 (the LPA label pick needs
+/// every weight >= 1).
 Result<ShardedGraphStore::Shard> DecodeShardSlice(
     std::span<const uint8_t> bytes, size_t* consumed);
 

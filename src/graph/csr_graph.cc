@@ -19,6 +19,14 @@ Result<CsrGraph> CsrGraph::FromEdges(int64_t num_vertices,
         "weight count %zu does not match edge count %zu", weights.size(),
         edges.size()));
   }
+  // The LPA label pick reads freq[l] > 0 as "l is a neighbor label"
+  // (spinner/lpa_kernel.h), so every arc must weigh at least 1.
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] == 0) {
+      return Status::InvalidArgument(
+          StrFormat("edge %zu has weight 0 (weights must be >= 1)", i));
+    }
+  }
   for (const Edge& e : edges) {
     if (e.src < 0 || e.src >= num_vertices || e.dst < 0 ||
         e.dst >= num_vertices) {

@@ -25,8 +25,8 @@ class CsrGraph {
   /// Builds from an edge list over vertices [0, num_vertices). Arcs keep
   /// their multiplicity (no dedup) and are sorted by (src, dst, weight).
   /// `weights` must be empty (all arcs weight 1) or parallel to `edges`.
-  /// Fails with InvalidArgument on out-of-range endpoints or a weight/edge
-  /// length mismatch.
+  /// Fails with InvalidArgument on out-of-range endpoints, a weight/edge
+  /// length mismatch or a weight of 0.
   static Result<CsrGraph> FromEdges(int64_t num_vertices,
                                     const EdgeList& edges,
                                     std::span<const EdgeWeight> weights = {});

@@ -16,14 +16,19 @@
 //    vertex that sees the same load view, so dividing per (vertex, label)
 //    was pure waste.
 //  * The best label is found by one of two interchangeable scans:
-//    PickLabelSparse walks the touched-label list (the scalar reference,
-//    fastest for low-degree vertices), PickLabelDense scans all k labels
-//    with a branch-free masked max (fastest for hubs). Both compute the
-//    same per-label expression
-//    over the same candidate set {current} ∪ {l : freq[l] > 0}, and the
-//    tie break is a pure function of (seed, superstep, vertex, label set)
-//    — NOT of scan order — so the two scans are bit-identical by
-//    construction and callers may pick either per vertex.
+//    PickLabelSparse walks the touched-label list, PickLabelDense scans
+//    all k labels. Both are branch-free max loops that store each score
+//    in a buffer for the tie pass. The caller takes the dense scan only
+//    when OutDegree(v) >= k: there the O(k) scan costs no more than the
+//    O(deg) gather, while below k the sparse scan's O(labels touched)
+//    wins, however large a share of the k labels the vertex touches.
+//    Both compute the same per-label expression over the same candidate
+//    set {current} ∪ {l : freq[l] > 0}, and the tie break is a pure
+//    function of (seed, superstep, vertex, label set) — NOT of scan
+//    order — so the two scans are bit-identical by construction and
+//    callers may pick either per vertex. Both rely on every arc weight
+//    being >= 1 (CsrGraph::FromEdges and graph_io::DecodeShardSlice
+//    reject 0), so that freq[l] > 0 exactly for the touched labels.
 //  * Exact-score ties among non-current maxima are broken by the minimal
 //    TieKey (lexicographic on (key, label)); the draw is still uniform
 //    over the tied set and deterministic per (seed, superstep, vertex).
@@ -35,6 +40,7 @@
 #include <limits>
 #include <span>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "graph/types.h"
 
@@ -45,9 +51,9 @@
 // packed conversion below AVX-512DQ, and the Release object code of
 // BlocksComputeScores (GCC 12) holds only scalar cvtsi2sdq/mulsd/subsd/
 // maxsd. The dense scan is fast because it is branch-free, not because it
-// is SIMD (docs/PERFORMANCE.md). With the knob OFF the pragmas vanish —
-// same expressions, same results, byte-for-byte (the simd-parity CI lane
-// asserts this).
+// is SIMD (docs/PERFORMANCE.md). With the knob OFF the pragmas vanish and
+// every vertex takes the sparse scan — same expressions, same results,
+// byte-for-byte (the simd-parity CI lane asserts this).
 #if defined(SPINNER_SIMD)
 #define SPINNER_PRAGMA_SIMD _Pragma("omp simd")
 #define SPINNER_PRAGMA_SIMD_REDUX(clause) _Pragma(clause)
@@ -113,18 +119,20 @@ struct LabelChoice {
   bool better = false;
 };
 
-/// Shared tie-break: picks, among the non-current labels in `candidates`
-/// whose score equals `best`, the one minimizing (TieKey, label).
-/// `score_of(l)` must reproduce the exact scan-phase value.
-template <typename ScoreFn>
-inline LabelChoice ResolveBest(std::span<const PartitionId> candidates,
-                               PartitionId current, double best,
-                               const ScoreFn& score_of, uint64_t seed,
-                               int64_t superstep, VertexId v) {
+/// The tie pass of both scans: among the n scanned labels whose stored
+/// score equals `best`, current excluded, picks the one minimizing
+/// (TieKey, label). label_of(i) is the i-th scanned label, scores[i] its
+/// score from the max pass.
+template <typename LabelOf>
+inline LabelChoice PickTied(size_t n, const LabelOf& label_of,
+                            const double* scores, PartitionId current,
+                            double best, uint64_t seed, int64_t superstep,
+                            VertexId v) {
   PartitionId chosen = kNoPartition;
   uint64_t chosen_key = 0;
-  for (const PartitionId l : candidates) {
-    if (l == current || score_of(l) != best) continue;
+  for (size_t i = 0; i < n; ++i) {
+    const PartitionId l = label_of(i);
+    if (l == current || scores[i] != best) continue;
     const uint64_t key = TieKey(seed, superstep, v, l);
     if (chosen == kNoPartition || key < chosen_key ||
         (key == chosen_key && l < chosen)) {
@@ -135,42 +143,69 @@ inline LabelChoice ResolveBest(std::span<const PartitionId> candidates,
   return LabelChoice{chosen, true};
 }
 
+/// The sparse scan's gather: adds each arc's weight to freq[label] and
+/// lists each distinct neighbor label once in `touched`, returning how
+/// many. Branch-free: every arc writes its label to touched[n], and n
+/// advances only on the label's first weight. With every weight >= 1 at
+/// most k labels are listed, so `touched` needs k + 1 slots (a repeat
+/// after all k still writes slot k). `freq` must be zero on entry.
+inline size_t GatherTouched(std::span<const VertexId> neighbors,
+                            std::span<const EdgeWeight> weights,
+                            const PartitionId* labels, int64_t* freq,
+                            std::span<PartitionId> touched) {
+  PartitionId* touched_p = touched.data();
+  size_t n = 0;
+  for (size_t j = 0; j < neighbors.size(); ++j) {
+    const PartitionId l = labels[neighbors[j]];
+    SPINNER_DCHECK(l >= 0) << "neighbor label not initialized";
+    touched_p[n] = l;
+    n += freq[l] == 0;
+    freq[l] += weights[j];
+  }
+  SPINNER_DCHECK(n < touched.size()) << "a weight-0 arc listed a label twice";
+  return n;
+}
+
 /// Picks the best label for a vertex among its current label and the
-/// labels in `touched` (the neighborhood's labels, any order), scoring
-/// each with Eq. 8 via `freq`, `inv_degree` and the `penalty` table.
-/// `current_score` must be Score(freq[current], inv_degree,
-/// penalty[current]). This is the sparse scalar reference scan — the
-/// dense scan below is bit-identical.
+/// distinct labels in `touched` (the neighborhood's labels, any order),
+/// scoring each with Eq. 8 via `freq`, `inv_degree` and the `penalty`
+/// table. `current_score` must be Score(freq[current], inv_degree,
+/// penalty[current]). The max runs branch-free over every touched label,
+/// current included — its score is the same expression as
+/// `current_score`, so it cannot raise the max — and stores the i-th
+/// score in score_buf[i] for the tie pass. The dense scan below is
+/// bit-identical.
 inline LabelChoice PickLabelSparse(std::span<const int64_t> freq,
                                    std::span<const PartitionId> touched,
                                    PartitionId current, double current_score,
                                    double inv_degree,
                                    std::span<const double> penalty,
-                                   uint64_t seed, int64_t superstep,
-                                   VertexId v) {
+                                   std::span<double> score_buf, uint64_t seed,
+                                   int64_t superstep, VertexId v) {
+  const size_t n = touched.size();
+  const PartitionId* touched_p = touched.data();
+  const int64_t* freq_p = freq.data();
+  const double* penalty_p = penalty.data();
+  double* buf_p = score_buf.data();
   double best = current_score;
-  bool better = false;
-  for (const PartitionId l : touched) {
-    if (l == current) continue;
-    const double s = Score(freq[l], inv_degree, penalty[l]);
-    if (s > best) {
-      best = s;
-      better = true;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    const PartitionId l = touched_p[i];
+    const double s = Score(freq_p[l], inv_degree, penalty_p[l]);
+    buf_p[i] = s;
+    best = s > best ? s : best;
   }
-  if (!better) return LabelChoice{current, false};
-  return ResolveBest(
-      touched, current, best,
-      [&](PartitionId l) { return Score(freq[l], inv_degree, penalty[l]); },
-      seed, superstep, v);
+  if (!(best > current_score)) return LabelChoice{current, false};
+  return PickTied(
+      n, [&](size_t i) { return touched_p[i]; }, buf_p, current, best, seed,
+      superstep, v);
 }
 
 /// Dense variant of PickLabelSparse: scans all k labels with a branch-free
 /// masked max instead of walking the touched list, writing each label's
 /// (masked) score into `score_buf` (size k). Candidate set, scores and
 /// tie break are identical to the sparse scan, so the two may be chosen
-/// per vertex without affecting results. Preferable for hubs, where the
-/// neighborhood touches a large fraction of the labels.
+/// per vertex without affecting results. Pays only for vertices with at
+/// least k arcs, whose gather already costs O(k).
 inline LabelChoice PickLabelDense(std::span<const int64_t> freq,
                                   PartitionId current, double current_score,
                                   double inv_degree,
@@ -194,18 +229,10 @@ inline LabelChoice PickLabelDense(std::span<const int64_t> freq,
   // `best` included current_score even when freq[current] == 0, so a
   // strictly better non-current label exists iff best moved.
   if (!(best > current_score)) return LabelChoice{current, false};
-  PartitionId chosen = kNoPartition;
-  uint64_t chosen_key = 0;
-  for (PartitionId l = 0; l < k; ++l) {
-    if (l == current || buf_p[l] != best) continue;
-    const uint64_t key = TieKey(seed, superstep, v, l);
-    if (chosen == kNoPartition || key < chosen_key ||
-        (key == chosen_key && l < chosen)) {
-      chosen = l;
-      chosen_key = key;
-    }
-  }
-  return LabelChoice{chosen, true};
+  return PickTied(
+      static_cast<size_t>(k),
+      [](size_t i) { return static_cast<PartitionId>(i); }, buf_p, current,
+      best, seed, superstep, v);
 }
 
 /// Migration probability (Eq. 14): remaining capacity r(l) over the load

@@ -22,8 +22,7 @@ int64_t RangeArcs(const ShardedGraphStore::Shard& shard, VertexId begin,
 void ShardScratch::Prepare(int num_partitions) {
   const auto k = static_cast<size_t>(num_partitions);
   freq.assign(k, 0);
-  touched.clear();
-  touched.reserve(k);
+  touched.assign(k + 1, 0);
   projected.assign(k, 0);
   penalty.assign(k, 0.0);
   async_dirty.clear();
@@ -105,6 +104,8 @@ void BlocksComputeScores(const SpinnerConfig& config,
   [[maybe_unused]] const int k = config.num_partitions;
   ShardScratch& sc = *scratch;
   const PartitionId* labels_p = labels.data();
+  int64_t* freq_p = sc.freq.data();
+  const PartitionId* touched_p = sc.touched.data();
   for (VertexId block_begin = begin; block_begin < end;
        block_begin += kBlock) {
     const VertexId block_end = std::min<VertexId>(block_begin + kBlock, end);
@@ -126,11 +127,12 @@ void BlocksComputeScores(const SpinnerConfig& config,
       lpa::LabelChoice choice;
       int64_t freq_current = 0;
 #if defined(SPINNER_SIMD)
-      // Hubs whose neighborhood rivals k in size take the dense scan:
-      // branch-free frequency accumulation, then a SIMD masked max over
-      // all k labels (bit-identical to the sparse scan — lpa_kernel.h).
-      const bool dense = 2 * static_cast<int64_t>(neighbors.size()) >=
-                         static_cast<int64_t>(k);
+      // Vertices with at least k arcs take the dense scan: the gather
+      // already costs O(k), so the branch-free masked max over all k
+      // labels comes at no extra order. Below k the sparse scan costs
+      // O(labels touched). Both are bit-identical (lpa_kernel.h).
+      const bool dense =
+          static_cast<int64_t>(neighbors.size()) >= static_cast<int64_t>(k);
 #else
       constexpr bool dense = false;
 #endif
@@ -138,9 +140,9 @@ void BlocksComputeScores(const SpinnerConfig& config,
         for (size_t j = 0; j < neighbors.size(); ++j) {
           SPINNER_DCHECK(labels_p[neighbors[j]] >= 0)
               << "neighbor label not initialized";
-          sc.freq[labels_p[neighbors[j]]] += weights[j];
+          freq_p[labels_p[neighbors[j]]] += weights[j];
         }
-        freq_current = sc.freq[current];
+        freq_current = freq_p[current];
         const double current_score =
             lpa::Score(freq_current, inv_deg, sc.penalty[current]);
         choice = lpa::PickLabelDense(sc.freq, current, current_score,
@@ -148,20 +150,16 @@ void BlocksComputeScores(const SpinnerConfig& config,
                                      config.seed, superstep, v);
         std::fill(sc.freq.begin(), sc.freq.end(), 0);
       } else {
-        for (size_t j = 0; j < neighbors.size(); ++j) {
-          const PartitionId l = labels_p[neighbors[j]];
-          SPINNER_DCHECK(l >= 0) << "neighbor label not initialized";
-          if (sc.freq[l] == 0) sc.touched.push_back(l);
-          sc.freq[l] += weights[j];
-        }
-        freq_current = sc.freq[current];
+        const size_t n = lpa::GatherTouched(neighbors, weights, labels_p,
+                                            freq_p, sc.touched);
+        freq_current = freq_p[current];
         const double current_score =
             lpa::Score(freq_current, inv_deg, sc.penalty[current]);
-        choice = lpa::PickLabelSparse(sc.freq, sc.touched, current,
-                                      current_score, inv_deg, sc.penalty,
-                                      config.seed, superstep, v);
-        for (const PartitionId l : sc.touched) sc.freq[l] = 0;
-        sc.touched.clear();
+        choice = lpa::PickLabelSparse(
+            sc.freq, std::span<const PartitionId>(touched_p, n), current,
+            current_score, inv_deg, sc.penalty, sc.score_buf, config.seed,
+            superstep, v);
+        for (size_t i = 0; i < n; ++i) freq_p[touched_p[i]] = 0;
       }
       // The global score uses the frozen global snapshot so the halting
       // signal is independent of the async view.

@@ -50,10 +50,12 @@ struct LabelDelta {
 /// accumulator merges by order-free integer addition, so the grouping
 /// never affects results.
 struct ShardScratch {
-  /// Per-label neighbor weight frequencies + touched-label list, reset in
-  /// O(labels touched) between vertices (sparse scan) or by a flat clear
-  /// (dense scan).
+  /// Per-label neighbor weight frequencies, reset in O(labels touched)
+  /// between vertices (sparse scan) or by a flat clear (dense scan, taken
+  /// only when OutDegree(v) >= k).
   std::vector<int64_t> freq;
+  /// The sparse scan's touched-label list: a fixed buffer of k + 1 slots,
+  /// the bound of the branch-free gather (lpa::GatherTouched).
   std::vector<PartitionId> touched;
   /// Block-local asynchronous load view (§IV.A.4 at block granularity)
   /// and its penalty table, restored to the global snapshot
@@ -69,7 +71,9 @@ struct ShardScratch {
   /// Penalty table of the frozen global loads (lpa::FillPenalties),
   /// prepared once per ComputeScores call by PrepareScoresScratch.
   std::vector<double> penalty_base;
-  /// Dense-scan per-label score buffer (lpa::PickLabelDense).
+  /// Score buffer of the label pick's tie pass, k slots: per label for
+  /// the dense scan (lpa::PickLabelDense), per touched-list slot for the
+  /// sparse scan (lpa::PickLabelSparse).
   std::vector<double> score_buf;
   /// Per-label migration probability table (Eq. 12–14), prepared once per
   /// ComputeMigrations call by PrepareMigrateScratch.

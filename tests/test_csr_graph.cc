@@ -99,6 +99,14 @@ TEST(CsrGraphTest, RejectsWeightLengthMismatch) {
   EXPECT_FALSE(CsrGraph::FromEdges(2, {{0, 1}, {1, 0}}, weights).ok());
 }
 
+TEST(CsrGraphTest, RejectsZeroWeight) {
+  // The LPA label pick needs every arc weight >= 1 (spinner/lpa_kernel.h).
+  const std::vector<EdgeWeight> weights = {1, 0};
+  auto g = CsrGraph::FromEdges(2, {{0, 1}, {1, 0}}, weights);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CsrGraphTest, KeepsParallelArcs) {
   auto g = CsrGraph::FromEdges(2, {{0, 1}, {0, 1}});
   ASSERT_TRUE(g.ok());

@@ -11,13 +11,16 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/threadpool.h"
 #include "dist/coordinator.h"
+#include "dist/shard_store.h"
 #include "dist/transport.h"
 #include "dist/wire_format.h"
+#include "dist/worker.h"
 #include "graph/binary_io.h"
 #include "graph/conversion.h"
 #include "graph/generators.h"
@@ -95,6 +98,21 @@ TEST(WireFormatTest, ShardSliceRejectsTruncationAndBadMagic) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(WireFormatTest, ShardSliceRejectsZeroWeight) {
+  const CsrGraph g = SmallWorldConverted(400);
+  auto store = ShardedGraphStore::Build(g, 1);
+  ASSERT_TRUE(store.ok());
+  ShardedGraphStore::Shard shard = store->shard(0);
+  ASSERT_FALSE(shard.weights.empty());
+  shard.weights[shard.weights.size() / 2] = 0;
+  std::vector<uint8_t> bytes;
+  graph_io::AppendShardSlice(shard, &bytes);
+  size_t consumed = 0;
+  auto decoded = graph_io::DecodeShardSlice(bytes, &consumed);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(WireFormatTest, SetupMessageRoundTrips) {
   const CsrGraph g = SmallWorldConverted(700);
   auto store = ShardedGraphStore::Build(g, 4);
@@ -109,6 +127,27 @@ TEST(WireFormatTest, SetupMessageRoundTrips) {
   ASSERT_EQ(decoded->shards.size(), 2u);
   EXPECT_EQ(decoded->shards[0].targets, store->shard(1).targets);
   EXPECT_EQ(decoded->shards[1].offsets, store->shard(2).offsets);
+}
+
+TEST(WireFormatTest, SetupRejectsBytesAfterTheLastSlice) {
+  const CsrGraph g = SmallWorldConverted(700);
+  auto store = ShardedGraphStore::Build(g, 4);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage setup;
+  setup.owned_shards = {1};
+  setup.shards = {store->shard(1)};
+  std::vector<uint8_t> payload = setup.Encode();
+  ASSERT_TRUE(dist::SetupMessage::Decode(payload).ok());
+  // A whole second slice the id list does not announce, then one byte.
+  graph_io::AppendShardSlice(store->shard(2), &payload);
+  auto extra_slice = dist::SetupMessage::Decode(payload);
+  ASSERT_FALSE(extra_slice.ok());
+  EXPECT_EQ(extra_slice.status().code(), StatusCode::kInvalidArgument);
+  payload = setup.Encode();
+  payload.push_back(0);
+  auto extra_byte = dist::SetupMessage::Decode(payload);
+  ASSERT_FALSE(extra_byte.ok());
+  EXPECT_EQ(extra_byte.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireFormatTest, RunMessagesRoundTrip) {
@@ -316,6 +355,67 @@ TEST(TransportTest, OversizedAndBadMagicFramesAreRejected) {
   auto desync = dist::RecvFrame(pair2->second.fd());
   ASSERT_FALSE(desync.ok());
   EXPECT_EQ(desync.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Worker protocol ------------------------------------------------------
+
+TEST(ShardWorkerTest, SetupListingAShardTwiceIsRejected) {
+  // Drive one worker loop by hand over a socketpair: Hello, Assign of
+  // shard 0, Resume, then a Setup that carries shard 0 twice.
+  const CsrGraph g = SmallWorldConverted(600);
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  auto pair = dist::CreateSocketPair();
+  ASSERT_TRUE(pair.ok());
+  const dist::TransportOptions options;
+  int worker_exit = -1;
+  std::thread worker([&] {
+    worker_exit = dist::RunShardWorkerLoop(pair->second.fd(), options);
+  });
+  // Assertions return from the lambda; closing our end then releases a
+  // worker still waiting for a frame, so the join never hangs.
+  const auto drive = [&] {
+    const int fd = pair->first.fd();
+    auto hello = dist::RecvMessage(fd, options);
+    ASSERT_TRUE(hello.ok()) << hello.status();
+    EXPECT_EQ(hello->type, static_cast<uint32_t>(MessageType::kHello));
+
+    dist::AssignMessage assign;
+    assign.num_partitions = 4;
+    assign.num_vertices = g.NumVertices();
+    assign.num_shards_total = store->num_shards();
+    assign.owned_shards = {0};
+    assign.slice_fingerprints = {
+        dist::ShardSliceFingerprint(store->shard(0))};
+    ASSERT_TRUE(
+        dist::SendMessage(fd, static_cast<uint32_t>(MessageType::kAssign),
+                          assign.Encode(), options, 1)
+            .ok());
+    auto resume = dist::RecvMessage(fd, options);
+    ASSERT_TRUE(resume.ok()) << resume.status();
+    EXPECT_EQ(resume->type, static_cast<uint32_t>(MessageType::kResume));
+
+    dist::SetupMessage setup;
+    setup.owned_shards = {0, 0};
+    setup.shards = {store->shard(0), store->shard(0)};
+    ASSERT_TRUE(
+        dist::SendMessage(fd, static_cast<uint32_t>(MessageType::kSetup),
+                          setup.Encode(), options, 2)
+            .ok());
+    auto reply = dist::RecvMessage(fd, options);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->type, static_cast<uint32_t>(MessageType::kError));
+    auto error = dist::ErrorMessage::Decode(reply->payload);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->code,
+              static_cast<int32_t>(StatusCode::kInvalidArgument));
+    EXPECT_NE(error->message.find("twice"), std::string::npos)
+        << error->message;
+  };
+  drive();
+  pair->first.Close();
+  worker.join();
+  EXPECT_EQ(worker_exit, 1);
 }
 
 // --- Multi-process execution ---------------------------------------------
