@@ -8,11 +8,16 @@
 //
 // The JSON artifact's hot metric is the *within-run* speedup ratio
 // (seed ms / new ms on the same machine, same graph, same iteration
-// count), which tools/bench_compare.py gates: unlike wall-times, the
-// ratio is comparable across machines of different speeds.
+// count, as the median of per-sample ratios), which tools/bench_compare.py
+// gates: unlike wall-times, the ratio is comparable across machines of
+// different speeds. The *_ms_per_iter fields are median sample means.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -187,6 +192,53 @@ double MsSince(Clock::time_point t0) {
       .count();
 }
 
+/// Timing discipline: a sample replays a path until it has lasted
+/// kMinSampleMs and keeps the mean, so one scheduler hiccup cannot decide
+/// a ~1 ms smoke replay. Each path is sampled kSamples times, the paths'
+/// samples interleaving, so drift on a shared host hits every path alike.
+constexpr int kSamples = 7;
+constexpr double kMinSampleMs = 20.0;
+
+/// Samples each path — a call that runs one replay and returns its timed
+/// ms per iteration — under the discipline above: result[i][s] is path
+/// i's mean in sample s. The first call of each path warms it up and
+/// sizes its sample.
+std::vector<std::vector<double>> SampleMeans(
+    const std::vector<std::function<double()>>& paths,
+    int iters_per_replay) {
+  std::vector<int> replays;
+  for (const auto& path : paths) {
+    const double replay_ms = path() * iters_per_replay;
+    replays.push_back(std::max(
+        1, static_cast<int>(std::ceil(kMinSampleMs /
+                                      std::max(replay_ms, 1e-3)))));
+  }
+  std::vector<std::vector<double>> means(paths.size());
+  for (int sample = 0; sample < kSamples; ++sample) {
+    for (size_t i = 0; i < paths.size(); ++i) {
+      double total = 0.0;
+      for (int r = 0; r < replays[i]; ++r) total += paths[i]();
+      means[i].push_back(total / replays[i]);
+    }
+  }
+  return means;
+}
+
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
+
+/// The median over samples of base[s] / path[s]: a speedup measured
+/// within each sample, so host drift slower than a sample cancels.
+double MedianRatio(const std::vector<double>& base,
+                   const std::vector<double>& path) {
+  std::vector<double> ratios;
+  for (size_t s = 0; s < base.size(); ++s) ratios.push_back(base[s] / path[s]);
+  return Median(std::move(ratios));
+}
+
 /// Eq. 5 capacities, as the superstep driver computes them.
 std::vector<double> CapacitiesOf(const SpinnerConfig& config,
                                  const std::vector<int64_t>& loads) {
@@ -307,51 +359,41 @@ CaseResult RunCase(const std::string& name, const std::string& recipe,
                            block_candidates, nullptr, &kernel_scratch);
   };
 
-  // Warm-up pass of each path (page in the CSR, size the scratch), then
-  // timed replays from the identical snapshot. Each path is replayed
-  // kRepeats times and scored by its fastest run — the usual microbench
-  // defense against scheduler noise on a shared machine.
-  constexpr int kRepeats = 3;
-  TimeIterations(config, &*store, labels0, loads0, 1, seed_scores,
-                 seed_migrate);
-  TimeIterations(config, &*store, labels0, loads0, 1, kernel_scores,
-                 kernel_migrate);
-  result.seed_ms = 1e300;
-  result.kernel_ms = 1e300;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    result.seed_ms = std::min(
-        result.seed_ms, TimeIterations(config, &*store, labels0, loads0,
-                                       iters, seed_scores, seed_migrate));
-    result.kernel_ms = std::min(
-        result.kernel_ms, TimeIterations(config, &*store, labels0, loads0,
-                                         iters, kernel_scores,
-                                         kernel_migrate));
-  }
-
-  // The full stealing run: same graph and iteration count, shards dealt
-  // out block-by-block to a hardware-sized pool.
-  {
-    SpinnerConfig run_config = config;
-    run_config.max_iterations = iters;
-    run_config.use_halting = false;
-    run_config.record_history = false;
-    ThreadPool pool(ResolveNumThreads(run_config));
-    result.stealing_ms = 1e300;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      auto steal_store = ShardedGraphStore::Build(g, stealing_shards);
-      SPINNER_CHECK(steal_store.ok());
-      const Clock::time_point t0 = Clock::now();
-      auto run =
-          RunShardedSpinner(run_config, &*steal_store, {}, &pool, nullptr);
-      SPINNER_CHECK(run.ok()) << run.status();
-      result.stealing_ms = std::min(result.stealing_ms, MsSince(t0) / iters);
-      result.tasks = run->schedule.tasks;
-      result.stolen_tasks = run->schedule.stolen_tasks;
-    }
-  }
-
-  result.kernel_speedup = result.seed_ms / result.kernel_ms;
-  result.stealing_speedup = result.seed_ms / result.stealing_ms;
+  // Every replay starts from the identical snapshot. The stealing path is
+  // the full run: same graph and iteration count, shards dealt out
+  // block-by-block to a hardware-sized pool, on a store built untimed.
+  SpinnerConfig run_config = config;
+  run_config.max_iterations = iters;
+  run_config.use_halting = false;
+  run_config.record_history = false;
+  ThreadPool pool(ResolveNumThreads(run_config));
+  const auto seed_replay = [&] {
+    return TimeIterations(config, &*store, labels0, loads0, iters,
+                          seed_scores, seed_migrate);
+  };
+  const auto kernel_replay = [&] {
+    return TimeIterations(config, &*store, labels0, loads0, iters,
+                          kernel_scores, kernel_migrate);
+  };
+  const auto stealing_replay = [&] {
+    auto steal_store = ShardedGraphStore::Build(g, stealing_shards);
+    SPINNER_CHECK(steal_store.ok());
+    const Clock::time_point t0 = Clock::now();
+    auto run =
+        RunShardedSpinner(run_config, &*steal_store, {}, &pool, nullptr);
+    const double ms_per_iter = MsSince(t0) / iters;
+    SPINNER_CHECK(run.ok()) << run.status();
+    result.tasks = run->schedule.tasks;
+    result.stolen_tasks = run->schedule.stolen_tasks;
+    return ms_per_iter;
+  };
+  const std::vector<std::vector<double>> ms =
+      SampleMeans({seed_replay, kernel_replay, stealing_replay}, iters);
+  result.seed_ms = Median(ms[0]);
+  result.kernel_ms = Median(ms[1]);
+  result.stealing_ms = Median(ms[2]);
+  result.kernel_speedup = MedianRatio(ms[0], ms[1]);
+  result.stealing_speedup = MedianRatio(ms[0], ms[2]);
   return result;
 }
 

@@ -127,7 +127,9 @@ fi
 if [[ "${MODE}" == "chaos" ]]; then
   # Recovery code paths (deadlines, fleet rebuild, state replay, the
   # fault proxy's pump threads) under AddressSanitizer: a failover that
-  # leaks endpoints or races the proxies fails here loudly.
+  # leaks endpoints or races the proxies fails here loudly. The shard
+  # slice and shard-store decoders run here too, fed cut and flipped
+  # bytes (HostileBytes).
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   build_dir="build-ci-chaos"
@@ -138,9 +140,9 @@ if [[ "${MODE}" == "chaos" ]]; then
     -DSPINNER_SANITIZE=address
   cmake --build "${build_dir}" -j "${JOBS}"
 
-  echo "=== recovery + fault-injection tests (ASan) ==="
+  echo "=== recovery, fault-injection and hostile-bytes tests (ASan) ==="
   ctest --test-dir "${build_dir}" \
-    -R '^(Recovery|FaultPlan|Tcp|MultiProcess)' \
+    -R '^(Recovery|FaultPlan|Tcp|MultiProcess|HostileBytes)' \
     --output-on-failure -j "${JOBS}"
 
   echo "=== failover smoke: 3 workers, one dies mid-superstep ==="

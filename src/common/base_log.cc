@@ -28,6 +28,33 @@ T GetRaw(std::span<const uint8_t> bytes, size_t pos) {
   return value;
 }
 
+/// Passes every byte through to `sink` and folds it into an FNV-1a digest.
+/// It has no buffer of its own: each write reaches `sink` at once.
+class ChecksumStreambuf : public std::streambuf {
+ public:
+  explicit ChecksumStreambuf(std::streambuf* sink) : sink_(sink) {}
+  uint64_t digest() const { return digest_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    const char c = traits_type::to_char_type(ch);
+    return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    digest_ = ChecksumFold(
+        digest_, {reinterpret_cast<const uint8_t*>(s), static_cast<size_t>(n)});
+    return sink_->sputn(s, n);
+  }
+  int sync() override { return sink_->pubsync(); }
+
+ private:
+  std::streambuf* sink_;
+  uint64_t digest_ = kFnvOffsetBasis;
+};
+
 }  // namespace
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
@@ -49,7 +76,8 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 }
 
 Status ReplaceFile(const std::string& path,
-                   const std::function<void(std::ostream&)>& write) {
+                   const std::function<void(std::ostream&)>& write,
+                   uint64_t* checksum) {
   // A rename cannot replace a target that exists but is not a regular
   // file (/dev/stdout, a FIFO); such a target is written in place.
   std::error_code ec;
@@ -65,7 +93,15 @@ Status ReplaceFile(const std::string& path,
   const std::string written = in_place ? path : target + ".tmp";
   std::ofstream out(written, std::ios::binary | std::ios::trunc);
   if (out) {
-    write(out);
+    if (checksum == nullptr) {
+      write(out);
+    } else {
+      ChecksumStreambuf tee(out.rdbuf());
+      std::ostream checked(&tee);
+      write(checked);
+      if (!checked) out.setstate(std::ios::badbit);
+      *checksum = tee.digest();
+    }
     out.close();
   }
   if (in_place) {

@@ -32,9 +32,12 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 /// is removed, `path` is untouched and the result is IOError. A symlink
 /// is followed: the file it names is replaced. A `path` that exists but
 /// is not a regular file (/dev/stdout, a FIFO) cannot be renamed over and
-/// is written in place instead.
+/// is written in place instead. A non-null `checksum` receives the FNV-1a
+/// digest of the bytes `write` streamed, so a caller that binds a log to
+/// the file need not read it back.
 Status ReplaceFile(const std::string& path,
-                   const std::function<void(std::ostream&)>& write);
+                   const std::function<void(std::ostream&)>& write,
+                   uint64_t* checksum = nullptr);
 
 /// Replaces `path` with an empty log: the header alone.
 Status CreateLog(const std::string& path, const char (&magic)[4],

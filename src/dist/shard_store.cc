@@ -15,9 +15,11 @@ namespace spinner::dist {
 namespace {
 
 constexpr char kLogMagic[4] = {'S', 'P', 'S', 'D'};
-constexpr uint32_t kStoreVersion = 1;
+/// Version 2 holds SPSL version 2 slices (u32 targets, u8 weights). A
+/// version 1 base or log reads as absent, so its shard is re-downloaded.
+constexpr uint32_t kStoreVersion = 2;
 /// The base's magic "SPSB" and version u32 (kStoreVersion, little-endian).
-constexpr char kBaseHeader[8] = {'S', 'P', 'S', 'B', 1, 0, 0, 0};
+constexpr char kBaseHeader[8] = {'S', 'P', 'S', 'B', 2, 0, 0, 0};
 static_assert(kBaseHeader[4] == kStoreVersion);
 
 }  // namespace

@@ -89,7 +89,8 @@ enum class MessageType : uint32_t {
 
 /// Version of the Hello/Assign/Resume handshake. A worker advertising a
 /// different version is rejected at the registry before it can join a run.
-inline constexpr uint32_t kProtocolVersion = 4;
+/// Version 5 carries SPSL version 2 slices (u32 targets, u8 weights).
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {

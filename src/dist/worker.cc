@@ -41,7 +41,7 @@ Result<WorkerLayout> BuildWorkerLayout(
     }
     previous_end = shard.end;
     for (const VertexId t : shard.targets) {
-      if (t < 0 || t >= num_vertices) {
+      if (t >= num_vertices) {
         return Status::InvalidArgument(
             "shard slice target outside the vertex range");
       }
@@ -57,9 +57,9 @@ Result<WorkerLayout> BuildWorkerLayout(
 
 Status RemapTargetsToSlots(const WorkerLayout& layout,
                            ShardedGraphStore::Shard* shard) {
-  for (VertexId& t : shard->targets) {
+  for (ShardedGraphStore::Target& t : shard->targets) {
     if (layout.Owns(t)) {
-      t -= layout.owned_begin;
+      t = static_cast<ShardedGraphStore::Target>(t - layout.owned_begin);
       continue;
     }
     const auto it = std::lower_bound(layout.subscription.begin(),
@@ -69,8 +69,8 @@ Status RemapTargetsToSlots(const WorkerLayout& layout,
           "target %lld is neither owned nor subscribed",
           static_cast<long long>(t)));
     }
-    t = layout.owned_count() +
-        static_cast<VertexId>(it - layout.subscription.begin());
+    t = static_cast<ShardedGraphStore::Target>(
+        layout.owned_count() + (it - layout.subscription.begin()));
   }
   return Status::OK();
 }

@@ -20,12 +20,6 @@ void PutRaw(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-bool GetRaw(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 /// Reservation clamp for header counts: they are untrusted until the
 /// elements actually arrive, so never pre-allocate more than this many —
 /// a corrupt count then fails with a clean truncation error instead of
@@ -34,7 +28,8 @@ constexpr int64_t kMaxReserve = 1 << 20;
 }  // namespace
 
 Status WriteSessionSnapshot(const std::string& path,
-                            const SessionSnapshot& snapshot) {
+                            const SessionSnapshot& snapshot,
+                            uint64_t* checksum) {
   if (snapshot.num_vertices < 0) {
     return Status::InvalidArgument("negative vertex count");
   }
@@ -60,7 +55,7 @@ Status WriteSessionSnapshot(const std::string& path,
         "assignment present but num_partitions is 0");
   }
 
-  return ReplaceFile(path, [&](std::ostream& out) {
+  const auto write = [&](std::ostream& out) {
     out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
     PutRaw(out, kSnapshotVersion);
     PutRaw(out, snapshot.num_vertices);
@@ -72,13 +67,15 @@ Status WriteSessionSnapshot(const std::string& path,
       PutRaw(out, e.dst);
     }
     for (PartitionId l : snapshot.assignment) PutRaw(out, l);
-  });
+  };
+  return ReplaceFile(path, write, checksum);
 }
 
 namespace {
 
 constexpr char kSliceMagic[4] = {'S', 'P', 'S', 'L'};
-constexpr uint32_t kSliceVersion = 1;
+/// Version 2 narrowed targets to u32 and weights to u8.
+constexpr uint32_t kSliceVersion = 2;
 
 /// resize + memcpy rather than insert(iter, ptr, ptr): identical behavior
 /// without tripping GCC's stringop-overflow false positive on
@@ -146,7 +143,8 @@ size_t EncodedShardSliceSize(const ShardedGraphStore::Shard& shard) {
   return sizeof(kSliceMagic) + sizeof(kSliceVersion) +
          3 * sizeof(int64_t) +  // begin, end, num_arcs
          (owned + 1) * sizeof(int64_t) +  // offsets
-         arcs * sizeof(VertexId) + arcs * sizeof(EdgeWeight) +
+         arcs * (sizeof(ShardedGraphStore::Target) +
+                 sizeof(ShardedGraphStore::Weight)) +
          owned * sizeof(int64_t);  // weighted_degree
 }
 
@@ -187,6 +185,10 @@ Result<ShardedGraphStore::Shard> DecodeShardSlice(
   if (begin < 0 || end < begin || num_arcs < 0) {
     return Status::InvalidArgument("negative counts in shard slice header");
   }
+  if (end > ShardedGraphStore::kMaxVertices) {
+    return Status::InvalidArgument(
+        "shard slice range exceeds the 32-bit vertex id space");
+  }
   shard.begin = begin;
   shard.end = end;
   const int64_t n_local = end - begin;
@@ -204,9 +206,21 @@ Result<ShardedGraphStore::Shard> DecodeShardSlice(
       return Status::InvalidArgument("shard slice offsets not monotonic");
     }
   }
-  if (std::find(shard.weights.begin(), shard.weights.end(), 0u) !=
+  if (std::find(shard.weights.begin(), shard.weights.end(), 0) !=
       shard.weights.end()) {
     return Status::InvalidArgument("shard slice has an arc of weight 0");
+  }
+  // The degrees are derived from the weights; one that disagrees would
+  // skew Eq. 8 and the loads without failing anything else.
+  for (int64_t row = 0; row < n_local; ++row) {
+    int64_t degree = 0;
+    for (int64_t i = shard.offsets[row]; i < shard.offsets[row + 1]; ++i) {
+      degree += shard.weights[i];
+    }
+    if (degree != shard.weighted_degree[row]) {
+      return Status::InvalidArgument(
+          "shard slice weighted degree disagrees with its weights");
+    }
   }
   shard.RebuildInvDegrees();
   *consumed = in.pos();
@@ -275,17 +289,34 @@ Result<DeltaLogRecord> DecodeDeltaLogRecord(std::span<const uint8_t> bytes,
   return record;
 }
 
-Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
+namespace {
 
+/// Truncation-checked reads from a stream, the file twin of SliceCursor.
+class StreamCursor {
+ public:
+  explicit StreamCursor(std::istream& in) : in_(in) {}
+
+  template <typename T>
+  bool Get(T* value) {
+    in_.read(reinterpret_cast<char*>(value), sizeof(T));
+    return static_cast<bool>(in_);
+  }
+
+ private:
+  std::istream& in_;
+};
+
+/// The SPNS reader behind DecodeSessionSnapshot and ReadSessionSnapshot:
+/// `in` is a SliceCursor or a StreamCursor.
+template <typename Cursor>
+Result<SessionSnapshot> DecodeSnapshotFrom(Cursor& in) {
   char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::InvalidArgument("bad magic (not a SPNS file): " + path);
+  if (!in.Get(&magic) ||
+      std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    return Status::InvalidArgument("bad magic (not a SPNS snapshot)");
   }
   uint32_t version = 0;
-  if (!GetRaw(in, &version)) return Status::IOError("truncated header");
+  if (!in.Get(&version)) return Status::IOError("truncated header");
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
         StrFormat("unsupported snapshot version %u", version));
@@ -294,8 +325,8 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
   SessionSnapshot snapshot;
   int64_t num_edges = 0;
   uint32_t flags = 0;
-  if (!GetRaw(in, &snapshot.num_vertices) || !GetRaw(in, &num_edges) ||
-      !GetRaw(in, &snapshot.num_partitions) || !GetRaw(in, &flags)) {
+  if (!in.Get(&snapshot.num_vertices) || !in.Get(&num_edges) ||
+      !in.Get(&snapshot.num_partitions) || !in.Get(&flags)) {
     return Status::IOError("truncated header");
   }
   snapshot.directed = (flags & 1u) != 0;
@@ -306,7 +337,7 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
   snapshot.edges.reserve(std::min(num_edges, kMaxReserve));
   for (int64_t i = 0; i < num_edges; ++i) {
     Edge e;
-    if (!GetRaw(in, &e.src) || !GetRaw(in, &e.dst)) {
+    if (!in.Get(&e.src) || !in.Get(&e.dst)) {
       return Status::IOError(StrFormat(
           "truncated edge section at edge %lld of %lld",
           static_cast<long long>(i), static_cast<long long>(num_edges)));
@@ -322,7 +353,7 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
     snapshot.assignment.reserve(std::min(snapshot.num_vertices, kMaxReserve));
     for (int64_t v = 0; v < snapshot.num_vertices; ++v) {
       PartitionId l;
-      if (!GetRaw(in, &l)) {
+      if (!in.Get(&l)) {
         return Status::IOError("truncated assignment section");
       }
       if (l < 0 || l >= snapshot.num_partitions) {
@@ -334,6 +365,20 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
     }
   }
   return snapshot;
+}
+
+}  // namespace
+
+Result<SessionSnapshot> DecodeSessionSnapshot(std::span<const uint8_t> bytes) {
+  SliceCursor in(bytes, 0);
+  return DecodeSnapshotFrom(in);
+}
+
+Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return Status::IOError("cannot open: " + path);
+  StreamCursor in(file);
+  return DecodeSnapshotFrom(in);
 }
 
 }  // namespace spinner::graph_io

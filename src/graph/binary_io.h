@@ -36,12 +36,18 @@ struct SessionSnapshot {
 
 /// Writes a session snapshot, replacing `path` atomically (ReplaceFile,
 /// common/base_log.h). Fails with InvalidArgument on out-of-range edges
-/// or an assignment inconsistent with num_vertices/num_partitions.
+/// or an assignment inconsistent with num_vertices/num_partitions. A
+/// non-null `checksum` receives the FNV-1a digest of the file's bytes.
 Status WriteSessionSnapshot(const std::string& path,
-                            const SessionSnapshot& snapshot);
+                            const SessionSnapshot& snapshot,
+                            uint64_t* checksum = nullptr);
 
-/// Reads a session snapshot, validating every invariant WriteSessionSnapshot
-/// enforces.
+/// Decodes a whole session snapshot held in memory, validating every
+/// invariant WriteSessionSnapshot enforces.
+Result<SessionSnapshot> DecodeSessionSnapshot(std::span<const uint8_t> bytes);
+
+/// DecodeSessionSnapshot over a file, streamed: the file is never held in
+/// memory whole next to the decoded snapshot.
 Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path);
 
 /// In-memory codec for one ShardedGraphStore shard slice: the same
@@ -52,8 +58,10 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path);
 /// Layout (little-endian):
 ///   magic "SPSL" (4 bytes) | version u32 | begin i64 | end i64 |
 ///   num_arcs i64 | offsets ((end-begin+1) × i64) |
-///   targets (num_arcs × i64) | weights (num_arcs × u32) |
+///   targets (num_arcs × u32) | weights (num_arcs × u8) |
 ///   weighted_degree ((end-begin) × i64)
+/// This is version 2; version 1 carried i64 targets and u32 weights and is
+/// rejected as unsupported.
 /// Load counters are run state, not topology, and are not serialized.
 void AppendShardSlice(const ShardedGraphStore::Shard& shard,
                       std::vector<uint8_t>* out);
@@ -66,9 +74,11 @@ size_t EncodedShardSliceSize(const ShardedGraphStore::Shard& shard);
 
 /// Decodes one shard slice from the front of `bytes`, advancing `*consumed`
 /// past it. Fails with IOError on truncation and InvalidArgument on bad
-/// magic/version, internally inconsistent counts (non-monotonic offsets,
-/// mismatched array sizes) or an arc of weight 0 (the LPA label pick needs
-/// every weight >= 1).
+/// magic/version, a range ending past ShardedGraphStore::kMaxVertices,
+/// internally inconsistent counts (non-monotonic offsets, mismatched array
+/// sizes, a weighted degree that is not its row's weight sum) or an arc of
+/// weight 0 (the LPA label pick needs every weight >= 1). Target values are
+/// not checked here: only the receiver knows the vertex count.
 Result<ShardedGraphStore::Shard> DecodeShardSlice(
     std::span<const uint8_t> bytes, size_t* consumed);
 

@@ -12,11 +12,39 @@
 
 namespace spinner {
 
+namespace {
+
+/// Shard targets are 32-bit, so ids must stay below kMaxVertices.
+Status CheckVertexCount(int64_t num_vertices) {
+  if (num_vertices <= ShardedGraphStore::kMaxVertices) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "%lld vertices exceed the shard store's limit of %lld (32-bit ids)",
+      static_cast<long long>(num_vertices),
+      static_cast<long long>(ShardedGraphStore::kMaxVertices)));
+}
+
+}  // namespace
+
 Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
                                                    int num_shards) {
   if (num_shards < 1) {
     return Status::InvalidArgument(
         StrFormat("num_shards must be >= 1 (got %d)", num_shards));
+  }
+  SPINNER_RETURN_IF_ERROR(CheckVertexCount(converted.NumVertices()));
+  // Every weight must fit a Weight and be >= 1 (the label pick's gather
+  // relies on it). w - 1 wraps a 0 to the top, so one unsigned max over
+  // all arcs checks both ends.
+  EdgeWeight max_below = 0;
+  for (VertexId v = 0; v < converted.NumVertices(); ++v) {
+    for (const EdgeWeight w : converted.Weights(v)) {
+      max_below = std::max(max_below, w - 1u);
+    }
+  }
+  if (max_below >= kMaxArcWeight) {
+    return Status::InvalidArgument(StrFormat(
+        "arc weight outside [1,%u]: a shard stores 8-bit weights",
+        kMaxArcWeight));
   }
   ShardedGraphStore store;
   store.num_vertices_ = converted.NumVertices();
@@ -68,6 +96,7 @@ Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
 Result<ShardedGraphStore> ShardedGraphStore::FromEdgeMultiset(
     int64_t num_vertices, const EdgeList& edges, bool directed,
     int num_shards) {
+  SPINNER_RETURN_IF_ERROR(CheckVertexCount(num_vertices));
   SPINNER_ASSIGN_OR_RETURN(
       const CsrGraph converted,
       directed ? ConvertToWeightedUndirected(num_vertices, edges)
@@ -229,6 +258,12 @@ Result<ShardedGraphStore::Undo> ShardedGraphStore::ApplyDelta(
   if (delta.num_new_vertices < 0) {
     return Status::InvalidArgument("num_new_vertices must be >= 0");
   }
+  if (delta.num_new_vertices > kMaxVertices - num_vertices_) {
+    return Status::InvalidArgument(StrFormat(
+        "the delta grows the graph past the shard store's limit of %lld "
+        "vertices (32-bit ids)",
+        static_cast<long long>(kMaxVertices)));
+  }
   const int64_t new_n = num_vertices_ + delta.num_new_vertices;
   if (!EdgesInRange(delta.added_edges, new_n)) {
     return Status::InvalidArgument(StrFormat(
@@ -362,7 +397,7 @@ ShardedGraphStore::Shard ShardedGraphStore::PatchedShard(
   fresh.targets.reserve(capacity);
   fresh.weights.reserve(capacity);
   fresh.copies.reserve(capacity);
-  const auto push = [&](VertexId target, EdgeWeight weight, uint32_t copies) {
+  const auto push = [&](Target target, Weight weight, uint32_t copies) {
     fresh.targets.push_back(target);
     fresh.weights.push_back(weight);
     fresh.copies.push_back(copies);
@@ -428,9 +463,9 @@ ShardedGraphStore::Shard ShardedGraphStore::PatchedShard(
         ++i;
       }
       if (a.out == 0 && a.in == 0) continue;  // the pair's last copy went
-      const EdgeWeight weight =
-          directed_ ? (a.out > 0 ? 1u : 0u) + (a.in > 0 ? 1u : 0u) : 1u;
-      push(a.target, weight, a.out);
+      const Weight weight = static_cast<Weight>(
+          directed_ ? (a.out > 0 ? 1 : 0) + (a.in > 0 ? 1 : 0) : 1);
+      push(static_cast<Target>(a.target), weight, a.out);
       degree += weight;
       *weight_delta += weight;
     }

@@ -64,6 +64,15 @@ class ShardedGraphStore {
   /// superstep").
   static constexpr int64_t kVertexCost = 12;
 
+  /// Shard arrays are compact: a neighbour id is 32 bits and an arc
+  /// weight 8 bits, 5 bytes per arc. After Eq. 3 a weight is 1 or 2, so
+  /// only the id range limits what a store can hold: at most kMaxVertices
+  /// vertices, and arc weights in [1, kMaxArcWeight].
+  using Target = uint32_t;
+  using Weight = uint8_t;
+  static constexpr int64_t kMaxVertices = int64_t{1} << 32;
+  static constexpr EdgeWeight kMaxArcWeight = 255;
+
   /// One shard: a contiguous, block-aligned vertex range with its CSR
   /// slice, cached weighted degrees and per-partition load counters.
   struct Shard {
@@ -73,8 +82,8 @@ class ShardedGraphStore {
     /// Local CSR over [begin, end): offsets has end-begin+1 entries into
     /// targets/weights; targets hold *global* vertex ids.
     std::vector<int64_t> offsets;
-    std::vector<VertexId> targets;
-    std::vector<EdgeWeight> weights;
+    std::vector<Target> targets;
+    std::vector<Weight> weights;
     /// Cached weighted degree per owned vertex.
     std::vector<int64_t> weighted_degree;
     /// Cached 1 / weighted_degree (0 for isolated vertices): Eq. 8's
@@ -102,11 +111,11 @@ class ShardedGraphStore {
     int64_t OutDegree(VertexId v) const {
       return offsets[v - begin + 1] - offsets[v - begin];
     }
-    std::span<const VertexId> Neighbors(VertexId v) const {
+    std::span<const Target> Neighbors(VertexId v) const {
       return {targets.data() + offsets[v - begin],
               static_cast<size_t>(OutDegree(v))};
     }
-    std::span<const EdgeWeight> WeightsOf(VertexId v) const {
+    std::span<const Weight> WeightsOf(VertexId v) const {
       return {weights.data() + offsets[v - begin],
               static_cast<size_t>(OutDegree(v))};
     }
@@ -138,13 +147,16 @@ class ShardedGraphStore {
   /// is within one block's cost of the total over `num_shards`. A shard
   /// may own zero vertices when one block outweighs a shard's share or
   /// there are fewer blocks than shards; that is fine and keeps results
-  /// independent of S.
+  /// independent of S. Fails with InvalidArgument, before allocating
+  /// anything, when the graph has more than kMaxVertices vertices or an
+  /// arc weight outside [1, kMaxArcWeight].
   static Result<ShardedGraphStore> Build(const CsrGraph& converted,
                                          int num_shards);
 
   /// Converts `edges` over `num_vertices` vertices (Eq. 3 weights when
   /// `directed`, weight 1 otherwise), slices the result like Build() and
-  /// keeps the edge multiset, so Edges() and ApplyDelta() work.
+  /// keeps the edge multiset, so Edges() and ApplyDelta() work. Rejects
+  /// more than kMaxVertices vertices before converting.
   static Result<ShardedGraphStore> FromEdgeMultiset(int64_t num_vertices,
                                                     const EdgeList& edges,
                                                     bool directed,
@@ -227,7 +239,8 @@ class ShardedGraphStore {
   /// swapped in; the old ones move into the returned Undo. New vertices
   /// join the last shard, whose end is the only cut that moves. Labels of
   /// new vertices are kNoPartition and loads are left as they are; the
-  /// caller re-runs label propagation.
+  /// caller re-runs label propagation. A delta that would grow the graph
+  /// past kMaxVertices vertices is rejected.
   Result<Undo> ApplyDelta(const GraphDelta& delta);
 
   /// Restores the CSR, multiset, vertex range, loads and rebuild counts as

@@ -42,6 +42,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "graph/sharded_store.h"
 #include "graph/types.h"
 
 // SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) marks the dense
@@ -149,10 +150,11 @@ inline LabelChoice PickTied(size_t n, const LabelOf& label_of,
 /// advances only on the label's first weight. With every weight >= 1 at
 /// most k labels are listed, so `touched` needs k + 1 slots (a repeat
 /// after all k still writes slot k). `freq` must be zero on entry.
-inline size_t GatherTouched(std::span<const VertexId> neighbors,
-                            std::span<const EdgeWeight> weights,
-                            const PartitionId* labels, int64_t* freq,
-                            std::span<PartitionId> touched) {
+inline size_t GatherTouched(
+    std::span<const ShardedGraphStore::Target> neighbors,
+    std::span<const ShardedGraphStore::Weight> weights,
+    const PartitionId* labels, int64_t* freq,
+    std::span<PartitionId> touched) {
   PartitionId* touched_p = touched.data();
   size_t n = 0;
   for (size_t j = 0; j < neighbors.size(); ++j) {

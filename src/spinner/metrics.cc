@@ -54,9 +54,7 @@ Result<PartitionMetrics> MetricsOver(int64_t n, int64_t total_weight,
   int64_t local_weight = 0;
   int64_t total_units = 0;
   double raw_score_locality = 0.0;
-  for_each_row([&](VertexId v, int64_t deg_w,
-                   std::span<const VertexId> nbrs,
-                   std::span<const EdgeWeight> wts) {
+  for_each_row([&](VertexId v, int64_t deg_w, auto nbrs, auto wts) {
     const PartitionId lv = assignment[v];
     const int64_t units =
         spec.mode == BalanceMode::kVertices ? 1 : deg_w;

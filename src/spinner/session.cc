@@ -137,7 +137,8 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
   return Status::OK();
 }
 
-Status PartitioningSession::Snapshot(const std::string& path) const {
+Status PartitioningSession::Snapshot(const std::string& path,
+                                     uint64_t* checksum) const {
   SPINNER_RETURN_IF_ERROR(CheckReady());
   graph_io::SessionSnapshot snapshot;
   snapshot.num_vertices = store_.NumVertices();
@@ -145,7 +146,7 @@ Status PartitioningSession::Snapshot(const std::string& path) const {
   snapshot.directed = store_.directed();
   snapshot.num_partitions = num_partitions();
   snapshot.assignment = assignment_;
-  return graph_io::WriteSessionSnapshot(path, snapshot);
+  return graph_io::WriteSessionSnapshot(path, snapshot, checksum);
 }
 
 Status PartitioningSession::Restore(const std::string& path) {

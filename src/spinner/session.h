@@ -117,8 +117,10 @@ class PartitioningSession {
 
   // --- Persistence -------------------------------------------------------
 
-  /// Writes graph + assignment + k to `path` (binary SPNS format).
-  Status Snapshot(const std::string& path) const;
+  /// Writes graph + assignment + k to `path` (binary SPNS format). A
+  /// non-null `checksum` receives the FNV-1a digest of the file's bytes.
+  Status Snapshot(const std::string& path,
+                  uint64_t* checksum = nullptr) const;
 
   /// Replaces the session state with a snapshot, without re-running label
   /// propagation. A session can Restore() whether or not it was open.

@@ -15,14 +15,6 @@ constexpr char kLogMagic[4] = {'S', 'P', 'D', 'G'};
 /// Version 2 adopted the shared record framing (common/base_log.h).
 constexpr uint32_t kLogVersion = 2;
 
-/// FNV-1a of the base file — binds a log to the exact base image it was
-/// appended against.
-Result<uint64_t> BaseFingerprint(const std::string& base_path) {
-  SPINNER_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                           ReadFileBytes(base_path));
-  return ChecksumBytes(bytes);
-}
-
 }  // namespace
 
 IncrementalCheckpointer::IncrementalCheckpointer(std::string base_path,
@@ -33,9 +25,10 @@ IncrementalCheckpointer::IncrementalCheckpointer(std::string base_path,
 
 Status IncrementalCheckpointer::WriteBase(
     const PartitioningSession& session) {
-  SPINNER_RETURN_IF_ERROR(session.Snapshot(base_path_));
-  SPINNER_ASSIGN_OR_RETURN(const uint64_t fingerprint,
-                           BaseFingerprint(base_path_));
+  // The log is bound to the FNV-1a digest of the base file, taken as the
+  // bytes stream out rather than read back.
+  uint64_t fingerprint = 0;
+  SPINNER_RETURN_IF_ERROR(session.Snapshot(base_path_, &fingerprint));
   SPINNER_RETURN_IF_ERROR(
       CreateLog(log_path(), kLogMagic, kLogVersion, fingerprint));
   has_base_ = true;
@@ -80,8 +73,16 @@ Status IncrementalCheckpointer::Append(const PartitioningSession& session,
 
 Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
     const std::string& base_path) {
-  SPINNER_ASSIGN_OR_RETURN(graph_io::SessionSnapshot snapshot,
-                           graph_io::ReadSessionSnapshot(base_path));
+  // One read of the base serves both its decode and the fingerprint the
+  // log must be bound to; the bytes go before the replay.
+  graph_io::SessionSnapshot snapshot;
+  uint64_t base_fnv = 0;
+  {
+    SPINNER_ASSIGN_OR_RETURN(const std::vector<uint8_t> base,
+                             ReadFileBytes(base_path));
+    SPINNER_ASSIGN_OR_RETURN(snapshot, graph_io::DecodeSessionSnapshot(base));
+    base_fnv = ChecksumBytes(base);
+  }
 
   const std::string log_path = base_path + ".dlog";
   auto log_bytes = ReadFileBytes(log_path);
@@ -91,9 +92,7 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
   if (!log_bytes.ok()) return log_bytes.status();
   SPINNER_ASSIGN_OR_RETURN(ParsedLog log,
                            ParseLog(*log_bytes, kLogMagic, kLogVersion));
-  SPINNER_ASSIGN_OR_RETURN(const uint64_t fingerprint,
-                           BaseFingerprint(base_path));
-  if (fingerprint != log.base_fnv) {
+  if (base_fnv != log.base_fnv) {
     return Status::InvalidArgument(
         "delta log was appended against a different base image: " +
         log_path);

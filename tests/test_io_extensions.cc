@@ -10,6 +10,8 @@
 #include <iterator>
 #include <vector>
 
+#include "common/base_log.h"
+#include "common/fnv.h"
 #include "graph/binary_io.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
@@ -380,6 +382,48 @@ TEST_F(IncrementalCheckpointTest, CompactionFoldsLogIntoAFreshBase) {
   EXPECT_EQ(restored.assignment(), session.assignment());
   EXPECT_EQ(restored.edges(), session.edges());
   EXPECT_EQ(restored.num_vertices(), session.num_vertices());
+}
+
+TEST_F(IncrementalCheckpointTest, LogIsBoundToTheChecksumOfTheBaseFile) {
+  // WriteBase fingerprints the base as it streams out; the digest it binds
+  // the log to must be the checksum of the file as it lies on disk, for
+  // the first base and for a compaction's.
+  auto g = WattsStrogatz(400, 3, 0.3, /*seed=*/9);
+  ASSERT_TRUE(g.ok());
+  PartitioningSession session(Config());
+  ASSERT_TRUE(session.Open(g->num_vertices, g->edges, g->directed).ok());
+
+  const std::string base = Register(TempPath("bound.spns"));
+  stream::IncrementalCheckpointer::Options options;
+  options.compact_after_records = 2;
+  stream::IncrementalCheckpointer checkpointer(base, options);
+  for (int round = 0; round < 2; ++round) {
+    if (round == 0) {
+      ASSERT_TRUE(checkpointer.WriteBase(session).ok());
+    } else {
+      Stream(&session, &checkpointer, /*num_deltas=*/3, /*seed=*/53);
+      ASSERT_EQ(checkpointer.bases_written(), 2);
+    }
+    auto base_bytes = ReadFileBytes(base);
+    ASSERT_TRUE(base_bytes.ok()) << base_bytes.status();
+    auto log_bytes = ReadFileBytes(base + ".dlog");
+    ASSERT_TRUE(log_bytes.ok()) << log_bytes.status();
+    auto log = ParseLog(*log_bytes, {'S', 'P', 'D', 'G'}, 2);
+    ASSERT_TRUE(log.ok()) << log.status();
+    EXPECT_EQ(log->base_fnv, ChecksumBytes(*base_bytes)) << "round " << round;
+
+    // The in-memory decoder and the streamed file reader agree.
+    auto decoded = graph_io::DecodeSessionSnapshot(*base_bytes);
+    auto read = graph_io::ReadSessionSnapshot(base);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(decoded->edges, read->edges);
+    EXPECT_EQ(decoded->assignment, read->assignment);
+    EXPECT_EQ(decoded->num_vertices, read->num_vertices);
+  }
+  auto loaded = stream::IncrementalCheckpointer::Load(base);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->assignment, session.assignment());
 }
 
 TEST_F(IncrementalCheckpointTest, TruncatedLogTailIsRejectedCleanly) {

@@ -121,12 +121,12 @@ TEST(LpaKernelTest, GatherTouchingEveryLabelFillsTheLastSlot) {
   sc.Prepare(k);
   ASSERT_EQ(sc.touched.size(), static_cast<size_t>(k + 1));
   std::vector<PartitionId> labels(3 * k);
-  std::vector<VertexId> neighbors(3 * k);
-  std::vector<EdgeWeight> weights(3 * k);
+  std::vector<ShardedGraphStore::Target> neighbors(3 * k);
+  std::vector<ShardedGraphStore::Weight> weights(3 * k);
   for (int i = 0; i < 3 * k; ++i) {
     labels[i] = static_cast<PartitionId>((5 * i) % k);
-    neighbors[i] = i;
-    weights[i] = 1 + static_cast<EdgeWeight>(i % 2);
+    neighbors[i] = static_cast<ShardedGraphStore::Target>(i);
+    weights[i] = static_cast<ShardedGraphStore::Weight>(1 + i % 2);
   }
   const size_t n = lpa::GatherTouched(neighbors, weights, labels.data(),
                                       sc.freq.data(), sc.touched);

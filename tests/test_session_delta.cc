@@ -111,8 +111,8 @@ void ExpectStoreMatches(const ShardedGraphStore& store, const CsrGraph& g) {
     ASSERT_EQ(shard.begin, begin) << "s=" << s;
     begin = shard.end;
     std::vector<int64_t> offsets = {0};
-    std::vector<VertexId> targets;
-    std::vector<EdgeWeight> weights;
+    std::vector<ShardedGraphStore::Target> targets;
+    std::vector<ShardedGraphStore::Weight> weights;
     std::vector<int64_t> weighted_degree;
     std::vector<double> inv;
     for (VertexId v = shard.begin; v < shard.end; ++v) {
@@ -255,8 +255,8 @@ TEST(TcpSessionDeltaDifferentialTest, RandomDeltasMatchFullRebuild) {
 /// Every array of every shard, the multiset included.
 struct StoreImage {
   std::vector<std::vector<int64_t>> offsets, weighted_degree, loads;
-  std::vector<std::vector<VertexId>> targets;
-  std::vector<std::vector<EdgeWeight>> weights;
+  std::vector<std::vector<ShardedGraphStore::Target>> targets;
+  std::vector<std::vector<ShardedGraphStore::Weight>> weights;
   std::vector<std::vector<uint32_t>> copies, self_loops;
   std::vector<VertexId> ends;
   std::vector<int64_t> rebuild_counts;

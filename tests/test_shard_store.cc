@@ -312,7 +312,8 @@ TEST(WorkerLayoutTest, RemapSendsEveryTargetToItsCompactSlot) {
   ASSERT_TRUE(layout.ok()) << layout.status();
 
   for (auto& shard : shards) {
-    const std::vector<VertexId> global_targets = shard.targets;
+    const std::vector<ShardedGraphStore::Target> global_targets =
+        shard.targets;
     ASSERT_TRUE(RemapTargetsToSlots(*layout, &shard).ok());
     ASSERT_EQ(shard.targets.size(), global_targets.size());
     for (size_t i = 0; i < shard.targets.size(); ++i) {
@@ -343,7 +344,8 @@ TEST(WorkerLayoutTest, RejectsGapsAndForeignTargets) {
   // A target outside [0, n) can never be resolved.
   std::vector<ShardedGraphStore::Shard> bad = {store->shard(0)};
   ASSERT_FALSE(bad[0].targets.empty());
-  bad[0].targets[0] = g.NumVertices() + 5;
+  bad[0].targets[0] =
+      static_cast<ShardedGraphStore::Target>(g.NumVertices() + 5);
   EXPECT_FALSE(BuildWorkerLayout(bad, g.NumVertices()).ok());
 
   // Remap against a layout that does not cover the shard's neighbors.

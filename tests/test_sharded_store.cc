@@ -227,6 +227,33 @@ TEST(ShardedGraphStoreTest, RejectsInvalidShardCount) {
   EXPECT_FALSE(ShardedGraphStore::Build(g, -2).ok());
 }
 
+TEST(ShardedGraphStoreTest, RejectsArcWeightsAShardCannotStore) {
+  // Shard weights are 8-bit: 256 does not fit, 255 does.
+  const EdgeList edges = {{0, 1}, {1, 0}};
+  const std::vector<EdgeWeight> too_heavy = {256, 256};
+  auto heavy = CsrGraph::FromEdges(2, edges, too_heavy);
+  ASSERT_TRUE(heavy.ok()) << heavy.status();
+  auto rejected = ShardedGraphStore::Build(*heavy, 1);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  const std::vector<EdgeWeight> heaviest = {255, 255};
+  auto fits = CsrGraph::FromEdges(2, edges, heaviest);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  auto store = ShardedGraphStore::Build(*fits, 1);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->shard(0).WeightsOf(0)[0], 255);
+  EXPECT_EQ(store->shard(0).WeightedDegreeOf(1), 255);
+}
+
+TEST(ShardedGraphStoreTest, RejectsMoreVerticesThan32BitIds) {
+  // Checked before the conversion allocates anything per vertex.
+  auto store = ShardedGraphStore::FromEdgeMultiset(
+      ShardedGraphStore::kMaxVertices + 1, EdgeList{}, true, 1);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ShardedGraphStoreTest, MergedLoadsReducesAcrossShards) {
   const CsrGraph g = SmallWorldConverted(1100);
   auto store = ShardedGraphStore::Build(g, 3);
@@ -264,8 +291,8 @@ TEST(ShardedGraphStoreTest, UpdateRebuildsOnlyOwningShards) {
 struct ShardArrays {
   VertexId begin, end;
   std::vector<int64_t> offsets;
-  std::vector<VertexId> targets;
-  std::vector<EdgeWeight> weights;
+  std::vector<ShardedGraphStore::Target> targets;
+  std::vector<ShardedGraphStore::Weight> weights;
   std::vector<int64_t> weighted_degree;
   std::vector<double> inv_weighted_degree;
   std::vector<int64_t> loads;
@@ -318,6 +345,28 @@ TEST(ShardedGraphStoreTest, ApplyDeltaRejectsBadDeltasLeavingStoreUntouched) {
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(bare->ApplyDelta(GraphDelta{}.AddEdge(1, 2)).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedGraphStoreTest, ApplyDeltaRejectsAnEndpointPast32BitIds) {
+  auto ws = WattsStrogatz(300, 3, 0.3, 4);
+  ASSERT_TRUE(ws.ok());
+  auto store = ShardedGraphStore::FromEdgeMultiset(ws->num_vertices,
+                                                   ws->edges, true, 2);
+  ASSERT_TRUE(store.ok());
+  store->ResetLoads(3);
+  const std::vector<ShardArrays> before = ArraysOf(*store);
+  // Vertex 2^32 would be in range of the grown graph, but no shard can
+  // name it; the rejection comes before the label array grows.
+  const VertexId past = ShardedGraphStore::kMaxVertices;
+  const GraphDelta delta =
+      GraphDelta{}.AddVertex(past).AddEdge(0, past).AddEdge(1, 2);
+  auto applied = store->ApplyDelta(delta);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ArraysOf(*store), before);
+  EXPECT_EQ(store->NumVertices(), 300);
+  EXPECT_EQ(store->labels().size(), 300u);
+  EXPECT_EQ(store->NumEdges(), static_cast<int64_t>(ws->edges.size()));
 }
 
 TEST(ShardedGraphStoreTest, EdgesRoundTripTheMultisetInCanonicalOrder) {

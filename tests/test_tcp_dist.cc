@@ -36,6 +36,7 @@
 #include "graph/sharded_store.h"
 #include "spinner/session.h"
 #include "spinner/sharded_program.h"
+#include "slice_v1_reference.h"
 
 namespace spinner {
 namespace {
@@ -163,9 +164,9 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
 }
 
 TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
-  // Protocol 4 dropped Setup's run-config header and Hello's flags, so a
-  // version-3 worker must be turned away too.
-  EXPECT_EQ(dist::kProtocolVersion, 4u);
+  // Protocol 5 carries SPSL version 2 slices (u32 targets, u8 weights),
+  // so a version-4 worker must be turned away too.
+  EXPECT_EQ(dist::kProtocolVersion, 5u);
   for (const uint32_t version :
        {dist::kProtocolVersion + 7, dist::kProtocolVersion - 1}) {
     RegistryOptions options;
@@ -561,6 +562,66 @@ TEST(TcpSpinnerTest, PooledWorkersResumeWithZeroSliceDownload) {
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+}
+
+TEST(TcpSpinnerTest, WarmStoreOfVersion1SlicesIsRedownloadedNotReused) {
+  // A store left behind by a worker that predates the compact slice
+  // layout: every shard's base is SPSB version 1 around an SPSL version 1
+  // slice, with a valid checksum. Its shards must read as absent, so the
+  // coordinator downloads every slice and the run matches in-process.
+  const CsrGraph g = SmallWorldConverted(900, 31);
+  SpinnerConfig config;
+  config.num_partitions = 5;
+  config.seed = 4;
+  config.max_iterations = 6;
+  config.use_halting = false;
+  const int kShards = 4;
+  const int kWorkers = 2;
+  std::vector<PartitionId> reference_labels;
+  ASSERT_TRUE(ReferenceRun(config, g, kShards, &reference_labels).ok());
+
+  const std::string store_dir = testing::TempDir() + "/tcp_v1_store";
+  std::filesystem::remove_all(store_dir);
+  std::filesystem::create_directories(store_dir);
+  auto store = ShardedGraphStore::Build(g, kShards);
+  ASSERT_TRUE(store.ok());
+  for (int s = 0; s < kShards; ++s) {
+    slice_v1_reference::WriteBase(
+        dist::PersistentShardStore(store_dir).BasePath(s),
+        slice_v1_reference::EncodeSlice(store->shard(s)));
+  }
+
+  auto registry = WorkerRegistry::Listen(RegistryOptions{});
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  MultiProcessOptions options;
+  options.num_workers = kWorkers;
+  options.worker_transport = registry->get();
+  dist::WorkerLoopOptions loop;
+  loop.store_dir = store_dir;
+  std::vector<pid_t> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.push_back(
+        ForkTcpWorker((*registry)->address(), options.transport, loop));
+  }
+  std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+  auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                          options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->wire.slices_downloaded, kShards);
+  EXPECT_GT(run->wire.slice_bytes_downloaded, 0);
+  EXPECT_EQ(run->wire.slices_resumed, 0);
+  EXPECT_EQ(store->labels(), reference_labels);
+  registry->reset();
+  ReapAll(&workers);
+
+  // The workers replaced each old base with the current encoding.
+  for (int s = 0; s < kShards; ++s) {
+    auto loaded = dist::PersistentShardStore(store_dir).Load(s);
+    ASSERT_TRUE(loaded.has_value()) << "shard " << s;
+    EXPECT_EQ(loaded->fingerprint,
+              dist::ShardSliceFingerprint(store->shard(s)))
+        << "shard " << s;
   }
 }
 
