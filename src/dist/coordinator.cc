@@ -177,9 +177,7 @@ class MultiProcessBackend final : public SuperstepBackend {
   Status Retire() {
     std::vector<WorkerEndpoint> acked;
     const Status status = ProbeFleet(&acked);
-    for (WorkerEndpoint& endpoint : acked) {
-      transport_->Release(std::move(endpoint));
-    }
+    transport_->Release(std::move(acked));
     return status;
   }
 
@@ -251,10 +249,11 @@ class MultiProcessBackend final : public SuperstepBackend {
 
   /// The fleet handshake over workers_; AssignFleet's body.
   Status Handshake(bool inject_fail_hook) {
-    // Assign first (run config + fingerprints, so every worker can probe
-    // its store concurrently), then per worker consume the Resume and send
-    // a Setup carrying only the slices whose fingerprint missed.
-    std::vector<std::vector<uint64_t>> fingerprints(workers_.size());
+    // Assign first (so every worker probes its store concurrently), then
+    // per worker consume the Resume and send a Setup carrying only the
+    // slices whose fingerprint missed. Only a shard a worker reports
+    // present is fingerprinted here: with in-memory workers every Resume
+    // is all zeros and no slice is hashed at all.
     for (int w = 0; w < num_workers(); ++w) {
       AssignMessage assign;
       assign.num_partitions = config_.num_partitions;
@@ -265,11 +264,6 @@ class MultiProcessBackend final : public SuperstepBackend {
       assign.num_vertices = store_->NumVertices();
       assign.num_shards_total = store_->num_shards();
       assign.owned_shards = workers_[w].shards;
-      for (const int32_t s : workers_[w].shards) {
-        assign.slice_fingerprints.push_back(
-            ShardSliceFingerprint(store_->shard(s)));
-      }
-      fingerprints[w] = assign.slice_fingerprints;
       if (inject_fail_hook && w == options_.fail_worker) {
         assign.fail_after_score_steps = options_.fail_after_score_steps;
       }
@@ -288,7 +282,8 @@ class MultiProcessBackend final : public SuperstepBackend {
       std::vector<int32_t> download;
       for (size_t i = 0; i < shards.size(); ++i) {
         if (resume.fingerprints[i] != 0 &&
-            resume.fingerprints[i] == fingerprints[w][i]) {
+            resume.fingerprints[i] ==
+                ShardSliceFingerprint(store_->shard(shards[i]))) {
           ++wire_.slices_resumed;
           continue;
         }
@@ -411,11 +406,11 @@ class MultiProcessBackend final : public SuperstepBackend {
     return frame;
   }
 
-  /// Returns worker w to the Assign-await state: sends Teardown, then
-  /// drains in-flight replies (bounded) until the TeardownAck. Non-OK
-  /// means the worker is dead, hung, or babbling — destroy it.
-  Status ResetEndpoint(int w) {
-    SPINNER_RETURN_IF_ERROR(SendTo(w, MessageType::kTeardown, {}));
+  /// The second half of returning worker w to the Assign-await state,
+  /// once its Teardown is sent: drains in-flight replies (bounded) until
+  /// the TeardownAck. Non-OK means the worker is dead, hung, or babbling —
+  /// destroy it.
+  Status AwaitTeardownAck(int w) {
     // A live worker may still owe replies from an interrupted round; skip
     // them until its TeardownAck arrives (after which it has reset its run
     // state and awaits the next Assign). The cap bounds a babbling stream.
@@ -430,14 +425,19 @@ class MultiProcessBackend final : public SuperstepBackend {
   }
 
   /// The one Teardown-probe loop, shared by Retire and RebuildFleet:
-  /// probes every attached endpoint (ResetEndpoint), moves the ones that
-  /// ack — back in the Assign-await state — into `acked`, destroys the
-  /// rest, and empties the fleet. Returns the first probe error.
+  /// probes every attached endpoint, moves the ones that ack — back in the
+  /// Assign-await state — into `acked`, destroys the rest, and empties the
+  /// fleet. Every Teardown goes out before any ack is awaited, so the
+  /// workers reset concurrently. Returns the first probe error.
   Status ProbeFleet(std::vector<WorkerEndpoint>* acked) {
+    std::vector<Status> probes;
+    for (int w = 0; w < num_workers(); ++w) {
+      probes.push_back(SendTo(w, MessageType::kTeardown, {}));
+    }
     Status first_error;
     for (int w = 0; w < num_workers(); ++w) {
       WorkerEndpoint& endpoint = workers_[w].endpoint;
-      const Status status = ResetEndpoint(w);
+      const Status status = probes[w].ok() ? AwaitTeardownAck(w) : probes[w];
       if (status.ok()) {
         acked->push_back(std::move(endpoint));
         continue;

@@ -467,23 +467,28 @@ Result<std::vector<WorkerEndpoint>> FaultInjectingTransport::TryAcquire(
   return wrapped;
 }
 
-void FaultInjectingTransport::Release(WorkerEndpoint endpoint) {
-  std::unique_ptr<Proxy> proxy = DetachProxy(endpoint.socket.fd());
-  if (proxy == nullptr) {
-    inner_->Release(std::move(endpoint));
-    return;
+void FaultInjectingTransport::Release(std::vector<WorkerEndpoint> endpoints) {
+  std::vector<WorkerEndpoint> real;
+  for (WorkerEndpoint& endpoint : endpoints) {
+    std::unique_ptr<Proxy> proxy = DetachProxy(endpoint.socket.fd());
+    if (proxy == nullptr) {
+      real.push_back(std::move(endpoint));
+      continue;
+    }
+    // Stop the pumps BEFORE closing our proxy end: closing first would
+    // wake the to-worker pump with a genuine source EOF, which it would
+    // propagate onto the real connection — killing the worker we are
+    // about to pool.
+    proxy->Stop();
+    endpoint.socket.Close();
+    if (proxy->closed.load()) {
+      // A close fault killed the real connection — never pool a corpse.
+      inner_->Destroy(std::move(proxy->real));
+    } else {
+      real.push_back(std::move(proxy->real));
+    }
   }
-  // Stop the pumps BEFORE closing our proxy end: closing first would wake
-  // the to-worker pump with a genuine source EOF, which it would propagate
-  // onto the real connection — killing the worker we are about to pool.
-  proxy->Stop();
-  endpoint.socket.Close();
-  if (proxy->closed.load()) {
-    // A close fault killed the real connection — never pool a corpse.
-    inner_->Destroy(std::move(proxy->real));
-  } else {
-    inner_->Release(std::move(proxy->real));
-  }
+  inner_->Release(std::move(real));
 }
 
 void FaultInjectingTransport::Destroy(WorkerEndpoint endpoint) {

@@ -113,7 +113,7 @@ class FaultInjectingTransport final : public Transport {
   Result<std::vector<WorkerEndpoint>> TryAcquire(
       int num_workers, const TransportOptions& options,
       int64_t timeout_ms) override;
-  void Release(WorkerEndpoint endpoint) override;
+  void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
 
   const FaultCounters& counters() const { return counters_; }

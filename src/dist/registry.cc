@@ -163,13 +163,16 @@ Result<std::vector<WorkerEndpoint>> UnixSocketTransport::Acquire(
   return endpoints;
 }
 
-void UnixSocketTransport::Release(WorkerEndpoint endpoint) {
+void UnixSocketTransport::Release(std::vector<WorkerEndpoint> endpoints) {
   // Closing our end is the child's signal to finish: an idle worker reads
-  // EOF and exits 0.
-  endpoint.socket.Close();
-  if (endpoint.pid > 0) {
-    int wstatus = 0;
-    (void)waitpid(endpoint.pid, &wstatus, 0);
+  // EOF and exits 0. Every end is closed before the first wait, so the
+  // children wind down together.
+  for (WorkerEndpoint& endpoint : endpoints) endpoint.socket.Close();
+  for (const WorkerEndpoint& endpoint : endpoints) {
+    if (endpoint.pid > 0) {
+      int wstatus = 0;
+      (void)waitpid(endpoint.pid, &wstatus, 0);
+    }
   }
 }
 
@@ -272,9 +275,10 @@ Result<std::vector<WorkerEndpoint>> WorkerRegistry::AcquireWithin(
   return endpoints;
 }
 
-void WorkerRegistry::Release(WorkerEndpoint endpoint) {
-  if (!endpoint.socket.valid()) return;
-  pool_.push_back(std::move(endpoint));
+void WorkerRegistry::Release(std::vector<WorkerEndpoint> endpoints) {
+  for (WorkerEndpoint& endpoint : endpoints) {
+    if (endpoint.socket.valid()) pool_.push_back(std::move(endpoint));
+  }
 }
 
 void WorkerRegistry::Destroy(WorkerEndpoint endpoint) {

@@ -6,7 +6,7 @@
 //
 //   UnixSocketTransport  fork()s ShardWorker children connected by
 //                        socketpair — the single-host mode, one fleet per
-//                        run (Release reaps the child).
+//                        run (Release reaps the children).
 //   WorkerRegistry       the "in the cloud" mode: a TCP listener where
 //                        workers dial in and complete the versioned
 //                        Hello/capacity handshake. Endpoints persist
@@ -73,10 +73,11 @@ class Transport {
     return Acquire(num_workers, options);
   }
 
-  /// Returns an endpoint after a clean run (TeardownAck received).
-  /// UnixSocketTransport closes and reaps; WorkerRegistry parks the live
-  /// connection for the next Acquire.
-  virtual void Release(WorkerEndpoint endpoint) = 0;
+  /// Returns endpoints after a clean run (TeardownAck received).
+  /// UnixSocketTransport closes every connection, then reaps every child,
+  /// so the children exit concurrently; WorkerRegistry parks the live
+  /// connections for the next Acquire.
+  virtual void Release(std::vector<WorkerEndpoint> endpoints) = 0;
 
   /// Retires an endpoint on the error path: the connection is closed
   /// unconditionally (and a forked child is SIGKILLed and reaped), so a
@@ -96,7 +97,7 @@ class UnixSocketTransport final : public Transport {
   const char* name() const override { return "unix"; }
   Result<std::vector<WorkerEndpoint>> Acquire(
       int num_workers, const TransportOptions& options) override;
-  void Release(WorkerEndpoint endpoint) override;
+  void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
 
  private:
@@ -147,7 +148,7 @@ class WorkerRegistry final : public Transport {
       int num_workers, const TransportOptions& options,
       int64_t timeout_ms) override;
 
-  void Release(WorkerEndpoint endpoint) override;
+  void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
 
   /// Elastic scale-in: closes pooled connections until at most `keep`

@@ -20,8 +20,9 @@
 //
 // The fingerprint a worker reports in its Resume message is the FNV-1a
 // digest of the *current* slice bytes (base + replayed log); it matches
-// the coordinator's Assign fingerprint iff the hosted slice is
-// byte-identical to the coordinator's — the zero-download resume gate.
+// the fingerprint the coordinator computes over its own slice iff the
+// hosted slice is byte-identical to the coordinator's — the zero-download
+// resume gate.
 #ifndef SPINNER_DIST_SHARD_STORE_H_
 #define SPINNER_DIST_SHARD_STORE_H_
 
@@ -37,7 +38,7 @@
 namespace spinner::dist {
 
 /// FNV-1a digest of a shard's canonical SPSL slice encoding — the resume
-/// fingerprint both sides of the Assign/Resume handshake compute.
+/// fingerprint a worker reports in Resume and the coordinator checks.
 uint64_t ShardSliceFingerprint(std::span<const uint8_t> slice_bytes);
 uint64_t ShardSliceFingerprint(const ShardedGraphStore::Shard& shard);
 

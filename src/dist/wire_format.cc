@@ -116,7 +116,6 @@ std::vector<uint8_t> AssignMessage::Encode() const {
   w.PutI64(num_vertices);
   w.PutI32(num_shards_total);
   w.PutVector(owned_shards);
-  w.PutVector(slice_fingerprints);
   w.PutI32(fail_after_score_steps);
   return w.Take();
 }
@@ -129,13 +128,13 @@ Result<AssignMessage> AssignMessage::Decode(
       !r.GetU8(&m.balance_on_vertices) || !r.GetU8(&m.per_worker_async) ||
       !r.GetI64(&m.num_vertices) || !r.GetI32(&m.num_shards_total) ||
       !r.GetVector(&m.owned_shards) ||
-      !r.GetVector(&m.slice_fingerprints) ||
       !r.GetI32(&m.fail_after_score_steps)) {
     return Truncated("Assign");
   }
-  if (m.slice_fingerprints.size() != m.owned_shards.size()) {
-    return Status::InvalidArgument(
-        "Assign: fingerprint count does not match owned shard count");
+  // A protocol-5 Assign (slice fingerprints before the test hook) must
+  // not decode with its fingerprint count read as the hook.
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("Assign has bytes after its last field");
   }
   return m;
 }

@@ -6,10 +6,10 @@
 //
 //   Hello          w→c   protocol version + capacity (first message on
 //                        every connection; the registry validates it)
-//   Assign         c→w   run config + contiguous shard-range assignment +
-//                        per-shard slice fingerprints
+//   Assign         c→w   run config + contiguous shard-range assignment
 //   Resume         w→c   fingerprints of the assigned shards the worker
-//                        already holds (persistent store), 0 = absent
+//                        already holds (persistent store), 0 = absent;
+//                        the coordinator checks each non-zero one
 //   Setup          c→w   the stale/missing shard slices only (binary_io
 //                        SPSL); empty when every fingerprint matched
 //   Subscribe      w→c   the out-of-range neighbor set of the worker's
@@ -89,8 +89,9 @@ enum class MessageType : uint32_t {
 
 /// Version of the Hello/Assign/Resume handshake. A worker advertising a
 /// different version is rejected at the registry before it can join a run.
-/// Version 5 carries SPSL version 2 slices (u32 targets, u8 weights).
-inline constexpr uint32_t kProtocolVersion = 5;
+/// Version 5 carries SPSL version 2 slices (u32 targets, u8 weights);
+/// version 6 drops the slice fingerprints from Assign.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {
@@ -216,11 +217,10 @@ struct HelloMessage {
 };
 
 /// Assign (c→w): the run configuration and this worker's contiguous shard
-/// assignment, with the coordinator-side fingerprint (FNV-1a over the SPSL
-/// slice bytes) of every assigned shard. The worker compares these against
-/// its PersistentShardStore and reports what it already holds (Resume);
-/// the coordinator then downloads only the stale or missing slices in the
-/// subsequent Setup.
+/// assignment. The worker probes its PersistentShardStore and reports what
+/// it already holds (Resume); the coordinator fingerprints its own slices
+/// of the reported shards only and downloads the stale or missing slices
+/// in the subsequent Setup.
 struct AssignMessage {
   int32_t num_partitions = 0;
   uint64_t seed = 0;
@@ -231,8 +231,6 @@ struct AssignMessage {
   /// Global shard ids assigned to this worker, ascending, contiguous
   /// vertex ranges.
   std::vector<int32_t> owned_shards;
-  /// FNV-1a over the current SPSL slice bytes, one per owned shard.
-  std::vector<uint64_t> slice_fingerprints;
   /// Test hook: _exit(3) right before replying to the
   /// (fail_after_score_steps+1)-th Scores request; -1 = never.
   int32_t fail_after_score_steps = -1;
@@ -247,8 +245,9 @@ struct AssignMessage {
 /// Resume (w→c): the worker's answer to Assign — the fingerprint of every
 /// assigned shard as loaded from its PersistentShardStore (base + replayed
 /// delta log), 0 where the store holds nothing usable. A fingerprint
-/// matching the Assign value means the coordinator skips that slice in
-/// Setup entirely: the zero-download restart path.
+/// equal to the coordinator's (FNV-1a over its SPSL slice bytes) means the
+/// coordinator skips that slice in Setup entirely: the zero-download
+/// restart path.
 struct ResumeMessage {
   std::vector<uint64_t> fingerprints;  // one per assigned shard, in order
 

@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -19,8 +21,99 @@
 
 namespace spinner::dist {
 
-Result<WorkerLayout> BuildWorkerLayout(
-    std::span<const ShardedGraphStore::Shard> shards, int64_t num_vertices) {
+namespace {
+
+/// A boundary arc in the remap sort: its global target and its ordinal
+/// among the worker's boundary arcs, counted in arc order.
+template <typename Ordinal>
+struct BoundaryArc {
+  ShardedGraphStore::Target target;
+  Ordinal ordinal;
+};
+
+/// Stable LSD radix sort of `arcs` by target, 11 bits per pass and only as
+/// many passes as ids below `num_vertices` need. All digit histograms come
+/// from one read pass.
+template <typename Arc>
+void RadixSortByTarget(std::vector<Arc>* arcs, int64_t num_vertices) {
+  if (arcs->empty()) return;  // and so num_vertices >= 1 below
+  constexpr int kDigitBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  const int passes =
+      (std::bit_width(static_cast<uint64_t>(num_vertices - 1)) +
+       kDigitBits - 1) /
+      kDigitBits;
+  std::vector<size_t> counts(static_cast<size_t>(passes) * kBuckets, 0);
+  for (const Arc& arc : *arcs) {
+    for (int p = 0; p < passes; ++p) {
+      ++counts[static_cast<size_t>(p) * kBuckets +
+               ((arc.target >> (p * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  std::vector<Arc> scratch(arcs->size());
+  for (int p = 0; p < passes; ++p) {
+    size_t* offset = counts.data() + static_cast<size_t>(p) * kBuckets;
+    size_t sum = 0;
+    for (size_t d = 0; d < kBuckets; ++d) {
+      const size_t count = offset[d];
+      offset[d] = sum;
+      sum += count;
+    }
+    for (const Arc& arc : *arcs) {
+      scratch[offset[(arc.target >> (p * kDigitBits)) & (kBuckets - 1)]++] =
+          arc;
+    }
+    arcs->swap(scratch);
+  }
+}
+
+/// Second half of RemapToWorkerLayout, once `layout`'s owned range is
+/// validated and `boundary` (the count of out-of-range arcs) is known:
+/// sorts the boundary arcs by target, appends each distinct target to the
+/// subscription, and rewrites every target to its slot. `Ordinal` must
+/// hold `boundary`; 32 bits keep a sort entry at 8 bytes.
+template <typename Ordinal>
+void RemapValidatedShards(std::span<ShardedGraphStore::Shard> shards,
+                          int64_t num_vertices, size_t boundary,
+                          WorkerLayout* layout) {
+  using Target = ShardedGraphStore::Target;
+  // slot_of[i]: the compact slot of the i-th boundary arc's target.
+  std::vector<Target> slot_of;
+  {
+    std::vector<BoundaryArc<Ordinal>> arcs;
+    arcs.reserve(boundary);
+    for (const ShardedGraphStore::Shard& shard : shards) {
+      for (const Target t : shard.targets) {
+        if (!layout->Owns(t)) {
+          arcs.push_back({t, static_cast<Ordinal>(arcs.size())});
+        }
+      }
+    }
+    RadixSortByTarget(&arcs, num_vertices);
+    slot_of.resize(boundary);  // after the sort's own scratch is freed
+    const int64_t owned = layout->owned_count();
+    for (const BoundaryArc<Ordinal>& arc : arcs) {
+      if (layout->subscription.empty() ||
+          layout->subscription.back() != arc.target) {
+        layout->subscription.push_back(arc.target);
+      }
+      slot_of[arc.ordinal] = static_cast<Target>(
+          owned + static_cast<int64_t>(layout->subscription.size()) - 1);
+    }
+  }
+  size_t next = 0;
+  for (ShardedGraphStore::Shard& shard : shards) {
+    for (Target& t : shard.targets) {
+      t = layout->Owns(t) ? static_cast<Target>(t - layout->owned_begin)
+                          : slot_of[next++];
+    }
+  }
+}
+
+}  // namespace
+
+Result<WorkerLayout> RemapToWorkerLayout(
+    std::span<ShardedGraphStore::Shard> shards, int64_t num_vertices) {
   WorkerLayout layout;
   if (shards.empty()) return layout;  // a shardless worker idles validly
   layout.owned_begin = shards.front().begin;
@@ -31,6 +124,7 @@ Result<WorkerLayout> BuildWorkerLayout(
         "worker shard range is outside the graph or not block-aligned");
   }
   VertexId previous_end = layout.owned_begin;
+  size_t boundary = 0;
   for (const ShardedGraphStore::Shard& shard : shards) {
     // Contiguity is load-bearing, not just tidy: Owns() is a single
     // interval test and the compact label array has one slot per owned
@@ -40,39 +134,20 @@ Result<WorkerLayout> BuildWorkerLayout(
           "worker shard slices are not contiguous ascending ranges");
     }
     previous_end = shard.end;
-    for (const VertexId t : shard.targets) {
+    for (const ShardedGraphStore::Target t : shard.targets) {
       if (t >= num_vertices) {
         return Status::InvalidArgument(
             "shard slice target outside the vertex range");
       }
-      if (!layout.Owns(t)) layout.subscription.push_back(t);
+      boundary += layout.Owns(t) ? 0 : 1;
     }
   }
-  std::sort(layout.subscription.begin(), layout.subscription.end());
-  layout.subscription.erase(
-      std::unique(layout.subscription.begin(), layout.subscription.end()),
-      layout.subscription.end());
+  if (boundary <= std::numeric_limits<uint32_t>::max()) {
+    RemapValidatedShards<uint32_t>(shards, num_vertices, boundary, &layout);
+  } else {
+    RemapValidatedShards<uint64_t>(shards, num_vertices, boundary, &layout);
+  }
   return layout;
-}
-
-Status RemapTargetsToSlots(const WorkerLayout& layout,
-                           ShardedGraphStore::Shard* shard) {
-  for (ShardedGraphStore::Target& t : shard->targets) {
-    if (layout.Owns(t)) {
-      t = static_cast<ShardedGraphStore::Target>(t - layout.owned_begin);
-      continue;
-    }
-    const auto it = std::lower_bound(layout.subscription.begin(),
-                                     layout.subscription.end(), t);
-    if (it == layout.subscription.end() || *it != t) {
-      return Status::InvalidArgument(StrFormat(
-          "target %lld is neither owned nor subscribed",
-          static_cast<long long>(t)));
-    }
-    t = static_cast<ShardedGraphStore::Target>(
-        layout.owned_count() + (it - layout.subscription.begin()));
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -160,7 +235,6 @@ class ShardWorker {
     config_ = SpinnerConfig();
     n_ = 0;
     owned_shards_.clear();
-    assigned_fingerprints_.clear();
     loaded_.clear();
     shards_.clear();
     layout_ = WorkerLayout();
@@ -196,19 +270,6 @@ class ShardWorker {
     return Status::OK();
   }
 
-  bool Subscribed(VertexId v) const {
-    return std::binary_search(layout_.subscription.begin(),
-                              layout_.subscription.end(), v);
-  }
-
-  /// Local slot of subscribed vertex v (callers check Subscribed first).
-  size_t MirrorSlot(VertexId v) const {
-    const auto it = std::lower_bound(layout_.subscription.begin(),
-                                     layout_.subscription.end(), v);
-    return static_cast<size_t>(layout_.owned_count()) +
-           static_cast<size_t>(it - layout_.subscription.begin());
-  }
-
   /// The DeltasAck gate digest. The compact label array IS the checksum
   /// layout — owned slices in ascending order, then the mirror in
   /// subscription order — so the fold is simply the whole array, and it
@@ -242,15 +303,14 @@ class ShardWorker {
     config_ = assign.ToConfig();
     n_ = assign.num_vertices;
     owned_shards_ = std::move(assign.owned_shards);
-    assigned_fingerprints_ = std::move(assign.slice_fingerprints);
     if (assign.fail_after_score_steps >= 0) {
       fail_after_score_steps_ = assign.fail_after_score_steps;
     }
     assign_done_ = true;
 
     // Probe the local store and report what this worker already hosts.
-    // The coordinator compares against its own fingerprints and sends
-    // only the slices that missed — fingerprint 0 means "absent".
+    // The coordinator fingerprints its own slice of every shard reported
+    // here and sends only the slices that missed — 0 means "absent".
     ResumeMessage resume;
     resume.fingerprints.assign(owned_shards_.size(), 0);
     loaded_.resize(owned_shards_.size());
@@ -276,8 +336,9 @@ class ShardWorker {
                              SetupMessage::Decode(payload));
 
     // Merge: Setup carries only the slices whose Resume fingerprint
-    // missed; everything else must come from the local store with a
-    // fingerprint equal to the assigned one.
+    // missed; everything else must come from the local store, and only a
+    // shard this worker's Resume reported (fingerprint != 0) can be
+    // omitted.
     std::vector<ShardedGraphStore::Shard> merged(owned_shards_.size());
     std::vector<bool> downloaded(owned_shards_.size(), false);
     for (size_t i = 0; i < setup.owned_shards.size(); ++i) {
@@ -300,8 +361,7 @@ class ShardWorker {
     }
     for (size_t j = 0; j < merged.size(); ++j) {
       if (downloaded[j]) continue;
-      if (!loaded_[j].has_value() ||
-          loaded_[j]->fingerprint != assigned_fingerprints_[j]) {
+      if (!loaded_[j].has_value() || loaded_[j]->fingerprint == 0) {
         return Status::InvalidArgument(StrFormat(
             "Setup omitted shard %d but the local store cannot supply it",
             static_cast<int>(owned_shards_[j])));
@@ -324,10 +384,7 @@ class ShardWorker {
       }
     }
 
-    SPINNER_ASSIGN_OR_RETURN(layout_, BuildWorkerLayout(merged, n_));
-    for (ShardedGraphStore::Shard& shard : merged) {
-      SPINNER_RETURN_IF_ERROR(RemapTargetsToSlots(layout_, &shard));
-    }
+    SPINNER_ASSIGN_OR_RETURN(layout_, RemapToWorkerLayout(merged, n_));
     shards_ = std::move(merged);
     labels_.assign(static_cast<size_t>(layout_.num_slots()), kNoPartition);
     candidate_.assign(static_cast<size_t>(layout_.owned_count()),
@@ -470,12 +527,16 @@ class ShardWorker {
           move.label >= config_.num_partitions) {
         return Status::InvalidArgument("ApplyDeltas: move out of range");
       }
-      if (!Subscribed(move.vertex)) {
+      const std::vector<VertexId>& mirror = layout_.subscription;
+      const auto it =
+          std::lower_bound(mirror.begin(), mirror.end(), move.vertex);
+      if (it == mirror.end() || *it != move.vertex) {
         return Status::InvalidArgument(StrFormat(
             "ApplyDeltas: move for unsubscribed vertex %lld",
             static_cast<long long>(move.vertex)));
       }
-      labels_[MirrorSlot(move.vertex)] = move.label;
+      labels_[static_cast<size_t>(layout_.owned_count()) +
+              static_cast<size_t>(it - mirror.begin())] = move.label;
     }
     DeltasAck ack;
     ack.labels_checksum = StateChecksum();
@@ -516,7 +577,6 @@ class ShardWorker {
   SpinnerConfig config_;
   int64_t n_ = 0;
   std::vector<int32_t> owned_shards_;
-  std::vector<uint64_t> assigned_fingerprints_;
   /// Store slices probed at Assign, consumed (or discarded) at Setup.
   std::vector<std::optional<PersistentShardStore::LoadedSlice>> loaded_;
   /// Owned slices with targets remapped to compact local slots.

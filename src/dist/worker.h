@@ -70,16 +70,14 @@ struct WorkerLayout {
 /// Builds the layout of a worker owning `shards` (ascending, contiguous,
 /// block-aligned begin — the coordinator's assignment invariants, here
 /// re-validated since slices arrive over the wire) within a graph of
-/// `num_vertices`. Every target must lie in [0, num_vertices).
-Result<WorkerLayout> BuildWorkerLayout(
-    std::span<const ShardedGraphStore::Shard> shards, int64_t num_vertices);
-
-/// Rewrites `shard`'s targets from global vertex ids to compact slots of
-/// `layout` (owned v -> v - owned_begin; subscribed v -> owned_count +
-/// subscription index). Fails on a target that is neither — such a vertex
-/// could never be read consistently.
-Status RemapTargetsToSlots(const WorkerLayout& layout,
-                           ShardedGraphStore::Shard* shard);
+/// `num_vertices`, and rewrites every target from its global vertex id to
+/// its compact slot (owned v -> v - owned_begin; subscribed v ->
+/// owned_count + subscription index). Every target must lie in
+/// [0, num_vertices); on any violation `shards` is left untouched. Time
+/// is linear in the owned arcs (a radix sort of the boundary arcs), and
+/// the scratch, O(boundary arcs), is freed before it returns.
+Result<WorkerLayout> RemapToWorkerLayout(
+    std::span<ShardedGraphStore::Shard> shards, int64_t num_vertices);
 
 /// Per-process knobs of a worker loop (both transports).
 struct WorkerLoopOptions {

@@ -178,7 +178,7 @@ void BlocksInitialize(const SpinnerConfig& config,
 /// `block_score` and `block_candidates` (block granularity) as in
 /// BlocksInitialize. Neighbor labels are read at `labels[target]`
 /// verbatim: a caller with a compact array remaps the shard's CSR targets
-/// to local slots first (dist/worker.h RemapTargetsToSlots).
+/// to local slots first (dist/worker.h RemapToWorkerLayout).
 void BlocksComputeScores(const SpinnerConfig& config,
                          const ShardedGraphStore::Shard& shard,
                          VertexId begin, VertexId end,

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <thread>
@@ -359,18 +360,25 @@ TEST(TransportTest, OversizedAndBadMagicFramesAreRejected) {
 
 // --- Worker protocol ------------------------------------------------------
 
-TEST(ShardWorkerTest, SetupListingAShardTwiceIsRejected) {
-  // Drive one worker loop by hand over a socketpair: Hello, Assign of
-  // shard 0, Resume, then a Setup that carries shard 0 twice.
-  const CsrGraph g = SmallWorldConverted(600);
-  auto store = ShardedGraphStore::Build(g, 2);
-  ASSERT_TRUE(store.ok());
+/// What a hand-driven worker answered: its Resume fingerprints, its reply
+/// to the Setup, and the loop's exit code.
+struct SetupOutcome {
+  std::vector<uint64_t> resume;
+  Frame reply;
+  int exit_code = -1;
+};
+
+/// Drives one worker loop by hand over a socketpair: Hello, Assign of
+/// `assigned` (a 4-way run over `store`), Resume, then `setup`.
+void DriveSetup(const ShardedGraphStore& store, std::vector<int32_t> assigned,
+                const dist::SetupMessage& setup,
+                const dist::WorkerLoopOptions& loop, SetupOutcome* out) {
   auto pair = dist::CreateSocketPair();
   ASSERT_TRUE(pair.ok());
   const dist::TransportOptions options;
-  int worker_exit = -1;
   std::thread worker([&] {
-    worker_exit = dist::RunShardWorkerLoop(pair->second.fd(), options);
+    out->exit_code =
+        dist::RunShardWorkerLoop(pair->second.fd(), options, loop);
   });
   // Assertions return from the lambda; closing our end then releases a
   // worker still waiting for a frame, so the join never hangs.
@@ -382,40 +390,88 @@ TEST(ShardWorkerTest, SetupListingAShardTwiceIsRejected) {
 
     dist::AssignMessage assign;
     assign.num_partitions = 4;
-    assign.num_vertices = g.NumVertices();
-    assign.num_shards_total = store->num_shards();
-    assign.owned_shards = {0};
-    assign.slice_fingerprints = {
-        dist::ShardSliceFingerprint(store->shard(0))};
+    assign.num_vertices = store.NumVertices();
+    assign.num_shards_total = store.num_shards();
+    assign.owned_shards = std::move(assigned);
     ASSERT_TRUE(
         dist::SendMessage(fd, static_cast<uint32_t>(MessageType::kAssign),
                           assign.Encode(), options, 1)
             .ok());
     auto resume = dist::RecvMessage(fd, options);
     ASSERT_TRUE(resume.ok()) << resume.status();
-    EXPECT_EQ(resume->type, static_cast<uint32_t>(MessageType::kResume));
+    ASSERT_EQ(resume->type, static_cast<uint32_t>(MessageType::kResume));
+    auto decoded = dist::ResumeMessage::Decode(resume->payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    out->resume = decoded->fingerprints;
 
-    dist::SetupMessage setup;
-    setup.owned_shards = {0, 0};
-    setup.shards = {store->shard(0), store->shard(0)};
     ASSERT_TRUE(
         dist::SendMessage(fd, static_cast<uint32_t>(MessageType::kSetup),
                           setup.Encode(), options, 2)
             .ok());
     auto reply = dist::RecvMessage(fd, options);
     ASSERT_TRUE(reply.ok()) << reply.status();
-    ASSERT_EQ(reply->type, static_cast<uint32_t>(MessageType::kError));
-    auto error = dist::ErrorMessage::Decode(reply->payload);
-    ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error->code,
-              static_cast<int32_t>(StatusCode::kInvalidArgument));
-    EXPECT_NE(error->message.find("twice"), std::string::npos)
-        << error->message;
+    out->reply = std::move(reply).value();
   };
   drive();
   pair->first.Close();
   worker.join();
-  EXPECT_EQ(worker_exit, 1);
+}
+
+/// Asserts that `outcome` is an InvalidArgument Error frame naming
+/// `needle`, after which the worker exited 1.
+void ExpectSetupRejected(const SetupOutcome& outcome,
+                         const std::string& needle) {
+  ASSERT_EQ(outcome.reply.type, static_cast<uint32_t>(MessageType::kError));
+  auto error = dist::ErrorMessage::Decode(outcome.reply.payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, static_cast<int32_t>(StatusCode::kInvalidArgument));
+  EXPECT_NE(error->message.find(needle), std::string::npos)
+      << error->message;
+  EXPECT_EQ(outcome.exit_code, 1);
+}
+
+TEST(ShardWorkerTest, SetupListingAShardTwiceIsRejected) {
+  const CsrGraph g = SmallWorldConverted(600);
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage setup;
+  setup.owned_shards = {0, 0};
+  setup.shards = {store->shard(0), store->shard(0)};
+  SetupOutcome outcome;
+  DriveSetup(*store, {0}, setup, {}, &outcome);
+  ExpectSetupRejected(outcome, "twice");
+}
+
+TEST(ShardWorkerTest, SetupOmittingAShardTheWorkerDidNotReportIsRejected) {
+  // Assign carries no fingerprints, so the worker's own Resume is what
+  // licenses an omission: a shard it reported absent (fingerprint 0) must
+  // arrive in Setup.
+  const CsrGraph g = SmallWorldConverted(900);
+  auto store = ShardedGraphStore::Build(g, 3);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage only_first;
+  only_first.owned_shards = {0};
+  only_first.shards = {store->shard(0)};
+
+  // An in-memory worker reports nothing, so it must be sent everything.
+  SetupOutcome in_memory;
+  DriveSetup(*store, {0, 1}, only_first, {}, &in_memory);
+  EXPECT_EQ(in_memory.resume, (std::vector<uint64_t>{0, 0}));
+  ExpectSetupRejected(in_memory, "omitted shard 1");
+
+  // A store holding shard 1 but not shard 2 may skip 1, never 2.
+  const std::string dir = testing::TempDir() + "/omitted_shard_store";
+  std::filesystem::remove_all(dir);
+  std::vector<uint8_t> slice;
+  graph_io::AppendShardSlice(store->shard(1), &slice);
+  ASSERT_TRUE(dist::PersistentShardStore(dir).Put(1, slice).ok());
+  dist::WorkerLoopOptions loop;
+  loop.store_dir = dir;
+  SetupOutcome warm;
+  DriveSetup(*store, {1, 2}, dist::SetupMessage{}, loop, &warm);
+  EXPECT_EQ(warm.resume,
+            (std::vector<uint64_t>{dist::ShardSliceFingerprint(slice), 0}));
+  ExpectSetupRejected(warm, "omitted shard 2");
 }
 
 // --- Multi-process execution ---------------------------------------------
@@ -586,6 +642,66 @@ TEST(MultiProcessSpinnerTest, MoreWorkersThanShardsIsFine) {
                                           options, nullptr);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(store->labels(), reference_labels);
+}
+
+TEST(MultiProcessSpinnerTest, WarmStoresDownloadNothingAndStaleSlicesAreResent) {
+  // Forked workers hosting their slices in a PersistentShardStore: a
+  // fresh fleet over a warm store downloads nothing, and a store whose
+  // copy of one shard is valid but stale (its Resume fingerprint is
+  // non-zero and wrong) gets exactly that slice re-sent. Every run stays
+  // bit-identical to the in-process reference.
+  const CsrGraph g = SmallWorldConverted(900, 23);
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.seed = 3;
+  const int kShards = 4;
+  std::vector<PartitionId> reference_labels;
+  ASSERT_TRUE(ReferenceRun(config, g, kShards, &reference_labels).ok());
+
+  const std::string dir = testing::TempDir() + "/mp_warm_store";
+  std::filesystem::remove_all(dir);
+  MultiProcessOptions options;
+  options.num_workers = 2;
+  options.worker_store_dir = dir;
+  const auto run_once = [&](WireTraffic* wire) {
+    auto store = ShardedGraphStore::Build(g, kShards);
+    ASSERT_TRUE(store.ok());
+    std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+    auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                            options, nullptr);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(store->labels(), reference_labels);
+    *wire = run->wire;
+  };
+
+  WireTraffic cold;
+  run_once(&cold);
+  EXPECT_EQ(cold.slices_downloaded, kShards);
+  EXPECT_EQ(cold.slices_resumed, 0);
+
+  WireTraffic warm;
+  run_once(&warm);
+  EXPECT_EQ(warm.slices_downloaded, 0);
+  EXPECT_EQ(warm.slice_bytes_downloaded, 0);
+  EXPECT_EQ(warm.slices_resumed, kShards);
+
+  // Shard 0's hosted copy becomes shard 1's slice: loadable, so reported
+  // with a non-zero fingerprint, but not the coordinator's shard 0.
+  auto store = ShardedGraphStore::Build(g, kShards);
+  ASSERT_TRUE(store.ok());
+  std::vector<uint8_t> wrong;
+  graph_io::AppendShardSlice(store->shard(1), &wrong);
+  dist::PersistentShardStore hosted(dir);
+  ASSERT_TRUE(hosted.Put(0, wrong).ok());
+  ASSERT_TRUE(hosted.Load(0).has_value());
+
+  WireTraffic stale;
+  run_once(&stale);
+  EXPECT_EQ(stale.slices_downloaded, 1);
+  EXPECT_EQ(stale.slices_resumed, kShards - 1);
+  auto healed = hosted.Load(0);
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->fingerprint, dist::ShardSliceFingerprint(store->shard(0)));
 }
 
 TEST(MultiProcessSpinnerTest, StoreLoadsConsistentWithAssignment) {

@@ -1,7 +1,8 @@
-// Hostile bytes against the shard formats: the SPSL slice decoder and the
-// SPSB shard-store base. Every cut and every single-byte flip of a small
-// encoded slice must end in a clean Status or a clean store miss — never a
-// crash, an out-of-bounds read or an allocation larger than the input.
+// Hostile bytes against the shard formats — the SPSL slice decoder and the
+// SPSB shard-store base — and the Assign handshake message. Every cut and
+// every single-byte flip of a small encoded slice must end in a clean
+// Status or a clean store miss — never a crash, an out-of-bounds read or
+// an allocation larger than the input.
 // The ASan/UBSan chaos lane (ci.sh --mode=chaos) runs this suite.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "common/base_log.h"
 #include "dist/shard_store.h"
+#include "dist/wire_format.h"
 #include "graph/binary_io.h"
 #include "graph/generators.h"
 #include "graph/sharded_store.h"
@@ -233,6 +235,63 @@ TEST(HostileBytesTest, Version1StoreBaseIsAMissAndPutReplacesIt) {
   EXPECT_EQ(loaded->fingerprint, dist::ShardSliceFingerprint(slice));
   EXPECT_EQ(SliceBytes(loaded->shard), slice);
   std::filesystem::remove_all(dir);
+}
+
+/// A protocol-6 Assign owning shards 2..4 of 9.
+dist::AssignMessage SmallAssign() {
+  dist::AssignMessage assign;
+  assign.num_partitions = 8;
+  assign.seed = 5;
+  assign.num_vertices = 300;
+  assign.num_shards_total = 9;
+  assign.owned_shards = {2, 3, 4};
+  assign.fail_after_score_steps = -1;
+  return assign;
+}
+
+TEST(HostileBytesTest, AssignCutOrFlippedIsRejectedOrDecodedInBounds) {
+  const std::vector<uint8_t> bytes = SmallAssign().Encode();
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+    auto decoded = dist::AssignMessage::Decode(truncated);
+    ASSERT_FALSE(decoded.ok()) << "cut " << cut;
+    EXPECT_TRUE(IsCleanRejection(decoded.status())) << decoded.status();
+  }
+  // A flip either fails cleanly (a count past the payload, say) or
+  // decodes to a message whose shard list is no longer than the input.
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[at] ^= 0x80;
+    auto decoded = dist::AssignMessage::Decode(flipped);
+    if (!decoded.ok()) {
+      EXPECT_TRUE(IsCleanRejection(decoded.status())) << decoded.status();
+      continue;
+    }
+    EXPECT_LE(decoded->owned_shards.size() * sizeof(int32_t), bytes.size())
+        << "flip at " << at;
+  }
+}
+
+TEST(HostileBytesTest, Protocol5AssignIsRejectedNotMisread) {
+  // Protocol 5 put a vec<u64> of slice fingerprints between owned_shards
+  // and fail_after_score_steps. Read as protocol 6, the fingerprint count
+  // would land in fail_after_score_steps; the decoder must refuse the
+  // trailing bytes instead.
+  const dist::AssignMessage assign = SmallAssign();
+  dist::WireWriter w;
+  w.PutI32(assign.num_partitions);
+  w.PutU64(assign.seed);
+  w.PutU8(assign.balance_on_vertices);
+  w.PutU8(assign.per_worker_async);
+  w.PutI64(assign.num_vertices);
+  w.PutI32(assign.num_shards_total);
+  w.PutVector(assign.owned_shards);
+  w.PutVector(std::vector<uint64_t>{11, 12, 13});
+  w.PutI32(assign.fail_after_score_steps);
+  auto decoded = dist::AssignMessage::Decode(w.Take());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status();
 }
 
 }  // namespace

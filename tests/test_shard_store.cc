@@ -21,9 +21,8 @@
 namespace spinner {
 namespace {
 
-using dist::BuildWorkerLayout;
 using dist::PersistentShardStore;
-using dist::RemapTargetsToSlots;
+using dist::RemapToWorkerLayout;
 using dist::ShardSliceFingerprint;
 using dist::WorkerLayout;
 
@@ -276,7 +275,7 @@ TEST(WorkerLayoutTest, SlotsCoverOwnedPlusSubscribedNotAllOfV) {
   // A middle worker owning shards {1, 2}.
   std::vector<ShardedGraphStore::Shard> shards = {store->shard(1),
                                                   store->shard(2)};
-  auto layout = BuildWorkerLayout(shards, g.NumVertices());
+  auto layout = RemapToWorkerLayout(shards, g.NumVertices());
   ASSERT_TRUE(layout.ok()) << layout.status();
   EXPECT_EQ(layout->owned_begin, store->shard(1).begin);
   EXPECT_EQ(layout->owned_end, store->shard(2).end);
@@ -308,13 +307,13 @@ TEST(WorkerLayoutTest, RemapSendsEveryTargetToItsCompactSlot) {
   ASSERT_TRUE(store.ok());
   std::vector<ShardedGraphStore::Shard> shards = {store->shard(1),
                                                   store->shard(2)};
-  auto layout = BuildWorkerLayout(shards, g.NumVertices());
+  auto layout = RemapToWorkerLayout(shards, g.NumVertices());
   ASSERT_TRUE(layout.ok()) << layout.status();
 
-  for (auto& shard : shards) {
-    const std::vector<ShardedGraphStore::Target> global_targets =
-        shard.targets;
-    ASSERT_TRUE(RemapTargetsToSlots(*layout, &shard).ok());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const ShardedGraphStore::Shard& shard = shards[s];
+    const std::vector<ShardedGraphStore::Target>& global_targets =
+        store->shard(static_cast<int>(s) + 1).targets;
     ASSERT_EQ(shard.targets.size(), global_targets.size());
     for (size_t i = 0; i < shard.targets.size(); ++i) {
       const VertexId slot = shard.targets[i];
@@ -339,26 +338,18 @@ TEST(WorkerLayoutTest, RejectsGapsAndForeignTargets) {
   // Non-contiguous assignment (a gap between shards 1 and 3).
   std::vector<ShardedGraphStore::Shard> gap = {store->shard(1),
                                                store->shard(3)};
-  EXPECT_FALSE(BuildWorkerLayout(gap, g.NumVertices()).ok());
+  EXPECT_FALSE(RemapToWorkerLayout(gap, g.NumVertices()).ok());
 
   // A target outside [0, n) can never be resolved.
   std::vector<ShardedGraphStore::Shard> bad = {store->shard(0)};
   ASSERT_FALSE(bad[0].targets.empty());
   bad[0].targets[0] =
       static_cast<ShardedGraphStore::Target>(g.NumVertices() + 5);
-  EXPECT_FALSE(BuildWorkerLayout(bad, g.NumVertices()).ok());
-
-  // Remap against a layout that does not cover the shard's neighbors.
-  auto layout = BuildWorkerLayout(
-      std::vector<ShardedGraphStore::Shard>{store->shard(1)},
-      g.NumVertices());
-  ASSERT_TRUE(layout.ok());
-  ShardedGraphStore::Shard foreign = store->shard(4);
-  EXPECT_FALSE(RemapTargetsToSlots(*layout, &foreign).ok());
+  EXPECT_FALSE(RemapToWorkerLayout(bad, g.NumVertices()).ok());
 }
 
 TEST(WorkerLayoutTest, EmptyAssignmentYieldsEmptyLayout) {
-  auto layout = BuildWorkerLayout({}, 1000);
+  auto layout = RemapToWorkerLayout({}, 1000);
   ASSERT_TRUE(layout.ok()) << layout.status();
   EXPECT_EQ(layout->owned_count(), 0);
   EXPECT_EQ(layout->num_slots(), 0);

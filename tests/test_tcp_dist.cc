@@ -105,14 +105,12 @@ TEST(TcpWireFormatTest, HelloAssignResumeRoundTrip) {
   assign.num_vertices = 4096;
   assign.num_shards_total = 6;
   assign.owned_shards = {2, 3, 4};
-  assign.slice_fingerprints = {11, 0, 13};
   assign.fail_after_score_steps = 7;
   auto assign2 = dist::AssignMessage::Decode(assign.Encode());
   ASSERT_TRUE(assign2.ok()) << assign2.status();
   EXPECT_EQ(assign2->num_partitions, 8);
   EXPECT_EQ(assign2->seed, 99u);
   EXPECT_EQ(assign2->owned_shards, assign.owned_shards);
-  EXPECT_EQ(assign2->slice_fingerprints, assign.slice_fingerprints);
   EXPECT_EQ(assign2->fail_after_score_steps, 7);
   const SpinnerConfig config = assign2->ToConfig();
   EXPECT_EQ(config.num_partitions, 8);
@@ -129,20 +127,19 @@ TEST(TcpWireFormatTest, HelloAssignResumeRoundTrip) {
 TEST(TcpWireFormatTest, HandshakeDecodersRejectMalformedPayloads) {
   dist::AssignMessage assign;
   assign.owned_shards = {0, 1};
-  assign.slice_fingerprints = {5, 6};
   const std::vector<uint8_t> bytes = assign.Encode();
-  for (size_t cut = 0; cut < bytes.size(); cut += 5) {
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
     EXPECT_FALSE(dist::AssignMessage::Decode(truncated).ok())
         << "cut=" << cut;
   }
-  // A fingerprint list that does not pair 1:1 with the shard list can
-  // never be matched against a store — rejected at decode.
-  dist::AssignMessage skewed;
-  skewed.owned_shards = {0, 1, 2};
-  skewed.slice_fingerprints = {5};
-  EXPECT_FALSE(
-      dist::AssignMessage::Decode(skewed.Encode()).ok());
+  // An owned-shard count larger than the payload is rejected before any
+  // allocation.
+  std::vector<uint8_t> huge_count = bytes;
+  const size_t count_at = 4 + 8 + 1 + 1 + 8 + 4;
+  ASSERT_LT(count_at + 8, huge_count.size());
+  for (size_t i = 0; i < 8; ++i) huge_count[count_at + i] = 0xff;
+  EXPECT_FALSE(dist::AssignMessage::Decode(huge_count).ok());
 
   EXPECT_FALSE(dist::HelloMessage::Decode({}).ok());
   EXPECT_FALSE(dist::ResumeMessage::Decode({}).ok());
@@ -164,9 +161,10 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
 }
 
 TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
-  // Protocol 5 carries SPSL version 2 slices (u32 targets, u8 weights),
-  // so a version-4 worker must be turned away too.
-  EXPECT_EQ(dist::kProtocolVersion, 5u);
+  // Protocol 6 drops Assign's slice fingerprints, so a version-5 worker
+  // (which would read the shard list and then fingerprints) must be
+  // turned away too.
+  EXPECT_EQ(dist::kProtocolVersion, 6u);
   for (const uint32_t version :
        {dist::kProtocolVersion + 7, dist::kProtocolVersion - 1}) {
     RegistryOptions options;
@@ -197,6 +195,11 @@ TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
     auto frame = dist::RecvMessage(conn->fd(), transport);
     ASSERT_TRUE(frame.ok()) << frame.status();
     EXPECT_EQ(frame->type, static_cast<uint32_t>(MessageType::kError));
+    const std::string reason(frame->payload.begin(), frame->payload.end());
+    EXPECT_NE(reason.find("protocol version mismatch: worker speaks " +
+                          std::to_string(version)),
+              std::string::npos)
+        << reason;
   }
 }
 
@@ -212,7 +215,7 @@ TEST(TcpRegistryTest, DeadPooledConnectionsAreDroppedNotHandedOut) {
   ASSERT_TRUE(acquired.ok()) << acquired.status();
   ASSERT_EQ(acquired->size(), 1u);
   EXPECT_EQ((*registry)->handshakes_completed(), 1);
-  (*registry)->Release(std::move((*acquired)[0]));
+  (*registry)->Release(std::move(*acquired));
   EXPECT_EQ((*registry)->num_pooled(), 1);
 
   // The pooled worker dies; its connection must be detected and dropped,
