@@ -1,10 +1,11 @@
 // Superstep-kernel microbenchmark: the seed scalar ComputeScores /
 // ComputeMigrations loop (embedded verbatim below as `namespace seed`)
 // against the current kernel — hoisted penalty/probability tables, the
-// O(moves) async-view restore, the masked dense label scan (SPINNER_SIMD)
-// — and against the full work-stealing run. Three topology classes vary
-// the degree skew: uniform small-world, power-law hubs, and power-law
-// with a celebrity overlay.
+// O(moves) async-view restore, the presence-bitmap label gather and bit
+// walk — and against the full work-stealing run. Three topology classes
+// vary the degree skew: uniform small-world, power-law hubs, and
+// power-law with a celebrity overlay. Each runs at the sweep's k, at
+// k = 32 and at k = 128, where the bitmap spans two words.
 //
 // The JSON artifact's hot metric is the *within-run* speedup ratio
 // (seed ms / new ms on the same machine, same graph, same iteration
@@ -434,7 +435,8 @@ void WriteJson(const std::string& path, bool smoke, int iters,
 
 void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
   PrintBanner(
-      "LPA kernel — seed scalar loop vs SIMD + work-stealing superstep",
+      "LPA kernel — seed scalar loop vs current kernel + work-stealing "
+      "superstep",
       "kernel_speedup >= 1.5 on the skewed (power-law) case; stealing at "
       "least matches the kernel when threads > 1");
   if (n <= 0) n = smoke ? 4000 : 24000;
@@ -444,10 +446,9 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
   config.num_partitions = k;
   config.seed = 42;
 
-  // Degree-skew sweep: the dense masked scan only engages where
-  // OutDegree >= k, so the degree-16 uniform graph runs all-dense at k = 8
-  // and all-sparse at k = 32, and the power-law cases mix low-degree
-  // vertices with hubs that hit the dense path hard.
+  // Degree-skew sweep: the degree-16 uniform graph touches up to 16
+  // labels per vertex at any k, while the power-law cases mix low-degree
+  // vertices with hubs that touch every label.
   auto uniform = WattsStrogatz(n, 8, 0.3, 42);
   SPINNER_CHECK(uniform.ok());
   auto skewed = BarabasiAlbert(n, 8, 8, 42);
@@ -468,8 +469,8 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
     }
   }
 
-  // Every topology runs at the sweep's k and again at k = 32, perfbench's
-  // k, where the degree-16 uniform graph sits below the dense cutover.
+  // Every topology runs at the sweep's k, again at k = 32, perfbench's k,
+  // and at k = 128, past the one-word presence bitmap.
   struct Topology {
     std::string name;
     std::string recipe;
@@ -480,11 +481,12 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
        std::move(uniform).value()},
       {"skewed", "BarabasiAlbert(m=8) power-law", std::move(skewed).value()},
       {"hubs", "power-law + celebrity overlay", std::move(hubs.graph)}};
-  constexpr int kWideK = 32;
   const int stealing_shards = 7;
   std::vector<CaseResult> cases;
   std::vector<int> sweep_ks = {k};
-  if (k != kWideK) sweep_ks.push_back(kWideK);
+  for (const int wide_k : {32, 128}) {
+    if (k != wide_k) sweep_ks.push_back(wide_k);
+  }
   for (const int case_k : sweep_ks) {
     config.num_partitions = case_k;
     const std::string suffix =

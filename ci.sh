@@ -36,8 +36,9 @@
 #
 # Chaos mode (one ASan Release configuration):
 #   ./ci.sh --mode=chaos
-# Builds RelWithDebInfo with AddressSanitizer, runs the failure-recovery
-# and fault-injection tests, then the failover smoke: a coordinator with
+# Builds RelWithDebInfo with AddressSanitizer + UBSan, runs the
+# failure-recovery, fault-injection and LPA-kernel tests, then the
+# failover smoke: a coordinator with
 # recovery armed drives 3 dial-in workers, one of which kills itself
 # mid-superstep (`worker --fail-after-scores`), under a benign
 # SPINNER_FAULT_PLAN of frame delays — the run must survive the failover
@@ -48,8 +49,9 @@
 #   ./ci.sh --mode=simd-parity
 # Builds Release with SPINNER_SIMD=ON (the default) and =OFF, runs the
 # kernel/scheduler/session tests in both, then diffs a partition_tool
-# run byte-for-byte across the two binaries — the vectorized dense scan
-# must be a pure speed knob, never a results knob (docs/PERFORMANCE.md).
+# run byte-for-byte across the two binaries — the knob's pragma on the
+# penalty fill must be a pure speed knob, never a results knob
+# (docs/PERFORMANCE.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -90,9 +92,9 @@ if [[ -n "${SANITIZE}" && -n "${MODE}" ]]; then
 fi
 
 if [[ "${MODE}" == "simd-parity" ]]; then
-  # Two Release builds differing only in the SPINNER_SIMD knob. The
-  # dense SIMD scan and the scalar reference are bit-identical by
-  # construction (lpa_kernel.h), so the OFF build must pass the same
+  # Two Release builds differing only in the SPINNER_SIMD knob, which
+  # marks only the penalty fill (lpa_kernel.h). The pragma changes no
+  # expression, so the OFF build must pass the same
   # kernel/scheduler/session tests and produce byte-identical
   # partitions.
   declare -A simd_dirs=([on]=build-ci-simd-on [off]=build-ci-simd-off)
@@ -129,7 +131,9 @@ if [[ "${MODE}" == "chaos" ]]; then
   # fault proxy's pump threads) under AddressSanitizer: a failover that
   # leaks endpoints or races the proxies fails here loudly. The shard
   # slice and shard-store decoders run here too, fed cut and flipped
-  # bytes (HostileBytes).
+  # bytes (HostileBytes), and the LPA kernel's differential tests
+  # (LpaKernel), whose k = 64/65 cases put the presence bitmap's word
+  # boundary under UBSan's shift check.
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   build_dir="build-ci-chaos"
@@ -140,9 +144,9 @@ if [[ "${MODE}" == "chaos" ]]; then
     -DSPINNER_SANITIZE=address
   cmake --build "${build_dir}" -j "${JOBS}"
 
-  echo "=== recovery, fault-injection and hostile-bytes tests (ASan) ==="
+  echo "=== recovery, fault-injection, hostile-bytes and kernel tests (ASan) ==="
   ctest --test-dir "${build_dir}" \
-    -R '^(Recovery|FaultPlan|Tcp|MultiProcess|HostileBytes)' \
+    -R '^(Recovery|FaultPlan|Tcp|MultiProcess|HostileBytes|LpaKernel)' \
     --output-on-failure -j "${JOBS}"
 
   echo "=== failover smoke: 3 workers, one dies mid-superstep ==="

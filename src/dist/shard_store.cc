@@ -29,10 +29,12 @@ uint64_t ShardSliceFingerprint(std::span<const uint8_t> slice_bytes) {
 }
 
 uint64_t ShardSliceFingerprint(const ShardedGraphStore::Shard& shard) {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(graph_io::EncodedShardSliceSize(shard));
-  graph_io::AppendShardSlice(shard, &bytes);
-  return ChecksumBytes(bytes);
+  uint64_t digest = kFnvOffsetBasis;
+  graph_io::ForEachShardSlicePiece(
+      shard, [&digest](std::span<const uint8_t> piece) {
+        digest = ChecksumFold(digest, piece);
+      });
+  return digest;
 }
 
 PersistentShardStore::PersistentShardStore(std::string root, Options options)

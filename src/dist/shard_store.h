@@ -38,7 +38,8 @@
 namespace spinner::dist {
 
 /// FNV-1a digest of a shard's canonical SPSL slice encoding — the resume
-/// fingerprint a worker reports in Resume and the coordinator checks.
+/// fingerprint a worker reports in Resume and the coordinator checks. The
+/// Shard overload folds the encoding piece by piece, without a copy.
 uint64_t ShardSliceFingerprint(std::span<const uint8_t> slice_bytes);
 uint64_t ShardSliceFingerprint(const ShardedGraphStore::Shard& shard);
 

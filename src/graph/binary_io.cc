@@ -138,27 +138,39 @@ class SliceCursor {
 }  // namespace
 
 size_t EncodedShardSliceSize(const ShardedGraphStore::Shard& shard) {
-  const size_t owned = static_cast<size_t>(shard.NumOwnedVertices());
-  const size_t arcs = static_cast<size_t>(shard.NumArcs());
-  return sizeof(kSliceMagic) + sizeof(kSliceVersion) +
-         3 * sizeof(int64_t) +  // begin, end, num_arcs
-         (owned + 1) * sizeof(int64_t) +  // offsets
-         arcs * (sizeof(ShardedGraphStore::Target) +
-                 sizeof(ShardedGraphStore::Weight)) +
-         owned * sizeof(int64_t);  // weighted_degree
+  size_t size = 0;
+  ForEachShardSlicePiece(shard, [&size](std::span<const uint8_t> piece) {
+    size += piece.size();
+  });
+  return size;
+}
+
+void ForEachShardSlicePiece(
+    const ShardedGraphStore::Shard& shard,
+    const std::function<void(std::span<const uint8_t>)>& piece) {
+  const auto bytes = [&](const void* data, size_t size) {
+    piece({static_cast<const uint8_t*>(data), size});
+  };
+  const auto raw = [&](const auto& value) { bytes(&value, sizeof(value)); };
+  const auto array = [&](const auto& values) {
+    bytes(values.data(), values.size() * sizeof(values[0]));
+  };
+  bytes(kSliceMagic, sizeof(kSliceMagic));
+  raw(kSliceVersion);
+  raw(static_cast<int64_t>(shard.begin));
+  raw(static_cast<int64_t>(shard.end));
+  raw(shard.NumArcs());
+  array(shard.offsets);
+  array(shard.targets);
+  array(shard.weights);
+  array(shard.weighted_degree);
 }
 
 void AppendShardSlice(const ShardedGraphStore::Shard& shard,
                       std::vector<uint8_t>* out) {
-  out->insert(out->end(), kSliceMagic, kSliceMagic + sizeof(kSliceMagic));
-  AppendRaw(out, kSliceVersion);
-  AppendRaw(out, static_cast<int64_t>(shard.begin));
-  AppendRaw(out, static_cast<int64_t>(shard.end));
-  AppendRaw(out, shard.NumArcs());
-  AppendArray(out, shard.offsets);
-  AppendArray(out, shard.targets);
-  AppendArray(out, shard.weights);
-  AppendArray(out, shard.weighted_degree);
+  ForEachShardSlicePiece(shard, [out](std::span<const uint8_t> piece) {
+    AppendBytes(out, piece.data(), piece.size());
+  });
 }
 
 Result<ShardedGraphStore::Shard> DecodeShardSlice(

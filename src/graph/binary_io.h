@@ -5,6 +5,7 @@
 #define SPINNER_GRAPH_BINARY_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -65,6 +66,14 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path);
 /// Load counters are run state, not topology, and are not serialized.
 void AppendShardSlice(const ShardedGraphStore::Shard& shard,
                       std::vector<uint8_t>* out);
+
+/// Calls `piece` with each run of bytes of the slice encoding of `shard`
+/// above — magic, header fields, then each array — in order. The
+/// concatenated pieces are exactly what AppendShardSlice appends, so a
+/// digest can fold them in place instead of hashing an encoded copy.
+void ForEachShardSlicePiece(
+    const ShardedGraphStore::Shard& shard,
+    const std::function<void(std::span<const uint8_t>)>& piece);
 
 /// Exact byte size AppendShardSlice will append for `shard` — lets
 /// multi-slice encoders (the Setup slice download, which may stream

@@ -15,52 +15,42 @@
 //    out of the per-vertex loop — the load term is identical for every
 //    vertex that sees the same load view, so dividing per (vertex, label)
 //    was pure waste.
-//  * The best label is found by one of two interchangeable scans:
-//    PickLabelSparse walks the touched-label list, PickLabelDense scans
-//    all k labels. Both are branch-free max loops that store each score
-//    in a buffer for the tie pass. The caller takes the dense scan only
-//    when OutDegree(v) >= k: there the O(k) scan costs no more than the
-//    O(deg) gather, while below k the sparse scan's O(labels touched)
-//    wins, however large a share of the k labels the vertex touches.
-//    Both compute the same per-label expression over the same candidate
-//    set {current} ∪ {l : freq[l] > 0}, and the tie break is a pure
-//    function of (seed, superstep, vertex, label set) — NOT of scan
-//    order — so the two scans are bit-identical by construction and
-//    callers may pick either per vertex. Both rely on every arc weight
-//    being >= 1 (CsrGraph::FromEdges and graph_io::DecodeShardSlice
-//    reject 0), so that freq[l] > 0 exactly for the touched labels.
+//  * The label scan (BlocksComputeScores, spinner/shard_superstep.cc) is
+//    one gather and one bit walk. The gather adds each arc's weight to
+//    freq[l] and sets bit l of a presence bitmap — one register word when
+//    k <= 64, ⌈k/64⌉ scratch words above — so no arc's store address
+//    depends on an earlier arc's load. The walk visits the set bits in
+//    label order, i.e. exactly the candidate set {l : freq[l] > 0}, in
+//    O(labels touched): it scores each label with Score, keeps a
+//    branch-free max, stores each score for the tie pass (PickTied) and
+//    zeroes freq[l] behind it. The current label always competes, at the
+//    same Score expression, so it cannot raise the max. Every arc weight
+//    is >= 1 (CsrGraph::FromEdges and graph_io::DecodeShardSlice reject
+//    0), so a set bit means freq[l] > 0.
 //  * Exact-score ties among non-current maxima are broken by the minimal
 //    TieKey (lexicographic on (key, label)); the draw is still uniform
-//    over the tied set and deterministic per (seed, superstep, vertex).
+//    over the tied set and deterministic per (seed, superstep, vertex),
+//    and it is a pure function of the tied label set — not of the order
+//    the labels are scanned in.
 #ifndef SPINNER_SPINNER_LPA_KERNEL_H_
 #define SPINNER_SPINNER_LPA_KERNEL_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <span>
 
-#include "common/logging.h"
 #include "common/random.h"
-#include "graph/sharded_store.h"
 #include "graph/types.h"
 
-// SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) marks the dense
-// per-label scans with `#pragma omp simd` (compile-time only via
-// -fopenmp-simd; no OpenMP runtime dependency). On the default x86-64
-// target the pragma does NOT vectorize the scan: int64→double has no
-// packed conversion below AVX-512DQ, and the Release object code of
-// BlocksComputeScores (GCC 12) holds only scalar cvtsi2sdq/mulsd/subsd/
-// maxsd. The dense scan is fast because it is branch-free, not because it
-// is SIMD (docs/PERFORMANCE.md). With the knob OFF the pragmas vanish and
-// every vertex takes the sparse scan — same expressions, same results,
-// byte-for-byte (the simd-parity CI lane asserts this).
+// SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) marks FillPenalties'
+// per-label loop with `#pragma omp simd` (compile-time only via
+// -fopenmp-simd; no OpenMP runtime dependency). The label scan carries no
+// pragma. With the knob OFF the pragma vanishes — same expressions, same
+// results, byte-for-byte (the simd-parity CI lane asserts this).
 #if defined(SPINNER_SIMD)
 #define SPINNER_PRAGMA_SIMD _Pragma("omp simd")
-#define SPINNER_PRAGMA_SIMD_REDUX(clause) _Pragma(clause)
 #else
 #define SPINNER_PRAGMA_SIMD
-#define SPINNER_PRAGMA_SIMD_REDUX(clause)
 #endif
 
 namespace spinner::lpa {
@@ -120,7 +110,7 @@ struct LabelChoice {
   bool better = false;
 };
 
-/// The tie pass of both scans: among the n scanned labels whose stored
+/// The label scan's tie pass: among the n scanned labels whose stored
 /// score equals `best`, current excluded, picks the one minimizing
 /// (TieKey, label). label_of(i) is the i-th scanned label, scores[i] its
 /// score from the max pass.
@@ -142,99 +132,6 @@ inline LabelChoice PickTied(size_t n, const LabelOf& label_of,
     }
   }
   return LabelChoice{chosen, true};
-}
-
-/// The sparse scan's gather: adds each arc's weight to freq[label] and
-/// lists each distinct neighbor label once in `touched`, returning how
-/// many. Branch-free: every arc writes its label to touched[n], and n
-/// advances only on the label's first weight. With every weight >= 1 at
-/// most k labels are listed, so `touched` needs k + 1 slots (a repeat
-/// after all k still writes slot k). `freq` must be zero on entry.
-inline size_t GatherTouched(
-    std::span<const ShardedGraphStore::Target> neighbors,
-    std::span<const ShardedGraphStore::Weight> weights,
-    const PartitionId* labels, int64_t* freq,
-    std::span<PartitionId> touched) {
-  PartitionId* touched_p = touched.data();
-  size_t n = 0;
-  for (size_t j = 0; j < neighbors.size(); ++j) {
-    const PartitionId l = labels[neighbors[j]];
-    SPINNER_DCHECK(l >= 0) << "neighbor label not initialized";
-    touched_p[n] = l;
-    n += freq[l] == 0;
-    freq[l] += weights[j];
-  }
-  SPINNER_DCHECK(n < touched.size()) << "a weight-0 arc listed a label twice";
-  return n;
-}
-
-/// Picks the best label for a vertex among its current label and the
-/// distinct labels in `touched` (the neighborhood's labels, any order),
-/// scoring each with Eq. 8 via `freq`, `inv_degree` and the `penalty`
-/// table. `current_score` must be Score(freq[current], inv_degree,
-/// penalty[current]). The max runs branch-free over every touched label,
-/// current included — its score is the same expression as
-/// `current_score`, so it cannot raise the max — and stores the i-th
-/// score in score_buf[i] for the tie pass. The dense scan below is
-/// bit-identical.
-inline LabelChoice PickLabelSparse(std::span<const int64_t> freq,
-                                   std::span<const PartitionId> touched,
-                                   PartitionId current, double current_score,
-                                   double inv_degree,
-                                   std::span<const double> penalty,
-                                   std::span<double> score_buf, uint64_t seed,
-                                   int64_t superstep, VertexId v) {
-  const size_t n = touched.size();
-  const PartitionId* touched_p = touched.data();
-  const int64_t* freq_p = freq.data();
-  const double* penalty_p = penalty.data();
-  double* buf_p = score_buf.data();
-  double best = current_score;
-  for (size_t i = 0; i < n; ++i) {
-    const PartitionId l = touched_p[i];
-    const double s = Score(freq_p[l], inv_degree, penalty_p[l]);
-    buf_p[i] = s;
-    best = s > best ? s : best;
-  }
-  if (!(best > current_score)) return LabelChoice{current, false};
-  return PickTied(
-      n, [&](size_t i) { return touched_p[i]; }, buf_p, current, best, seed,
-      superstep, v);
-}
-
-/// Dense variant of PickLabelSparse: scans all k labels with a branch-free
-/// masked max instead of walking the touched list, writing each label's
-/// (masked) score into `score_buf` (size k). Candidate set, scores and
-/// tie break are identical to the sparse scan, so the two may be chosen
-/// per vertex without affecting results. Pays only for vertices with at
-/// least k arcs, whose gather already costs O(k).
-inline LabelChoice PickLabelDense(std::span<const int64_t> freq,
-                                  PartitionId current, double current_score,
-                                  double inv_degree,
-                                  std::span<const double> penalty,
-                                  std::span<double> score_buf, uint64_t seed,
-                                  int64_t superstep, VertexId v) {
-  const int k = static_cast<int>(score_buf.size());
-  constexpr double kMasked = -std::numeric_limits<double>::infinity();
-  double best = current_score;
-  const int64_t* freq_p = freq.data();
-  const double* penalty_p = penalty.data();
-  double* buf_p = score_buf.data();
-  SPINNER_PRAGMA_SIMD_REDUX("omp simd reduction(max : best)")
-  for (int l = 0; l < k; ++l) {
-    const double s =
-        static_cast<double>(freq_p[l]) * inv_degree - penalty_p[l];
-    const double masked = freq_p[l] > 0 ? s : kMasked;
-    buf_p[l] = masked;
-    best = masked > best ? masked : best;
-  }
-  // `best` included current_score even when freq[current] == 0, so a
-  // strictly better non-current label exists iff best moved.
-  if (!(best > current_score)) return LabelChoice{current, false};
-  return PickTied(
-      static_cast<size_t>(k),
-      [](size_t i) { return static_cast<PartitionId>(i); }, buf_p, current,
-      best, seed, superstep, v);
 }
 
 /// Migration probability (Eq. 14): remaining capacity r(l) over the load

@@ -1,6 +1,7 @@
 #include "spinner/shard_superstep.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "spinner/lpa_kernel.h"
@@ -22,7 +23,8 @@ int64_t RangeArcs(const ShardedGraphStore::Shard& shard, VertexId begin,
 void ShardScratch::Prepare(int num_partitions) {
   const auto k = static_cast<size_t>(num_partitions);
   freq.assign(k, 0);
-  touched.assign(k + 1, 0);
+  present.assign((k + 63) / 64, 0);
+  touched.assign(k, 0);
   projected.assign(k, 0);
   penalty.assign(k, 0.0);
   async_dirty.clear();
@@ -90,22 +92,30 @@ void BlocksInitialize(const SpinnerConfig& config,
   sc.messages += RangeArcs(shard, begin, end);
 }
 
-void BlocksComputeScores(const SpinnerConfig& config,
-                         const ShardedGraphStore::Shard& shard,
-                         VertexId begin, VertexId end,
-                         std::span<const PartitionId> labels,
-                         int64_t superstep, std::span<PartitionId> candidate,
-                         std::span<double> block_score,
-                         std::span<int32_t> block_candidates,
-                         ShardScratch* scratch, VertexId index_base) {
-  SPINNER_DCHECK(index_base % kBlock == 0)
-      << "index_base must be block-aligned for block_score indexing";
-  // Only the SPINNER_SIMD dense/sparse cutover reads k.
-  [[maybe_unused]] const int k = config.num_partitions;
+namespace {
+
+/// BlocksComputeScores' body. kOneWord holds the gather's presence bitmap
+/// in one register word, valid for k <= 64; otherwise it lives in
+/// scratch->present. The two instantiations differ only in where the
+/// bits live.
+template <bool kOneWord>
+void ScoreBlocks(const SpinnerConfig& config,
+                 const ShardedGraphStore::Shard& shard, VertexId begin,
+                 VertexId end, std::span<const PartitionId> labels,
+                 int64_t superstep, std::span<PartitionId> candidate,
+                 std::span<double> block_score,
+                 std::span<int32_t> block_candidates, ShardScratch* scratch,
+                 VertexId index_base) {
+  // uint64_t{1} << l is undefined for l >= 64.
+  SPINNER_DCHECK(!kOneWord || config.num_partitions <= 64)
+      << "a one-word presence bitmap holds at most 64 labels";
   ShardScratch& sc = *scratch;
   const PartitionId* labels_p = labels.data();
   int64_t* freq_p = sc.freq.data();
-  const PartitionId* touched_p = sc.touched.data();
+  uint64_t* present_p = sc.present.data();
+  const size_t present_words = sc.present.size();
+  PartitionId* touched_p = sc.touched.data();
+  double* scores_p = sc.score_buf.data();
   for (VertexId block_begin = begin; block_begin < end;
        block_begin += kBlock) {
     const VertexId block_end = std::min<VertexId>(block_begin + kBlock, end);
@@ -119,48 +129,59 @@ void BlocksComputeScores(const SpinnerConfig& config,
         continue;
       }
       // Weighted label frequencies over the neighborhood (Eq. 4),
-      // reading neighbor labels from the previous-superstep array.
+      // reading neighbor labels from the previous-superstep array. No
+      // arc's addresses depend on an earlier arc's loads, so the random
+      // label reads of successive arcs overlap.
       const auto neighbors = shard.Neighbors(v);
       const auto weights = shard.WeightsOf(v);
+      uint64_t present = 0;
+      for (size_t j = 0; j < neighbors.size(); ++j) {
+        const PartitionId l = labels_p[neighbors[j]];
+        SPINNER_DCHECK(l >= 0) << "neighbor label not initialized";
+        if constexpr (kOneWord) {
+          present |= uint64_t{1} << l;
+        } else {
+          present_p[l >> 6] |= uint64_t{1} << (l & 63);
+        }
+        freq_p[l] += weights[j];
+      }
       const PartitionId current = labels_p[local];
       const double inv_deg = shard.InvWeightedDegreeOf(v);
-      lpa::LabelChoice choice;
-      int64_t freq_current = 0;
-#if defined(SPINNER_SIMD)
-      // Vertices with at least k arcs take the dense scan: the gather
-      // already costs O(k), so the branch-free masked max over all k
-      // labels comes at no extra order. Below k the sparse scan costs
-      // O(labels touched). Both are bit-identical (lpa_kernel.h).
-      const bool dense =
-          static_cast<int64_t>(neighbors.size()) >= static_cast<int64_t>(k);
-#else
-      constexpr bool dense = false;
-#endif
-      if (dense) {
-        for (size_t j = 0; j < neighbors.size(); ++j) {
-          SPINNER_DCHECK(labels_p[neighbors[j]] >= 0)
-              << "neighbor label not initialized";
-          freq_p[labels_p[neighbors[j]]] += weights[j];
+      const int64_t freq_current = freq_p[current];
+      const double current_score =
+          lpa::Score(freq_current, inv_deg, sc.penalty[current]);
+      // The pick walks the set bits, i.e. exactly the labels with
+      // freq > 0, in label order: it scores each (current included — its
+      // score is current_score, so it cannot raise the max), stores the
+      // score for the tie pass and clears freq behind it.
+      const double* penalty_p = sc.penalty.data();
+      size_t n = 0;
+      double best = current_score;
+      const auto walk = [&](uint64_t bits, PartitionId first) {
+        for (; bits != 0; bits &= bits - 1) {
+          const PartitionId l = first + std::countr_zero(bits);
+          const double s = lpa::Score(freq_p[l], inv_deg, penalty_p[l]);
+          touched_p[n] = l;
+          scores_p[n] = s;
+          ++n;
+          best = s > best ? s : best;
+          freq_p[l] = 0;
         }
-        freq_current = freq_p[current];
-        const double current_score =
-            lpa::Score(freq_current, inv_deg, sc.penalty[current]);
-        choice = lpa::PickLabelDense(sc.freq, current, current_score,
-                                     inv_deg, sc.penalty, sc.score_buf,
-                                     config.seed, superstep, v);
-        std::fill(sc.freq.begin(), sc.freq.end(), 0);
+      };
+      if constexpr (kOneWord) {
+        walk(present, 0);
       } else {
-        const size_t n = lpa::GatherTouched(neighbors, weights, labels_p,
-                                            freq_p, sc.touched);
-        freq_current = freq_p[current];
-        const double current_score =
-            lpa::Score(freq_current, inv_deg, sc.penalty[current]);
-        choice = lpa::PickLabelSparse(
-            sc.freq, std::span<const PartitionId>(touched_p, n), current,
-            current_score, inv_deg, sc.penalty, sc.score_buf, config.seed,
-            superstep, v);
-        for (size_t i = 0; i < n; ++i) freq_p[touched_p[i]] = 0;
+        for (size_t w = 0; w < present_words; ++w) {
+          walk(present_p[w], static_cast<PartitionId>(64 * w));
+          present_p[w] = 0;
+        }
       }
+      const lpa::LabelChoice choice =
+          best > current_score
+              ? lpa::PickTied(
+                    n, [&](size_t i) { return touched_p[i]; }, scores_p,
+                    current, best, config.seed, superstep, v)
+              : lpa::LabelChoice{current, false};
       // The global score uses the frozen global snapshot so the halting
       // signal is independent of the async view.
       score_sum +=
@@ -202,6 +223,24 @@ void BlocksComputeScores(const SpinnerConfig& config,
     block_score[block_index] = score_sum;
     block_candidates[block_index] = candidates_in_block;
   }
+}
+
+}  // namespace
+
+void BlocksComputeScores(const SpinnerConfig& config,
+                         const ShardedGraphStore::Shard& shard,
+                         VertexId begin, VertexId end,
+                         std::span<const PartitionId> labels,
+                         int64_t superstep, std::span<PartitionId> candidate,
+                         std::span<double> block_score,
+                         std::span<int32_t> block_candidates,
+                         ShardScratch* scratch, VertexId index_base) {
+  SPINNER_DCHECK(index_base % kBlock == 0)
+      << "index_base must be block-aligned for block_score indexing";
+  const auto body = config.num_partitions <= 64 ? &ScoreBlocks<true>
+                                                : &ScoreBlocks<false>;
+  body(config, shard, begin, end, labels, superstep, candidate, block_score,
+       block_candidates, scratch, index_base);
 }
 
 void BlocksComputeMigrations(const SpinnerConfig& config,

@@ -50,12 +50,15 @@ struct LabelDelta {
 /// accumulator merges by order-free integer addition, so the grouping
 /// never affects results.
 struct ShardScratch {
-  /// Per-label neighbor weight frequencies, reset in O(labels touched)
-  /// between vertices (sparse scan) or by a flat clear (dense scan, taken
-  /// only when OutDegree(v) >= k).
+  /// Per-label neighbor weight frequencies of the vertex being scored;
+  /// zero between vertices (the label pick clears what the gather set).
   std::vector<int64_t> freq;
-  /// The sparse scan's touched-label list: a fixed buffer of k + 1 slots,
-  /// the bound of the branch-free gather (lpa::GatherTouched).
+  /// The gather's presence bitmap for k > 64: bit l of word l / 64 is set
+  /// iff freq[l] > 0. ⌈k/64⌉ words, zero between vertices like `freq`. At
+  /// k <= 64 the bitmap is one word held in a register instead.
+  std::vector<uint64_t> present;
+  /// The labels the pick walked, in label order, k slots: the tie pass
+  /// reads them next to their scores in score_buf.
   std::vector<PartitionId> touched;
   /// Block-local asynchronous load view (§IV.A.4 at block granularity)
   /// and its penalty table, restored to the global snapshot
@@ -71,9 +74,8 @@ struct ShardScratch {
   /// Penalty table of the frozen global loads (lpa::FillPenalties),
   /// prepared once per ComputeScores call by PrepareScoresScratch.
   std::vector<double> penalty_base;
-  /// Score buffer of the label pick's tie pass, k slots: per label for
-  /// the dense scan (lpa::PickLabelDense), per touched-list slot for the
-  /// sparse scan (lpa::PickLabelSparse).
+  /// Score of touched[i] in slot i, for the label pick's tie pass; k
+  /// slots.
   std::vector<double> score_buf;
   /// Per-label migration probability table (Eq. 12–14), prepared once per
   /// ComputeMigrations call by PrepareMigrateScratch.

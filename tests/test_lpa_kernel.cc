@@ -1,21 +1,28 @@
-// The LPA kernel's two label scans must be interchangeable per vertex:
-// PickLabelSparse (touched-list walk) and PickLabelDense (all-k masked
-// max) score the same candidate set with the same expressions and an
-// order-independent tie break, so they must agree bit-for-bit on every
-// input — including exact-score ties and any permutation of the touched
-// list — and BlocksComputeScores, which takes the dense scan only for
-// vertices with at least k arcs, must match a sparse-only run. The
-// table-fill helpers must match the direct per-label computation exactly.
+// The LPA kernel's label scan — the presence-bitmap gather and the bit
+// walk in BlocksComputeScores — must take exactly the decisions of the
+// touched-list gather with its sparse and dense picks that it replaced
+// (kept verbatim in lpa_kernel_reference.h): on random shards every output
+// of BlocksComputeScores is compared bit for bit against the reference,
+// across k on both sides of the one-word bitmap, both balance modes, the
+// asynchronous view on and off, partial block ranges and a worker's
+// remapped compact layout. The tie pass must not depend on scan order, and
+// the table-fill helpers must match the direct per-label computation
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
-#include "graph/csr_graph.h"
+#include "common/random.h"
+#include "dist/worker.h"
 #include "graph/sharded_store.h"
 #include "graph/types.h"
+#include "lpa_kernel_reference.h"
 #include "spinner/config.h"
 #include "spinner/lpa_kernel.h"
 #include "spinner/shard_superstep.h"
@@ -23,280 +30,308 @@
 namespace spinner {
 namespace {
 
-struct KernelInput {
-  std::vector<int64_t> freq;
-  std::vector<PartitionId> touched;  // labels with freq > 0
-  PartitionId current = 0;
-  double inv_degree = 0.0;
-  std::vector<double> penalty;
-};
+using Shard = ShardedGraphStore::Shard;
+constexpr int64_t kBlock = ShardedGraphStore::kBlockSize;
 
-KernelInput RandomInput(std::mt19937_64& rng, int k, bool force_ties) {
-  KernelInput in;
-  in.freq.assign(static_cast<size_t>(k), 0);
-  in.penalty.assign(static_cast<size_t>(k), 0.0);
-  std::uniform_int_distribution<int> label_dist(0, k - 1);
-  std::uniform_int_distribution<int64_t> weight_dist(1, 5);
-  const int touched_count = 1 + static_cast<int>(rng() % k);
-  for (int i = 0; i < touched_count; ++i) {
-    const PartitionId l = label_dist(rng);
-    if (in.freq[l] == 0) in.touched.push_back(l);
-    in.freq[l] += weight_dist(rng);
-  }
-  if (force_ties) {
-    // Equal frequencies + zero penalties make every touched label an
-    // exact-score tie, exercising the TieKey resolution path.
-    for (const PartitionId l : in.touched) in.freq[l] = 3;
-  } else {
-    std::uniform_real_distribution<double> pen_dist(0.0, 0.5);
-    for (int l = 0; l < k; ++l) in.penalty[l] = pen_dist(rng);
-  }
-  int64_t deg = 0;
-  for (const int64_t f : in.freq) deg += f;
-  in.inv_degree = 1.0 / static_cast<double>(deg);
-  // current may or may not appear in the neighborhood.
-  in.current = label_dist(rng);
-  return in;
-}
-
-TEST(LpaKernelTest, SparseAndDenseScansAgreeOnRandomInputs) {
-  std::mt19937_64 rng(1234);
-  for (const bool force_ties : {false, true}) {
-    for (int trial = 0; trial < 2000; ++trial) {
-      const int k = 2 + static_cast<int>(rng() % 15);
-      const KernelInput in = RandomInput(rng, k, force_ties);
-      const uint64_t seed = rng();
-      const int64_t superstep = 1 + static_cast<int64_t>(rng() % 9);
-      const VertexId v = static_cast<VertexId>(rng() % 100000);
-      const double current_score = lpa::Score(
-          in.freq[in.current], in.inv_degree, in.penalty[in.current]);
-
-      std::vector<double> score_buf(static_cast<size_t>(k), 0.0);
-      const lpa::LabelChoice sparse = lpa::PickLabelSparse(
-          in.freq, in.touched, in.current, current_score, in.inv_degree,
-          in.penalty, score_buf, seed, superstep, v);
-      const lpa::LabelChoice dense = lpa::PickLabelDense(
-          in.freq, in.current, current_score, in.inv_degree, in.penalty,
-          score_buf, seed, superstep, v);
-
-      ASSERT_EQ(sparse.better, dense.better)
-          << "k=" << k << " trial=" << trial << " ties=" << force_ties;
-      ASSERT_EQ(sparse.label, dense.label)
-          << "k=" << k << " trial=" << trial << " ties=" << force_ties;
-    }
-  }
-}
-
-TEST(LpaKernelTest, SparseScanIsTouchedOrderIndependent) {
+TEST(LpaKernelTest, PickTiedIsScanOrderIndependent) {
+  // The bit walk lists labels in label order where the touched-list gather
+  // listed them in arc order; the tie pass must pick the same label for
+  // every order.
   std::mt19937_64 rng(77);
   for (int trial = 0; trial < 500; ++trial) {
-    const int k = 3 + static_cast<int>(rng() % 12);
-    KernelInput in = RandomInput(rng, k, trial % 2 == 0);
+    const int k = 3 + static_cast<int>(rng() % 62);
+    std::vector<PartitionId> scanned(static_cast<size_t>(k));
+    for (int l = 0; l < k; ++l) scanned[l] = l;
+    std::shuffle(scanned.begin(), scanned.end(), rng);
+    scanned.resize(1 + rng() % k);
+    // Scores from a small set make exact ties at the maximum common.
+    std::vector<double> scores;
+    for (size_t i = 0; i < scanned.size(); ++i) {
+      scores.push_back(0.25 * static_cast<double>(rng() % 3));
+    }
+    const double best = *std::max_element(scores.begin(), scores.end());
+    const PartitionId current = scanned[rng() % scanned.size()];
     const uint64_t seed = rng();
     const VertexId v = static_cast<VertexId>(trial);
-    const double current_score = lpa::Score(in.freq[in.current],
-                                            in.inv_degree,
-                                            in.penalty[in.current]);
-    std::vector<double> score_buf(static_cast<size_t>(k), 0.0);
-    const lpa::LabelChoice reference = lpa::PickLabelSparse(
-        in.freq, in.touched, in.current, current_score, in.inv_degree,
-        in.penalty, score_buf, seed, /*superstep=*/3, v);
+    const auto pick = [&] {
+      return lpa::PickTied(
+          scanned.size(), [&](size_t i) { return scanned[i]; },
+          scores.data(), current, best, seed, /*superstep=*/3, v);
+    };
+    const lpa::LabelChoice reference = pick();
     for (int shuffle = 0; shuffle < 5; ++shuffle) {
-      std::shuffle(in.touched.begin(), in.touched.end(), rng);
-      const lpa::LabelChoice got = lpa::PickLabelSparse(
-          in.freq, in.touched, in.current, current_score, in.inv_degree,
-          in.penalty, score_buf, seed, /*superstep=*/3, v);
-      ASSERT_EQ(got.better, reference.better);
-      ASSERT_EQ(got.label, reference.label);
+      // Permute labels and scores together.
+      std::vector<size_t> order(scanned.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), rng);
+      std::vector<PartitionId> labels_before = scanned;
+      std::vector<double> scores_before = scores;
+      for (size_t i = 0; i < order.size(); ++i) {
+        scanned[i] = labels_before[order[i]];
+        scores[i] = scores_before[order[i]];
+      }
+      const lpa::LabelChoice got = pick();
+      ASSERT_EQ(got.better, reference.better) << "trial " << trial;
+      ASSERT_EQ(got.label, reference.label) << "trial " << trial;
     }
   }
 }
 
-TEST(LpaKernelTest, GatherTouchingEveryLabelFillsTheLastSlot) {
-  // 3k arcs cycling through all k labels: once the k distinct labels are
-  // listed, every further arc writes the spare slot k of the scratch's
-  // (k + 1)-slot buffer — the bound the sanitizer lanes check.
-  constexpr int k = 8;
-  ShardScratch sc;
-  sc.Prepare(k);
-  ASSERT_EQ(sc.touched.size(), static_cast<size_t>(k + 1));
-  std::vector<PartitionId> labels(3 * k);
-  std::vector<ShardedGraphStore::Target> neighbors(3 * k);
-  std::vector<ShardedGraphStore::Weight> weights(3 * k);
-  for (int i = 0; i < 3 * k; ++i) {
-    labels[i] = static_cast<PartitionId>((5 * i) % k);
-    neighbors[i] = static_cast<ShardedGraphStore::Target>(i);
-    weights[i] = static_cast<ShardedGraphStore::Weight>(1 + i % 2);
+/// The random inputs of one BlocksComputeScores call.
+struct ScanCase {
+  SpinnerConfig config;
+  Shard shard;
+  /// Label array the scan reads: global ids when index_base is 0, the
+  /// worker's compact slots (owned, then subscribed) otherwise.
+  std::vector<PartitionId> labels;
+  VertexId index_base = 0;
+  int64_t num_blocks = 0;
+  VertexId begin = 0;  // the scored block range
+  VertexId end = 0;
+  std::vector<int64_t> loads;
+  std::vector<double> capacities;
+  int64_t superstep = 0;
+};
+
+/// A random shard at a block-aligned offset of an n-vertex graph: isolated
+/// vertices, light rows, rows around k and hubs of degree >> k, weights in
+/// [1, 255] (or all 1 with equal loads when `ties`, so that exact-score
+/// ties are common). With `remap` the shard is rewritten to a worker's
+/// compact layout and scored at index_base = shard.begin.
+ScanCase RandomCase(Rng& rng, int k, bool async, BalanceMode mode, bool ties,
+                    bool remap) {
+  ScanCase c;
+  c.config.num_partitions = k;
+  c.config.seed = rng.Next();
+  c.config.per_worker_async = async;
+  c.config.balance_mode = mode;
+  c.superstep = 1 + static_cast<int64_t>(rng.Uniform(40));
+
+  Shard& shard = c.shard;
+  shard.begin = kBlock * static_cast<VertexId>(rng.Uniform(3));
+  shard.end = shard.begin + 1 + static_cast<VertexId>(rng.Uniform(3 * kBlock));
+  const int64_t n = shard.end + static_cast<int64_t>(rng.Uniform(2 * kBlock));
+  shard.offsets.push_back(0);
+  for (VertexId v = shard.begin; v < shard.end; ++v) {
+    int64_t degree = 0;
+    const uint64_t kind = rng.Uniform(20);
+    if (kind == 0) {
+      degree = 0;  // isolated
+    } else if (kind == 1) {
+      degree = 4 * k + static_cast<int64_t>(rng.Uniform(64));  // hub
+    } else if (kind < 6) {
+      degree = k / 2 + static_cast<int64_t>(rng.Uniform(k + 1));
+    } else {
+      degree = 1 + static_cast<int64_t>(rng.Uniform(12));
+    }
+    int64_t weighted = 0;
+    for (int64_t a = 0; a < degree; ++a) {
+      shard.targets.push_back(
+          static_cast<ShardedGraphStore::Target>(rng.Uniform(n)));
+      const auto w = static_cast<ShardedGraphStore::Weight>(
+          ties ? 1 : 1 + rng.Uniform(rng.Uniform(2) == 0 ? 2 : 255));
+      shard.weights.push_back(w);
+      weighted += w;
+    }
+    shard.offsets.push_back(static_cast<int64_t>(shard.targets.size()));
+    shard.weighted_degree.push_back(weighted);
   }
-  const size_t n = lpa::GatherTouched(neighbors, weights, labels.data(),
-                                      sc.freq.data(), sc.touched);
-  ASSERT_EQ(n, static_cast<size_t>(k));
-  std::vector<PartitionId> listed(sc.touched.begin(), sc.touched.begin() + k);
-  std::sort(listed.begin(), listed.end());
-  for (int l = 0; l < k; ++l) EXPECT_EQ(listed[l], l);
-  int64_t deg = 0;
-  for (const int64_t f : sc.freq) {
-    EXPECT_GT(f, 0);
-    deg += f;
+  shard.RebuildInvDegrees();
+
+  // Skewed labels: a few labels dominate, so vertices touch anywhere from
+  // one to all k labels.
+  const auto draw_label = [&] {
+    const auto a = static_cast<int64_t>(rng.Uniform(k));
+    const auto b = static_cast<int64_t>(rng.Uniform(k));
+    return static_cast<PartitionId>(rng.Uniform(2) == 0 ? a : a * b / k);
+  };
+  if (remap) {
+    auto layout = dist::RemapToWorkerLayout(std::span<Shard>(&shard, 1), n);
+    SPINNER_CHECK(layout.ok()) << layout.status();
+    c.index_base = layout->owned_begin;
+    c.num_blocks = layout->num_blocks();
+    c.labels.resize(static_cast<size_t>(layout->num_slots()));
+  } else {
+    c.index_base = 0;
+    c.num_blocks = (n + kBlock - 1) / kBlock;
+    c.labels.resize(static_cast<size_t>(n));
   }
-  const std::vector<double> penalty = {0.30, 0.10, 0.25, 0.05,
-                                       0.20, 0.15, 0.35, 0.00};
-  const double inv_degree = 1.0 / static_cast<double>(deg);
-  for (PartitionId current = 0; current < k; ++current) {
-    const double current_score =
-        lpa::Score(sc.freq[current], inv_degree, penalty[current]);
-    const lpa::LabelChoice sparse = lpa::PickLabelSparse(
-        sc.freq, std::span<const PartitionId>(sc.touched.data(), n), current,
-        current_score, inv_degree, penalty, sc.score_buf, 9, 2, 77);
-    std::vector<double> dense_buf(k, 0.0);
-    const lpa::LabelChoice dense =
-        lpa::PickLabelDense(sc.freq, current, current_score, inv_degree,
-                            penalty, dense_buf, 9, 2, 77);
-    EXPECT_EQ(sparse.better, dense.better) << "current=" << current;
-    EXPECT_EQ(sparse.label, dense.label) << "current=" << current;
+  for (PartitionId& l : c.labels) l = draw_label();
+
+  // The scored range: the whole shard, or a block-aligned sub-range.
+  const int64_t shard_blocks =
+      (shard.end - shard.begin + kBlock - 1) / kBlock;
+  const int64_t first = static_cast<int64_t>(rng.Uniform(shard_blocks));
+  const int64_t last =
+      first + 1 + static_cast<int64_t>(rng.Uniform(shard_blocks - first));
+  const bool whole = rng.Uniform(2) == 0;
+  c.begin = whole ? shard.begin : shard.begin + first * kBlock;
+  c.end = whole ? shard.end
+                : std::min<VertexId>(shard.end, shard.begin + last * kBlock);
+
+  c.loads.assign(static_cast<size_t>(k), 0);
+  c.capacities.assign(static_cast<size_t>(k), 0.0);
+  int64_t total = 0;
+  for (int l = 0; l < k; ++l) {
+    c.loads[l] = ties ? 1000 : static_cast<int64_t>(rng.Uniform(5000));
+    total += c.loads[l];
   }
+  for (int l = 0; l < k; ++l) {
+    // A non-positive capacity scores a zero penalty.
+    c.capacities[l] = !ties && rng.Uniform(16) == 0
+                          ? 0.0
+                          : 1.05 * static_cast<double>(total) / k;
+  }
+  return c;
 }
 
-/// BlocksComputeScores' outputs for one whole-shard call.
-struct ScoresOutput {
+/// BlocksComputeScores' outputs for one call.
+struct ScanOutput {
   std::vector<PartitionId> candidate;
-  std::vector<double> block_score;
+  std::vector<uint64_t> block_score_bits;
   std::vector<int32_t> block_candidates;
   std::vector<int64_t> migrations;
   int64_t local_weight = 0;
 };
 
-/// A sparse-scan-only restatement of BlocksComputeScores over a whole
-/// shard with index base 0, the §IV.A.4 asynchronous view included.
-ScoresOutput SparseOnlyScores(const SpinnerConfig& config,
-                              const ShardedGraphStore::Shard& shard,
-                              const std::vector<PartitionId>& labels,
-                              const std::vector<int64_t>& loads,
-                              const std::vector<double>& capacities,
-                              int64_t superstep) {
-  const int k = config.num_partitions;
-  constexpr int64_t kBlock = ShardedGraphStore::kBlockSize;
-  std::vector<double> penalty_base(k);
-  lpa::FillPenalties(loads, capacities, penalty_base);
-  std::vector<double> penalty = penalty_base;
-  std::vector<int64_t> projected = loads;
-  std::vector<int64_t> freq(k, 0);
-  std::vector<PartitionId> touched(k + 1);
-  std::vector<double> score_buf(k);
-  ScoresOutput out;
-  out.candidate.assign(labels.size(), kNoPartition);
-  out.migrations.assign(k, 0);
-  for (VertexId b = shard.begin; b < shard.end; b += kBlock) {
-    double score_sum = 0.0;
-    int32_t candidates = 0;
-    for (VertexId v = b; v < std::min<VertexId>(b + kBlock, shard.end);
-         ++v) {
-      const int64_t deg_w = shard.WeightedDegreeOf(v);
-      if (deg_w == 0) continue;
-      const size_t n = lpa::GatherTouched(
-          shard.Neighbors(v), shard.WeightsOf(v), labels.data(), freq.data(),
-          touched);
-      const PartitionId current = labels[v];
-      const int64_t freq_current = freq[current];
-      const double inv_deg = shard.InvWeightedDegreeOf(v);
-      const lpa::LabelChoice choice = lpa::PickLabelSparse(
-          freq, std::span<const PartitionId>(touched.data(), n), current,
-          lpa::Score(freq_current, inv_deg, penalty[current]), inv_deg,
-          penalty, score_buf, config.seed, superstep, v);
-      for (size_t i = 0; i < n; ++i) freq[touched[i]] = 0;
-      score_sum += lpa::Score(freq_current, inv_deg, penalty_base[current]);
-      out.local_weight += freq_current;
-      if (!choice.better) continue;
-      out.candidate[v] = choice.label;
-      ++candidates;
-      const int64_t units = LoadUnitsOf(config, deg_w);
-      out.migrations[choice.label] += units;
-      if (config.per_worker_async) {
-        projected[choice.label] += units;
-        projected[current] -= units;
-        for (const PartitionId l : {choice.label, current}) {
-          penalty[l] = capacities[l] > 0
-                           ? static_cast<double>(projected[l]) / capacities[l]
-                           : 0.0;
-        }
-      }
-    }
-    penalty = penalty_base;
-    projected = loads;
-    out.block_score.push_back(score_sum);
-    out.block_candidates.push_back(candidates);
+/// Runs `scan` (library or reference) over the case from a fresh scratch,
+/// with sentinels in every output slot the range does not own.
+template <typename Scan>
+ScanOutput RunScan(const ScanCase& c, const Scan& scan,
+                   ShardScratch* sc_out = nullptr) {
+  ShardScratch local;
+  ShardScratch& sc = sc_out != nullptr ? *sc_out : local;
+  sc.Prepare(c.config.num_partitions);
+  PrepareScoresScratch(c.config, c.loads, c.capacities, &sc);
+  sc.ResetScores();
+  std::vector<PartitionId> candidate(c.labels.size(), -7);
+  std::vector<double> block_score(static_cast<size_t>(c.num_blocks), -1.5);
+  std::vector<int32_t> block_candidates(static_cast<size_t>(c.num_blocks),
+                                        -3);
+  scan(c, candidate, block_score, block_candidates, &sc);
+  ScanOutput out;
+  out.candidate = std::move(candidate);
+  for (const double s : block_score) {
+    out.block_score_bits.push_back(std::bit_cast<uint64_t>(s));
   }
+  out.block_candidates = std::move(block_candidates);
+  out.migrations = sc.migrations;
+  out.local_weight = sc.local_weight;
   return out;
 }
 
-TEST(LpaKernelTest, BlocksComputeScoresMatchesASparseOnlyRun) {
-  // Out-degrees span k/2 … 2k, so under SPINNER_SIMD both sides of the
-  // deg >= k cutover run in every block; unit weights make exact-score
-  // ties common.
-  constexpr int k = 16;
-  constexpr int64_t n = 3 * ShardedGraphStore::kBlockSize + 17;
-  std::mt19937_64 rng(2024);
-  EdgeList edges;
-  std::vector<EdgeWeight> weights;
-  int64_t below = 0;
-  int64_t at_or_above = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const int deg = k / 2 + static_cast<int>(rng() % (3 * k / 2 + 1));
-    (deg >= k ? at_or_above : below) += 1;
-    for (int j = 0; j < deg; ++j) {
-      edges.push_back({v, static_cast<VertexId>(rng() % n)});
-      weights.push_back(rng() % 4 == 0 ? 2 : 1);
+void ExpectSameOutput(const ScanOutput& got, const ScanOutput& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.candidate, want.candidate) << what;
+  EXPECT_EQ(got.block_score_bits, want.block_score_bits) << what;
+  EXPECT_EQ(got.block_candidates, want.block_candidates) << what;
+  EXPECT_EQ(got.migrations, want.migrations) << what;
+  EXPECT_EQ(got.local_weight, want.local_weight) << what;
+}
+
+/// Compares the library scan against the reference with and without its
+/// dense cutover, and checks the scan leaves freq and the bitmap zero.
+/// Returns how many migration candidates the scan chose.
+int64_t CheckAgainstReference(const ScanCase& c, const std::string& what) {
+  ShardScratch sc;
+  const ScanOutput got = RunScan(
+      c,
+      [](const ScanCase& c, std::span<PartitionId> candidate,
+         std::span<double> block_score, std::span<int32_t> block_candidates,
+         ShardScratch* sc) {
+        BlocksComputeScores(c.config, c.shard, c.begin, c.end, c.labels,
+                            c.superstep, candidate, block_score,
+                            block_candidates, sc, c.index_base);
+      },
+      &sc);
+  EXPECT_TRUE(std::all_of(sc.freq.begin(), sc.freq.end(),
+                          [](int64_t f) { return f == 0; }))
+      << what;
+  EXPECT_TRUE(std::all_of(sc.present.begin(), sc.present.end(),
+                          [](uint64_t w) { return w == 0; }))
+      << what;
+  for (const bool dense_cutover : {true, false}) {
+    const ScanOutput want = RunScan(
+        c, [&](const ScanCase& c, std::span<PartitionId> candidate,
+               std::span<double> block_score,
+               std::span<int32_t> block_candidates, ShardScratch* sc) {
+          lpa_kernel_reference::BlocksComputeScores(
+              c.config, c.shard, c.begin, c.end, c.labels, c.superstep,
+              candidate, block_score, block_candidates, sc, c.index_base,
+              dense_cutover);
+        });
+    ExpectSameOutput(got, want,
+                     what + " dense_cutover=" + std::to_string(dense_cutover));
+  }
+  return std::count_if(got.candidate.begin(), got.candidate.end(),
+                       [](PartitionId l) { return l >= 0; });
+}
+
+TEST(LpaKernelTest, BlocksComputeScoresMatchesTheReferenceScan) {
+  Rng rng(2024);
+  int64_t candidates = 0;
+  int cases = 0;
+  for (const int k : {1, 2, 8, 32, 63, 64, 65, 128, 257}) {
+    for (int trial = 0; trial < 32; ++trial) {
+      const bool async = trial % 2 == 0;
+      const BalanceMode mode =
+          trial % 4 < 2 ? BalanceMode::kEdges : BalanceMode::kVertices;
+      const bool ties = trial % 8 >= 4;
+      const bool remap = trial % 16 >= 8;
+      const ScanCase c = RandomCase(rng, k, async, mode, ties, remap);
+      candidates += CheckAgainstReference(
+          c, "k=" + std::to_string(k) + " trial=" + std::to_string(trial));
+      ++cases;
+      if (HasFailure()) return;
     }
   }
-  ASSERT_GT(below, 0);
-  ASSERT_GT(at_or_above, 0);
-  auto g = CsrGraph::FromEdges(n, edges, weights);
-  ASSERT_TRUE(g.ok()) << g.status();
-  auto store = ShardedGraphStore::Build(*g, 1);
-  ASSERT_TRUE(store.ok()) << store.status();
-  const ShardedGraphStore::Shard& shard = store->shard(0);
+  EXPECT_EQ(cases, 9 * 32);
+  // Moves were chosen, so the comparison is not vacuous.
+  EXPECT_GT(candidates, 0);
+}
 
-  // Skewed labels: a few labels dominate, so vertices touch anywhere from
-  // a handful to all k labels.
-  std::vector<PartitionId> labels(n);
-  std::vector<int64_t> loads(k, 0);
-  int64_t total = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto a = static_cast<PartitionId>(rng() % k);
-    const auto b = static_cast<PartitionId>(rng() % k);
-    labels[v] = a * b / k;
-    loads[labels[v]] += shard.WeightedDegreeOf(v);
-    total += shard.WeightedDegreeOf(v);
-  }
-  const std::vector<double> capacities(
-      k, 1.05 * static_cast<double>(total) / k);
-
-  for (const bool async : {true, false}) {
-    SpinnerConfig config;
-    config.num_partitions = k;
-    config.seed = 31;
-    config.per_worker_async = async;
-    const ScoresOutput want =
-        SparseOnlyScores(config, shard, labels, loads, capacities, 5);
-    ASSERT_GT(std::count_if(want.candidate.begin(), want.candidate.end(),
-                            [](PartitionId l) { return l != kNoPartition; }),
-              0);
-
+TEST(LpaKernelTest, VertexTouchingEveryLabelFillsEveryWalkSlot) {
+  // A vertex whose 3k arcs cycle through all k labels walks k labels: it
+  // fills the scratch's k-slot touched and score buffers to the last slot
+  // (the bound the sanitizer lanes check), on both sides of the one-word
+  // bitmap.
+  for (const int k : {63, 64, 65, 128}) {
+    ScanCase c;
+    c.config.num_partitions = k;
+    c.config.seed = 9;
+    c.superstep = 2;
+    const int64_t arcs = 3 * k;
+    c.shard.begin = 0;
+    c.shard.end = 1;
+    c.shard.offsets = {0, arcs};
+    int64_t weighted = 0;
+    for (int64_t i = 0; i < arcs; ++i) {
+      c.shard.targets.push_back(static_cast<ShardedGraphStore::Target>(1 + i));
+      c.shard.weights.push_back(static_cast<ShardedGraphStore::Weight>(
+          1 + i % 2));
+      weighted += 1 + i % 2;
+    }
+    c.shard.weighted_degree = {weighted};
+    c.shard.RebuildInvDegrees();
+    c.labels.resize(static_cast<size_t>(1 + arcs));
+    for (int64_t i = 0; i < arcs; ++i) {
+      c.labels[1 + i] = static_cast<PartitionId>((5 * i) % k);
+    }
+    c.num_blocks = 1;
+    c.begin = 0;
+    c.end = 1;
+    c.loads.assign(k, 0);
+    c.capacities.assign(k, 100.0);
+    for (int l = 0; l < k; ++l) c.loads[l] = (37 * l) % 23;
     ShardScratch sc;
     sc.Prepare(k);
-    ScoresOutput got;
-    got.candidate.assign(n, kNoPartition);
-    got.block_score.assign(store->NumBlocks(), 0.0);
-    got.block_candidates.assign(store->NumBlocks(), 0);
-    ShardComputeScores(config, shard, labels, loads, capacities, 5,
-                       got.candidate, got.block_score, got.block_candidates,
-                       &sc);
-    EXPECT_EQ(got.candidate, want.candidate) << "async=" << async;
-    EXPECT_EQ(got.block_score, want.block_score) << "async=" << async;
-    EXPECT_EQ(got.block_candidates, want.block_candidates)
-        << "async=" << async;
-    EXPECT_EQ(sc.migrations, want.migrations) << "async=" << async;
-    EXPECT_EQ(sc.local_weight, want.local_weight) << "async=" << async;
+    ASSERT_EQ(sc.touched.size(), static_cast<size_t>(k));
+    ASSERT_EQ(sc.score_buf.size(), static_cast<size_t>(k));
+    for (PartitionId current = 0; current < k; ++current) {
+      c.labels[0] = current;
+      CheckAgainstReference(c, "k=" + std::to_string(k) +
+                                   " current=" + std::to_string(current));
+    }
   }
 }
 

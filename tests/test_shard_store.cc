@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "dist/shard_store.h"
 #include "dist/worker.h"
 #include "graph/binary_io.h"
@@ -54,6 +55,43 @@ void AppendGarbage(const std::string& path, int n) {
   SPINNER_CHECK(f != nullptr);
   for (int i = 0; i < n; ++i) std::fputc(0x5a, f);
   std::fclose(f);
+}
+
+// --- ShardSliceFingerprint -------------------------------------------------
+
+TEST(ShardSliceFingerprintTest, FoldedPiecesEqualTheDigestOfTheEncodedSlice) {
+  // The Shard overload folds the encoding piece by piece; it must equal
+  // the digest of the encoded bytes, which is what a worker reports for
+  // the slice it stored.
+  std::vector<ShardedGraphStore::Shard> shards(1);  // default: no arrays
+  ShardedGraphStore::Shard empty;
+  empty.begin = 512;
+  empty.end = 512;
+  empty.offsets = {0};
+  shards.push_back(empty);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const CsrGraph g =
+        SmallWorldConverted(200 + 97 * static_cast<int64_t>(seed), seed);
+    auto store = ShardedGraphStore::Build(g, 1 + static_cast<int>(seed % 4));
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (int s = 0; s < store->num_shards(); ++s) {
+      shards.push_back(store->shard(s));
+    }
+  }
+  // Full-range weights: the u8 weight array at every byte value (the
+  // encoding does not check them against the weighted degrees).
+  ShardedGraphStore::Shard heavy = shards.back();
+  for (size_t i = 0; i < heavy.weights.size(); ++i) {
+    heavy.weights[i] = static_cast<ShardedGraphStore::Weight>(1 + i % 255);
+  }
+  shards.push_back(heavy);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const std::vector<uint8_t> bytes = SliceBytes(shards[i]);
+    EXPECT_EQ(ShardSliceFingerprint(shards[i]), ChecksumBytes(bytes))
+        << "shard " << i;
+    EXPECT_EQ(ShardSliceFingerprint(shards[i]), ShardSliceFingerprint(bytes))
+        << "shard " << i;
+  }
 }
 
 // --- PersistentShardStore --------------------------------------------------
