@@ -5,9 +5,11 @@
 // of BlocksComputeScores is compared bit for bit against the reference,
 // across k on both sides of the one-word bitmap, both balance modes, the
 // asynchronous view on and off, partial block ranges and a worker's
-// remapped compact layout. The tie pass must not depend on scan order, and
-// the table-fill helpers must match the direct per-label computation
-// exactly.
+// remapped compact layout. Per vertex, the reference sparse and dense
+// picks and the bitmap scan must agree on random neighbourhoods, and on a
+// graph whose out-degrees straddle k the library must match a sparse-only
+// reference run. The tie pass must not depend on scan order, and the
+// table-fill helpers must match the direct per-label computation exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 
 #include "common/random.h"
 #include "dist/worker.h"
+#include "graph/csr_graph.h"
 #include "graph/sharded_store.h"
 #include "graph/types.h"
 #include "lpa_kernel_reference.h"
@@ -288,6 +291,196 @@ TEST(LpaKernelTest, BlocksComputeScoresMatchesTheReferenceScan) {
   EXPECT_EQ(cases, 9 * 32);
   // Moves were chosen, so the comparison is not vacuous.
   EXPECT_GT(candidates, 0);
+}
+
+TEST(LpaKernelTest, SparseAndDenseScansAgreeOnRandomInputs) {
+  // One vertex per trial: up to k weighted arcs over random labels, its
+  // current label drawn independently (in or out of the neighbourhood),
+  // at a random id so the tie keys vary. The reference sparse and dense
+  // picks must agree, and the library's bitmap scan must pick the same.
+  std::mt19937_64 rng(1234);
+  int64_t moves = 0;
+  for (const bool force_ties : {false, true}) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int k = 2 + static_cast<int>(rng() % 15);
+      ScanCase c;
+      c.config.num_partitions = k;
+      c.config.seed = rng();
+      c.superstep = 1 + static_cast<int64_t>(rng() % 9);
+      // Vertices 0 .. v-1 are isolated; v is scored; its arcs go to v + 1 …
+      const auto v = static_cast<VertexId>(rng() % (2 * kBlock));
+      std::vector<int64_t> freq(static_cast<size_t>(k), 0);
+      std::vector<PartitionId> touched;
+      std::vector<PartitionId> arc_labels;
+      std::vector<int64_t> arc_weights;
+      const int arcs = 1 + static_cast<int>(rng() % k);
+      for (int i = 0; i < arcs; ++i) {
+        const auto l = static_cast<PartitionId>(rng() % k);
+        if (freq[l] == 0) touched.push_back(l);
+        const int64_t w = 1 + static_cast<int64_t>(rng() % 5);
+        freq[l] += w;
+        arc_labels.push_back(l);
+        arc_weights.push_back(w);
+      }
+      if (force_ties) {
+        // Equal frequencies and zero penalties make every touched label
+        // an exact-score tie, exercising the TieKey resolution path.
+        // One weight-3 arc per touched label.
+        for (const PartitionId l : touched) freq[l] = 3;
+        arc_labels = touched;
+        arc_weights.assign(touched.size(), 3);
+      }
+      const auto current = static_cast<PartitionId>(rng() % k);
+
+      Shard& shard = c.shard;
+      shard.begin = 0;
+      shard.end = v + 1;
+      shard.offsets.assign(static_cast<size_t>(v) + 1, 0);
+      shard.weighted_degree.assign(static_cast<size_t>(v), 0);
+      int64_t weighted = 0;
+      for (size_t i = 0; i < arc_labels.size(); ++i) {
+        shard.targets.push_back(
+            static_cast<ShardedGraphStore::Target>(v + 1 + i));
+        shard.weights.push_back(
+            static_cast<ShardedGraphStore::Weight>(arc_weights[i]));
+        weighted += arc_weights[i];
+      }
+      shard.offsets.push_back(static_cast<int64_t>(shard.targets.size()));
+      shard.weighted_degree.push_back(weighted);
+      shard.RebuildInvDegrees();
+      c.labels.assign(static_cast<size_t>(v) + 1 + arc_labels.size(), 0);
+      c.labels[v] = current;
+      for (size_t i = 0; i < arc_labels.size(); ++i) {
+        c.labels[v + 1 + i] = arc_labels[i];
+      }
+      c.num_blocks = (static_cast<int64_t>(c.labels.size()) + kBlock - 1) /
+                     kBlock;
+      c.begin = v - v % kBlock;
+      c.end = v + 1;
+      // Penalties load / capacity in [0, 0.5), or all zero for ties.
+      c.loads.assign(static_cast<size_t>(k), 0);
+      c.capacities.assign(static_cast<size_t>(k), 1000.0);
+      if (!force_ties) {
+        for (int64_t& load : c.loads) load = static_cast<int64_t>(rng() % 500);
+      }
+      std::vector<double> penalty(static_cast<size_t>(k));
+      lpa::FillPenalties(c.loads, c.capacities, penalty);
+
+      const double inv_degree = shard.InvWeightedDegreeOf(v);
+      const double current_score =
+          lpa::Score(freq[current], inv_degree, penalty[current]);
+      std::vector<double> score_buf(static_cast<size_t>(k), 0.0);
+      const lpa::LabelChoice sparse = lpa_kernel_reference::PickLabelSparse(
+          freq, touched, current, current_score, inv_degree, penalty,
+          score_buf, c.config.seed, c.superstep, v);
+      const lpa::LabelChoice dense = lpa_kernel_reference::PickLabelDense(
+          freq, current, current_score, inv_degree, penalty, score_buf,
+          c.config.seed, c.superstep, v);
+      const std::string what = "k=" + std::to_string(k) +
+                               " trial=" + std::to_string(trial) +
+                               " ties=" + std::to_string(force_ties);
+      ASSERT_EQ(sparse.better, dense.better) << what;
+      ASSERT_EQ(sparse.label, dense.label) << what;
+
+      const ScanOutput got = RunScan(
+          c, [](const ScanCase& c, std::span<PartitionId> candidate,
+                std::span<double> block_score,
+                std::span<int32_t> block_candidates, ShardScratch* sc) {
+            BlocksComputeScores(c.config, c.shard, c.begin, c.end, c.labels,
+                                c.superstep, candidate, block_score,
+                                block_candidates, sc, c.index_base);
+          });
+      ASSERT_EQ(got.candidate[v], sparse.better ? sparse.label : kNoPartition)
+          << what;
+      moves += sparse.better;
+    }
+  }
+  // Moves were chosen, so the comparison is not vacuous.
+  EXPECT_GT(moves, 0);
+}
+
+TEST(LpaKernelTest, BlocksComputeScoresMatchesASparseOnlyRun) {
+  // Out-degrees span k/2 … 2k, so the reference's dense cutover would
+  // fire for some vertices of every block and not for others; unit
+  // weights make exact-score ties common. ShardComputeScores must match
+  // the reference run with every vertex on the sparse scan.
+  constexpr int k = 16;
+  constexpr int64_t n = 3 * kBlock + 17;
+  std::mt19937_64 rng(2024);
+  EdgeList edges;
+  std::vector<EdgeWeight> weights;
+  int64_t below = 0;
+  int64_t at_or_above = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const int deg = k / 2 + static_cast<int>(rng() % (3 * k / 2 + 1));
+    (deg >= k ? at_or_above : below) += 1;
+    for (int j = 0; j < deg; ++j) {
+      edges.push_back({v, static_cast<VertexId>(rng() % n)});
+      weights.push_back(rng() % 4 == 0 ? 2 : 1);
+    }
+  }
+  ASSERT_GT(below, 0);
+  ASSERT_GT(at_or_above, 0);
+  auto g = CsrGraph::FromEdges(n, edges, weights);
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto store = ShardedGraphStore::Build(*g, 1);
+  ASSERT_TRUE(store.ok()) << store.status();
+
+  ScanCase c;
+  c.shard = store->shard(0);
+  c.config.num_partitions = k;
+  c.config.seed = 31;
+  c.superstep = 5;
+  c.num_blocks = store->NumBlocks();
+  c.begin = c.shard.begin;
+  c.end = c.shard.end;
+  // Skewed labels: a few labels dominate, so vertices touch anywhere from
+  // a handful to all k labels.
+  c.labels.resize(n);
+  c.loads.assign(k, 0);
+  int64_t total = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const auto a = static_cast<PartitionId>(rng() % k);
+    const auto b = static_cast<PartitionId>(rng() % k);
+    c.labels[v] = a * b / k;
+    c.loads[c.labels[v]] += c.shard.WeightedDegreeOf(v);
+    total += c.shard.WeightedDegreeOf(v);
+  }
+  c.capacities.assign(k, 1.05 * static_cast<double>(total) / k);
+
+  for (const bool async : {true, false}) {
+    c.config.per_worker_async = async;
+    const ScanOutput want = RunScan(
+        c, [](const ScanCase& c, std::span<PartitionId> candidate,
+              std::span<double> block_score,
+              std::span<int32_t> block_candidates, ShardScratch* sc) {
+          lpa_kernel_reference::BlocksComputeScores(
+              c.config, c.shard, c.begin, c.end, c.labels, c.superstep,
+              candidate, block_score, block_candidates, sc, c.index_base,
+              /*dense_cutover=*/false);
+        });
+    ASSERT_GT(std::count_if(want.candidate.begin(), want.candidate.end(),
+                            [](PartitionId l) { return l != kNoPartition; }),
+              0);
+
+    ShardScratch sc;
+    sc.Prepare(k);
+    std::vector<PartitionId> candidate(n, kNoPartition);
+    std::vector<double> block_score(c.num_blocks, 0.0);
+    std::vector<int32_t> block_candidates(c.num_blocks, 0);
+    ShardComputeScores(c.config, store->shard(0), c.labels, c.loads,
+                       c.capacities, c.superstep, candidate, block_score,
+                       block_candidates, &sc);
+    ScanOutput got;
+    got.candidate = std::move(candidate);
+    for (const double s : block_score) {
+      got.block_score_bits.push_back(std::bit_cast<uint64_t>(s));
+    }
+    got.block_candidates = std::move(block_candidates);
+    got.migrations = sc.migrations;
+    got.local_weight = sc.local_weight;
+    ExpectSameOutput(got, want, "async=" + std::to_string(async));
+  }
 }
 
 TEST(LpaKernelTest, VertexTouchingEveryLabelFillsEveryWalkSlot) {
