@@ -239,6 +239,7 @@ class ShardWorker {
     shards_.clear();
     layout_ = WorkerLayout();
     labels_.clear();
+    label_view_.clear();
     candidate_.clear();
     block_score_.clear();
     block_candidates_.clear();
@@ -266,6 +267,22 @@ class ShardWorker {
       return Status::InvalidArgument(
           StrFormat("%s carries %zu entries for k=%d", what, v.size(),
                     config_.num_partitions));
+    }
+    return Status::OK();
+  }
+
+  /// InvalidArgument unless every label is in [0, k), or kNoPartition
+  /// when `allow_none`: a label indexes per-label tables unchecked, and
+  /// one >= 256 would alias a valid label in the one-byte view.
+  Status CheckLabelRange(std::span<const PartitionId> labels, bool allow_none,
+                         const char* what) const {
+    for (const PartitionId label : labels) {
+      if ((label < 0 || label >= config_.num_partitions) &&
+          !(allow_none && label == kNoPartition)) {
+        return Status::InvalidArgument(StrFormat(
+            "%s %d out of range for k=%d", what, label,
+            config_.num_partitions));
+      }
     }
     return Status::OK();
   }
@@ -387,6 +404,12 @@ class ShardWorker {
     SPINNER_ASSIGN_OR_RETURN(layout_, RemapToWorkerLayout(merged, n_));
     shards_ = std::move(merged);
     labels_.assign(static_cast<size_t>(layout_.num_slots()), kNoPartition);
+    // Zero, not kNoPartition's low byte, until Init and Labels fill it: a
+    // slot read early then stays inside every per-label table.
+    label_view_.assign(UsesByteLabelView(config_.num_partitions)
+                           ? static_cast<size_t>(layout_.num_slots())
+                           : 0,
+                       0);
     candidate_.assign(static_cast<size_t>(layout_.owned_count()),
                       kNoPartition);
     block_score_.assign(static_cast<size_t>(layout_.num_blocks()), 0.0);
@@ -413,11 +436,13 @@ class ShardWorker {
       return Status::InvalidArgument(
           "Init: label slice does not cover this worker's owned range");
     }
+    SPINNER_RETURN_IF_ERROR(CheckLabelRange(
+        request.initial_labels, /*allow_none=*/true, "Init: initial label"));
     std::vector<int64_t> messages;
     for (ShardedGraphStore::Shard& shard : shards_) {
       messages.push_back(ShardInitialize(config_, &shard, labels_,
                                          request.initial_labels,
-                                         layout_.owned_begin));
+                                         layout_.owned_begin, label_view_));
     }
     return Send(MessageType::kInitReply, StateReply(messages).Encode());
   }
@@ -431,9 +456,11 @@ class ShardWorker {
           StrFormat("Labels: %zu values for %zu subscribed vertices",
                     message.values.size(), layout_.subscription.size()));
     }
+    SPINNER_RETURN_IF_ERROR(CheckLabelRange(
+        message.values, /*allow_none=*/false, "Labels: mirror label"));
     const size_t mirror_base = static_cast<size_t>(layout_.owned_count());
     for (size_t i = 0; i < message.values.size(); ++i) {
-      labels_[mirror_base + i] = message.values[i];
+      SetLabel(mirror_base + i, message.values[i]);
     }
     return Status::OK();
   }
@@ -462,10 +489,19 @@ class ShardWorker {
         static_cast<size_t>(config_.num_partitions), 0);
     for (size_t i = 0; i < shards_.size(); ++i) {
       const ShardedGraphStore::Shard& shard = shards_[i];
-      ShardComputeScores(config_, shard, labels_, request.global_loads,
-                         request.capacities, request.superstep, candidate_,
-                         block_score_, block_candidates_, &scratch_[i],
-                         layout_.owned_begin);
+      if (label_view_.empty()) {
+        ShardComputeScores(config_, shard, labels_, request.global_loads,
+                           request.capacities, request.superstep, candidate_,
+                           block_score_, block_candidates_, &scratch_[i],
+                           layout_.owned_begin);
+      } else {
+        ShardComputeScores(config_, shard,
+                           std::span<const uint8_t>(label_view_),
+                           request.global_loads, request.capacities,
+                           request.superstep, candidate_, block_score_,
+                           block_candidates_, &scratch_[i],
+                           layout_.owned_begin);
+      }
       const int64_t block_begin = (shard.begin - layout_.owned_begin) /
                                   ShardedGraphStore::kBlockSize;
       const int64_t block_end =
@@ -505,7 +541,7 @@ class ShardWorker {
                              request.global_loads, request.capacities,
                              request.migration_counts, request.superstep,
                              candidate_, block_candidates_, &result.moves,
-                             &scratch_[i], layout_.owned_begin);
+                             &scratch_[i], layout_.owned_begin, label_view_);
       result.loads = shards_[i].loads;
       result.migrated = scratch_[i].migrated;
       result.messages = scratch_[i].messages;
@@ -535,12 +571,19 @@ class ShardWorker {
             "ApplyDeltas: move for unsubscribed vertex %lld",
             static_cast<long long>(move.vertex)));
       }
-      labels_[static_cast<size_t>(layout_.owned_count()) +
-              static_cast<size_t>(it - mirror.begin())] = move.label;
+      SetLabel(static_cast<size_t>(layout_.owned_count()) +
+                   static_cast<size_t>(it - mirror.begin()),
+               move.label);
     }
     DeltasAck ack;
     ack.labels_checksum = StateChecksum();
     return Send(MessageType::kDeltasAck, ack.Encode());
+  }
+
+  /// Writes one slot's label and, when the gather reads one, its byte view.
+  void SetLabel(size_t slot, PartitionId label) {
+    labels_[slot] = label;
+    if (!label_view_.empty()) label_view_[slot] = static_cast<uint8_t>(label);
   }
 
   Status HandleSnapshot() {
@@ -583,6 +626,10 @@ class ShardWorker {
   std::vector<ShardedGraphStore::Shard> shards_;
   WorkerLayout layout_;
   std::vector<PartitionId> labels_;     // [owned ascending][mirror]
+  /// labels_ as one byte per slot when k <= 256 (UsesByteLabelView), the
+  /// array ComputeScores gathers from; empty above 256. labels_ stays
+  /// authoritative: checksums and state replies read it.
+  std::vector<uint8_t> label_view_;
   std::vector<PartitionId> candidate_;  // owned entries only
   std::vector<double> block_score_;     // owned blocks only
   std::vector<int32_t> block_candidates_;  // owned blocks only

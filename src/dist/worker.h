@@ -19,9 +19,10 @@
 // Memory is compact: the label array covers owned vertices plus the
 // subscribed boundary (not all of V), candidate/block-score scratch covers
 // owned entries only, and every CSR target is remapped to a slot in that
-// compact array at Setup. The shard kernels keep hashing GLOBAL vertex
-// ids (via their index_base parameter), so compaction cannot perturb
-// results.
+// compact array at Setup. At k <= 256 a one-byte copy of the label array,
+// kept in step by every label write, is what ComputeScores gathers from.
+// The shard kernels keep hashing GLOBAL vertex ids (via their index_base
+// parameter), so compaction cannot perturb results.
 //
 // A worker is single-threaded: its parallelism unit is the process, and
 // within a process shards execute in ascending shard order. It trusts

@@ -27,6 +27,11 @@
 //    same Score expression, so it cannot raise the max. Every arc weight
 //    is >= 1 (CsrGraph::FromEdges and graph_io::DecodeShardSlice reject
 //    0), so a set bit means freq[l] > 0.
+//  * With the chain gone, the gather's cost is the random read of each
+//    neighbour's label. At k <= 256 it reads a one-byte copy of the labels
+//    (UsesByteLabelView) that every label write keeps in step, so four
+//    times as many labels fit in a core's L2; above 256 it reads the
+//    PartitionId array. Both widths run one templated body.
 //  * Exact-score ties among non-current maxima are broken by the minimal
 //    TieKey (lexicographic on (key, label)); the draw is still uniform
 //    over the tied set and deterministic per (seed, superstep, vertex),

@@ -73,8 +73,10 @@ void BlocksInitialize(const SpinnerConfig& config,
                       const ShardedGraphStore::Shard& shard, VertexId begin,
                       VertexId end, std::span<PartitionId> labels,
                       std::span<const PartitionId> initial_labels,
-                      ShardScratch* scratch, VertexId index_base) {
+                      ShardScratch* scratch, VertexId index_base,
+                      std::span<uint8_t> label_view) {
   const int k = config.num_partitions;
+  SPINNER_DCHECK(label_view.empty() || UsesByteLabelView(k));
   ShardScratch& sc = *scratch;
   const auto initial_size = static_cast<int64_t>(initial_labels.size());
   for (VertexId v = begin; v < end; ++v) {
@@ -86,6 +88,7 @@ void BlocksInitialize(const SpinnerConfig& config,
     }
     SPINNER_DCHECK(label >= 0 && label < k);
     labels[local] = label;
+    if (!label_view.empty()) label_view[local] = static_cast<uint8_t>(label);
     sc.load_delta[label] += LoadUnitsOf(config, shard.WeightedDegreeOf(v));
   }
   // Every vertex advertises its initial label along its edges.
@@ -96,12 +99,14 @@ namespace {
 
 /// BlocksComputeScores' body. kOneWord holds the gather's presence bitmap
 /// in one register word, valid for k <= 64; otherwise it lives in
-/// scratch->present. The two instantiations differ only in where the
-/// bits live.
-template <bool kOneWord>
+/// scratch->present. `Label` is the element type of the label array the
+/// gather reads: PartitionId, or uint8_t for the one-byte view. The
+/// instantiations differ only in where the bits live and how wide a
+/// label read is.
+template <bool kOneWord, typename Label>
 void ScoreBlocks(const SpinnerConfig& config,
                  const ShardedGraphStore::Shard& shard, VertexId begin,
-                 VertexId end, std::span<const PartitionId> labels,
+                 VertexId end, std::span<const Label> labels,
                  int64_t superstep, std::span<PartitionId> candidate,
                  std::span<double> block_score,
                  std::span<int32_t> block_candidates, ShardScratch* scratch,
@@ -109,8 +114,11 @@ void ScoreBlocks(const SpinnerConfig& config,
   // uint64_t{1} << l is undefined for l >= 64.
   SPINNER_DCHECK(!kOneWord || config.num_partitions <= 64)
       << "a one-word presence bitmap holds at most 64 labels";
+  SPINNER_DCHECK(sizeof(Label) == sizeof(PartitionId) ||
+                 UsesByteLabelView(config.num_partitions))
+      << "a one-byte label view holds at most 256 labels";
   ShardScratch& sc = *scratch;
-  const PartitionId* labels_p = labels.data();
+  const Label* labels_p = labels.data();
   int64_t* freq_p = sc.freq.data();
   uint64_t* present_p = sc.present.data();
   const size_t present_words = sc.present.size();
@@ -137,7 +145,8 @@ void ScoreBlocks(const SpinnerConfig& config,
       uint64_t present = 0;
       for (size_t j = 0; j < neighbors.size(); ++j) {
         const PartitionId l = labels_p[neighbors[j]];
-        SPINNER_DCHECK(l >= 0) << "neighbor label not initialized";
+        SPINNER_DCHECK(l >= 0 && l < config.num_partitions)
+            << "neighbor label not initialized";
         if constexpr (kOneWord) {
           present |= uint64_t{1} << l;
         } else {
@@ -225,6 +234,43 @@ void ScoreBlocks(const SpinnerConfig& config,
   }
 }
 
+/// BlocksComputeScores over either label width: picks the bitmap variant
+/// from k.
+template <typename Label>
+void DispatchScoreBlocks(const SpinnerConfig& config,
+                         const ShardedGraphStore::Shard& shard,
+                         VertexId begin, VertexId end,
+                         std::span<const Label> labels, int64_t superstep,
+                         std::span<PartitionId> candidate,
+                         std::span<double> block_score,
+                         std::span<int32_t> block_candidates,
+                         ShardScratch* scratch, VertexId index_base) {
+  SPINNER_DCHECK(index_base % kBlock == 0)
+      << "index_base must be block-aligned for block_score indexing";
+  const auto body = config.num_partitions <= 64 ? &ScoreBlocks<true, Label>
+                                                : &ScoreBlocks<false, Label>;
+  body(config, shard, begin, end, labels, superstep, candidate, block_score,
+       block_candidates, scratch, index_base);
+}
+
+/// ShardComputeScores over either label width.
+template <typename Label>
+void ShardScores(const SpinnerConfig& config,
+                 const ShardedGraphStore::Shard& shard,
+                 std::span<const Label> labels,
+                 const std::vector<int64_t>& global_loads,
+                 const std::vector<double>& capacities, int64_t superstep,
+                 std::span<PartitionId> candidate,
+                 std::span<double> block_score,
+                 std::span<int32_t> block_candidates, ShardScratch* scratch,
+                 VertexId index_base) {
+  PrepareScoresScratch(config, global_loads, capacities, scratch);
+  scratch->ResetScores();
+  DispatchScoreBlocks(config, shard, shard.begin, shard.end, labels,
+                      superstep, candidate, block_score, block_candidates,
+                      scratch, index_base);
+}
+
 }  // namespace
 
 void BlocksComputeScores(const SpinnerConfig& config,
@@ -235,12 +281,22 @@ void BlocksComputeScores(const SpinnerConfig& config,
                          std::span<double> block_score,
                          std::span<int32_t> block_candidates,
                          ShardScratch* scratch, VertexId index_base) {
-  SPINNER_DCHECK(index_base % kBlock == 0)
-      << "index_base must be block-aligned for block_score indexing";
-  const auto body = config.num_partitions <= 64 ? &ScoreBlocks<true>
-                                                : &ScoreBlocks<false>;
-  body(config, shard, begin, end, labels, superstep, candidate, block_score,
-       block_candidates, scratch, index_base);
+  DispatchScoreBlocks(config, shard, begin, end, labels, superstep,
+                      candidate, block_score, block_candidates, scratch,
+                      index_base);
+}
+
+void BlocksComputeScores(const SpinnerConfig& config,
+                         const ShardedGraphStore::Shard& shard,
+                         VertexId begin, VertexId end,
+                         std::span<const uint8_t> labels, int64_t superstep,
+                         std::span<PartitionId> candidate,
+                         std::span<double> block_score,
+                         std::span<int32_t> block_candidates,
+                         ShardScratch* scratch, VertexId index_base) {
+  DispatchScoreBlocks(config, shard, begin, end, labels, superstep,
+                      candidate, block_score, block_candidates, scratch,
+                      index_base);
 }
 
 void BlocksComputeMigrations(const SpinnerConfig& config,
@@ -250,9 +306,12 @@ void BlocksComputeMigrations(const SpinnerConfig& config,
                              std::span<const PartitionId> candidate,
                              std::span<const int32_t> block_candidates,
                              std::vector<LabelDelta>* moves,
-                             ShardScratch* scratch, VertexId index_base) {
+                             ShardScratch* scratch, VertexId index_base,
+                             std::span<uint8_t> label_view) {
   SPINNER_DCHECK(index_base % kBlock == 0)
       << "index_base must be block-aligned for block_candidates indexing";
+  SPINNER_DCHECK(label_view.empty() ||
+                 UsesByteLabelView(config.num_partitions));
   ShardScratch& sc = *scratch;
   for (VertexId block_begin = begin; block_begin < end;
        block_begin += kBlock) {
@@ -277,6 +336,9 @@ void BlocksComputeMigrations(const SpinnerConfig& config,
       const PartitionId old_label = labels[local];
       const int64_t units = LoadUnitsOf(config, shard.WeightedDegreeOf(v));
       labels[local] = target;
+      if (!label_view.empty()) {
+        label_view[local] = static_cast<uint8_t>(target);
+      }
       sc.load_delta[target] += units;
       sc.load_delta[old_label] -= units;
       ++sc.migrated;
@@ -290,12 +352,12 @@ int64_t ShardInitialize(const SpinnerConfig& config,
                         ShardedGraphStore::Shard* shard,
                         std::span<PartitionId> labels,
                         std::span<const PartitionId> initial_labels,
-                        VertexId index_base) {
+                        VertexId index_base, std::span<uint8_t> label_view) {
   const int k = config.num_partitions;
   ShardScratch scratch;
   scratch.Prepare(k);
   BlocksInitialize(config, *shard, shard->begin, shard->end, labels,
-                   initial_labels, &scratch, index_base);
+                   initial_labels, &scratch, index_base, label_view);
   shard->loads = std::move(scratch.load_delta);
   return scratch.messages;
 }
@@ -309,11 +371,21 @@ void ShardComputeScores(const SpinnerConfig& config,
                         std::span<double> block_score,
                         std::span<int32_t> block_candidates,
                         ShardScratch* scratch, VertexId index_base) {
-  PrepareScoresScratch(config, global_loads, capacities, scratch);
-  scratch->ResetScores();
-  BlocksComputeScores(config, shard, shard.begin, shard.end, labels,
-                      superstep, candidate, block_score, block_candidates,
-                      scratch, index_base);
+  ShardScores(config, shard, labels, global_loads, capacities, superstep,
+              candidate, block_score, block_candidates, scratch, index_base);
+}
+
+void ShardComputeScores(const SpinnerConfig& config,
+                        const ShardedGraphStore::Shard& shard,
+                        std::span<const uint8_t> labels,
+                        const std::vector<int64_t>& global_loads,
+                        const std::vector<double>& capacities,
+                        int64_t superstep, std::span<PartitionId> candidate,
+                        std::span<double> block_score,
+                        std::span<int32_t> block_candidates,
+                        ShardScratch* scratch, VertexId index_base) {
+  ShardScores(config, shard, labels, global_loads, capacities, superstep,
+              candidate, block_score, block_candidates, scratch, index_base);
 }
 
 void ShardComputeMigrations(const SpinnerConfig& config,
@@ -326,13 +398,14 @@ void ShardComputeMigrations(const SpinnerConfig& config,
                             std::span<const PartitionId> candidate,
                             std::span<const int32_t> block_candidates,
                             std::vector<LabelDelta>* moves,
-                            ShardScratch* scratch, VertexId index_base) {
+                            ShardScratch* scratch, VertexId index_base,
+                            std::span<uint8_t> label_view) {
   PrepareMigrateScratch(config, global_loads, capacities, migration_counts,
                         scratch);
   scratch->ResetDelta();
   BlocksComputeMigrations(config, *shard, shard->begin, shard->end, labels,
                           superstep, candidate, block_candidates, moves,
-                          scratch, index_base);
+                          scratch, index_base, label_view);
   for (int l = 0; l < config.num_partitions; ++l) {
     shard->loads[l] += scratch->load_delta[l];
   }

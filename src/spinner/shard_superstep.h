@@ -132,6 +132,17 @@ void PrepareMigrateScratch(const SpinnerConfig& config,
                            const std::vector<int64_t>& migration_counts,
                            ShardScratch* scratch);
 
+/// The largest k whose labels fit the gather's one-byte label view.
+inline constexpr int kMaxByteViewPartitions = 256;
+
+/// Whether ComputeScores reads a one-byte copy of the labels instead of
+/// the PartitionId array; the width follows from k alone. At such a k a
+/// label holder keeps the view beside its (authoritative) PartitionId
+/// array and passes it to every label write below (`label_view`).
+inline bool UsesByteLabelView(int num_partitions) {
+  return num_partitions <= kMaxByteViewPartitions;
+}
+
 /// The load contribution of a vertex under the configured balance mode.
 inline int64_t LoadUnitsOf(const SpinnerConfig& config,
                            int64_t weighted_degree) {
@@ -159,11 +170,15 @@ inline int64_t LoadUnitsOf(const SpinnerConfig& config,
 /// (base = first owned vertex), keeping worker memory O(owned + boundary).
 /// Hash decisions always use the *global* id, so results are identical
 /// for every base.
+///
+/// A non-empty `label_view` (same indexing as `labels`; k <= 256) receives
+/// every written label as one byte.
 void BlocksInitialize(const SpinnerConfig& config,
                       const ShardedGraphStore::Shard& shard, VertexId begin,
                       VertexId end, std::span<PartitionId> labels,
                       std::span<const PartitionId> initial_labels,
-                      ShardScratch* scratch, VertexId index_base = 0);
+                      ShardScratch* scratch, VertexId index_base = 0,
+                      std::span<uint8_t> label_view = {});
 
 /// ComputeScores for a block range: for every vertex scores the
 /// neighborhood labels (Eq. 8) against the prepared penalty tables — with
@@ -181,11 +196,23 @@ void BlocksInitialize(const SpinnerConfig& config,
 /// BlocksInitialize. Neighbor labels are read at `labels[target]`
 /// verbatim: a caller with a compact array remaps the shard's CSR targets
 /// to local slots first (dist/worker.h RemapToWorkerLayout).
+///
+/// The `uint8_t` overload reads a one-byte label view (UsesByteLabelView).
+/// Both overloads run one templated body and take the same decisions for
+/// the same label values.
 void BlocksComputeScores(const SpinnerConfig& config,
                          const ShardedGraphStore::Shard& shard,
                          VertexId begin, VertexId end,
                          std::span<const PartitionId> labels,
                          int64_t superstep, std::span<PartitionId> candidate,
+                         std::span<double> block_score,
+                         std::span<int32_t> block_candidates,
+                         ShardScratch* scratch, VertexId index_base = 0);
+void BlocksComputeScores(const SpinnerConfig& config,
+                         const ShardedGraphStore::Shard& shard,
+                         VertexId begin, VertexId end,
+                         std::span<const uint8_t> labels, int64_t superstep,
+                         std::span<PartitionId> candidate,
                          std::span<double> block_score,
                          std::span<int32_t> block_candidates,
                          ShardScratch* scratch, VertexId index_base = 0);
@@ -199,7 +226,8 @@ void BlocksComputeScores(const SpinnerConfig& config,
 /// order — the label deltas the wire protocol broadcasts. Accumulates
 /// scratch->migrated / scratch->messages. Requires PrepareMigrateScratch
 /// first. `index_base` as in BlocksComputeScores; `moves` always carry
-/// *global* vertex ids regardless of the base.
+/// *global* vertex ids regardless of the base. `label_view` as in
+/// BlocksInitialize.
 void BlocksComputeMigrations(const SpinnerConfig& config,
                              const ShardedGraphStore::Shard& shard,
                              VertexId begin, VertexId end,
@@ -207,7 +235,8 @@ void BlocksComputeMigrations(const SpinnerConfig& config,
                              std::span<const PartitionId> candidate,
                              std::span<const int32_t> block_candidates,
                              std::vector<LabelDelta>* moves,
-                             ShardScratch* scratch, VertexId index_base = 0);
+                             ShardScratch* scratch, VertexId index_base = 0,
+                             std::span<uint8_t> label_view = {});
 
 // --- Whole-shard wrappers (sequential substrates: dist/worker.cc) -------
 
@@ -218,13 +247,23 @@ int64_t ShardInitialize(const SpinnerConfig& config,
                         ShardedGraphStore::Shard* shard,
                         std::span<PartitionId> labels,
                         std::span<const PartitionId> initial_labels,
-                        VertexId index_base = 0);
+                        VertexId index_base = 0,
+                        std::span<uint8_t> label_view = {});
 
 /// ComputeScores for one shard: PrepareScoresScratch +
-/// BlocksComputeScores over the full shard.
+/// BlocksComputeScores over the full shard, over either label width.
 void ShardComputeScores(const SpinnerConfig& config,
                         const ShardedGraphStore::Shard& shard,
                         std::span<const PartitionId> labels,
+                        const std::vector<int64_t>& global_loads,
+                        const std::vector<double>& capacities,
+                        int64_t superstep, std::span<PartitionId> candidate,
+                        std::span<double> block_score,
+                        std::span<int32_t> block_candidates,
+                        ShardScratch* scratch, VertexId index_base = 0);
+void ShardComputeScores(const SpinnerConfig& config,
+                        const ShardedGraphStore::Shard& shard,
+                        std::span<const uint8_t> labels,
                         const std::vector<int64_t>& global_loads,
                         const std::vector<double>& capacities,
                         int64_t superstep, std::span<PartitionId> candidate,
@@ -245,7 +284,8 @@ void ShardComputeMigrations(const SpinnerConfig& config,
                             std::span<const PartitionId> candidate,
                             std::span<const int32_t> block_candidates,
                             std::vector<LabelDelta>* moves,
-                            ShardScratch* scratch, VertexId index_base = 0);
+                            ShardScratch* scratch, VertexId index_base = 0,
+                            std::span<uint8_t> label_view = {});
 
 }  // namespace spinner
 

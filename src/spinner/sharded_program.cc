@@ -1,10 +1,13 @@
 #include "spinner/sharded_program.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "spinner/shard_superstep.h"
@@ -43,6 +46,9 @@ class InProcessBackend final : public SuperstepBackend {
             std::make_unique<std::mutex[]>(store->num_shards())),
         shard_messages_(static_cast<size_t>(store->num_shards()), 0),
         blocks_per_shard_(static_cast<size_t>(store->num_shards()), 0),
+        label_view_(UsesByteLabelView(config.num_partitions)
+                        ? static_cast<size_t>(store->NumVertices())
+                        : 0),
         candidate_(static_cast<size_t>(store->NumVertices()), kNoPartition),
         block_score_(static_cast<size_t>(store->NumBlocks()), 0.0),
         block_candidates_(static_cast<size_t>(store->NumBlocks()), 0) {
@@ -64,7 +70,7 @@ class InProcessBackend final : public SuperstepBackend {
     RunPhase([&](int worker, int s, VertexId begin, VertexId end) {
       ShardScratch& sc = scratch_[worker];
       BlocksInitialize(config_, store_->shard(s), begin, end, labels,
-                       initial_labels, &sc);
+                       initial_labels, &sc, /*index_base=*/0, label_view_);
       ApplyLoadDelta(s, &sc);
     });
     // Initialize's message count per shard is exactly its arc count (every
@@ -86,9 +92,16 @@ class InProcessBackend final : public SuperstepBackend {
       sc.ResetScores();
     }
     RunPhase([&](int worker, int s, VertexId begin, VertexId end) {
-      BlocksComputeScores(config_, store_->shard(s), begin, end, labels,
-                          superstep, candidate_, block_score_,
-                          block_candidates_, &scratch_[worker]);
+      if (label_view_.empty()) {
+        BlocksComputeScores(config_, store_->shard(s), begin, end, labels,
+                            superstep, candidate_, block_score_,
+                            block_candidates_, &scratch_[worker]);
+      } else {
+        BlocksComputeScores(config_, store_->shard(s), begin, end,
+                            std::span<const uint8_t>(label_view_), superstep,
+                            candidate_, block_score_, block_candidates_,
+                            &scratch_[worker]);
+      }
     });
     out->block_score = block_score_;
     out->local_weight = 0;
@@ -119,7 +132,8 @@ class InProcessBackend final : public SuperstepBackend {
       ShardScratch& sc = scratch_[worker];
       BlocksComputeMigrations(config_, store_->shard(s), begin, end, labels,
                               superstep, candidate_, block_candidates_,
-                              /*moves=*/nullptr, &sc);
+                              /*moves=*/nullptr, &sc, /*index_base=*/0,
+                              label_view_);
       ApplyLoadDelta(s, &sc);
     });
     out->migrated = 0;
@@ -189,6 +203,10 @@ class InProcessBackend final : public SuperstepBackend {
   std::unique_ptr<std::mutex[]> shard_mutex_;
   std::vector<int64_t> shard_messages_;
   std::vector<int64_t> blocks_per_shard_;
+  /// One byte per vertex label when k <= 256 (UsesByteLabelView), written
+  /// beside store_->labels() by Initialize and ComputeMigrations; the
+  /// ComputeScores gather reads it. Empty above 256.
+  std::vector<uint8_t> label_view_;
   /// Migration candidate per vertex (kNoPartition = none); written by the
   /// owning block each ComputeScores, consumed by ComputeMigrations.
   std::vector<PartitionId> candidate_;

@@ -136,7 +136,8 @@ int ResolveNumThreads(const SpinnerConfig& config);
 /// Runs Spinner label propagation shard-parallel over `store` on `pool`.
 /// `initial_labels` follows the driver's contract: one fixed label per
 /// vertex for incremental/elastic restarts, kNoPartition entries (or a
-/// shorter vector) draw a uniform random label at Initialize. On success
+/// shorter vector) draw a uniform random label at Initialize, and any
+/// other entry outside [0, k) is InvalidArgument. On success
 /// store->labels() holds the final assignment and every shard's load
 /// counters are consistent with it. `observer` may be null.
 Result<ShardedRunResult> RunShardedSpinner(

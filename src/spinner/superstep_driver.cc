@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 
 namespace spinner {
@@ -20,6 +21,13 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
   }
   const int k = config.num_partitions;
   const int S = store->num_shards();
+  // A label outside [0, k) would index every per-label table out of bounds.
+  for (const PartitionId label : initial_labels) {
+    if (label != kNoPartition && (label < 0 || label >= k)) {
+      return Status::InvalidArgument(StrFormat(
+          "initial label %d out of range for k=%d", label, k));
+    }
+  }
 
   store->ResetLoads(k);
   store->labels().assign(static_cast<size_t>(n), kNoPartition);

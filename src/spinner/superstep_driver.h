@@ -88,6 +88,8 @@ class SuperstepBackend {
 /// Runs the full superstep schedule over `store` through `backend`.
 /// `store` provides the topology (shard ranges, block count) and holds the
 /// authoritative labels/loads between phases; `observer` may be null.
+/// An `initial_labels` entry that is neither kNoPartition nor in [0, k)
+/// is InvalidArgument, before any superstep runs.
 Result<ShardedRunResult> DriveSpinnerSupersteps(
     const SpinnerConfig& config, ShardedGraphStore* store,
     std::vector<PartitionId> initial_labels, SuperstepBackend* backend,

@@ -360,19 +360,31 @@ TEST(TransportTest, OversizedAndBadMagicFramesAreRejected) {
 
 // --- Worker protocol ------------------------------------------------------
 
-/// What a hand-driven worker answered: its Resume fingerprints, its reply
-/// to the Setup, and the loop's exit code.
+/// What a hand-driven worker answered: its Resume fingerprints, its last
+/// reply (to the Setup, or to the last run message), and the loop's exit
+/// code.
 struct SetupOutcome {
   std::vector<uint64_t> resume;
   Frame reply;
   int exit_code = -1;
 };
 
+/// A run message DriveSetup sends once the worker subscribed, and whether
+/// the worker answers it when it accepts it (Labels is one-way).
+struct RunMessage {
+  MessageType type;
+  std::vector<uint8_t> payload;
+  bool answered = true;
+};
+
 /// Drives one worker loop by hand over a socketpair: Hello, Assign of
-/// `assigned` (a 4-way run over `store`), Resume, then `setup`.
+/// `assigned` (a 4-way run over `store`), Resume, then `setup`. If the
+/// worker subscribes, `then` follows in order: every answer but the last
+/// must not be an Error, and the last answer is recorded.
 void DriveSetup(const ShardedGraphStore& store, std::vector<int32_t> assigned,
                 const dist::SetupMessage& setup,
-                const dist::WorkerLoopOptions& loop, SetupOutcome* out) {
+                const dist::WorkerLoopOptions& loop, SetupOutcome* out,
+                const std::vector<RunMessage>& then = {}) {
   auto pair = dist::CreateSocketPair();
   ASSERT_TRUE(pair.ok());
   const dist::TransportOptions options;
@@ -411,6 +423,23 @@ void DriveSetup(const ShardedGraphStore& store, std::vector<int32_t> assigned,
     auto reply = dist::RecvMessage(fd, options);
     ASSERT_TRUE(reply.ok()) << reply.status();
     out->reply = std::move(reply).value();
+    if (out->reply.type != static_cast<uint32_t>(MessageType::kSubscribe)) {
+      return;
+    }
+    uint64_t id = 3;
+    for (size_t i = 0; i < then.size(); ++i) {
+      ASSERT_TRUE(dist::SendMessage(fd, static_cast<uint32_t>(then[i].type),
+                                    then[i].payload, options, id++)
+                      .ok());
+      if (!then[i].answered) continue;
+      auto answer = dist::RecvMessage(fd, options);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      out->reply = std::move(answer).value();
+      if (i + 1 < then.size()) {
+        ASSERT_NE(out->reply.type, static_cast<uint32_t>(MessageType::kError))
+            << "run message " << i;
+      }
+    }
   };
   drive();
   pair->first.Close();
@@ -474,6 +503,91 @@ TEST(ShardWorkerTest, SetupOmittingAShardTheWorkerDidNotReportIsRejected) {
   ExpectSetupRejected(warm, "omitted shard 2");
 }
 
+/// The Init, Labels and Snapshot run messages for a worker owning shard 0
+/// of `store`: Init fixes vertex 1's label to `initial`, Labels sends 0
+/// for every subscribed vertex but the last, which gets `last_mirror`.
+struct ShardZeroRun {
+  RunMessage init;
+  RunMessage labels;
+  RunMessage snapshot;
+  size_t subscribed = 0;
+};
+ShardZeroRun MakeShardZeroRun(const ShardedGraphStore& store,
+                              PartitionId initial, PartitionId last_mirror) {
+  ShardZeroRun run;
+  ShardedGraphStore::Shard slice = store.shard(0);
+  auto layout = dist::RemapToWorkerLayout(
+      std::span<ShardedGraphStore::Shard>(&slice, 1), store.NumVertices());
+  SPINNER_CHECK(layout.ok()) << layout.status();
+  run.subscribed = layout->subscription.size();
+  dist::InitRequest init;
+  init.base = layout->owned_begin;
+  init.initial_labels.assign(static_cast<size_t>(layout->owned_count()),
+                             kNoPartition);
+  init.initial_labels[1] = initial;
+  run.init = {MessageType::kInit, init.Encode()};
+  dist::LabelValues labels;
+  labels.values.assign(run.subscribed, 0);
+  if (!labels.values.empty()) labels.values.back() = last_mirror;
+  run.labels = {MessageType::kLabels, labels.Encode(), /*answered=*/false};
+  run.snapshot = {MessageType::kSnapshot, {}};
+  return run;
+}
+
+TEST(ShardWorkerTest, InitLabelOutsideTheRangeIsRejected) {
+  // The worker's k is 4 (DriveSetup's Assign): an initial label must be
+  // kNoPartition or in [0, 4), or it would index the load table out of
+  // bounds.
+  const CsrGraph g = SmallWorldConverted(600);
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage setup;
+  setup.owned_shards = {0};
+  setup.shards = {store->shard(0)};
+  for (const PartitionId bad : {4, 256, -2}) {
+    const ShardZeroRun run = MakeShardZeroRun(*store, bad, 0);
+    SetupOutcome outcome;
+    DriveSetup(*store, {0}, setup, {}, &outcome, {run.init});
+    ExpectSetupRejected(outcome, "Init: initial label");
+  }
+  // The largest label and a hash draw are accepted.
+  const ShardZeroRun run = MakeShardZeroRun(*store, 3, 3);
+  SetupOutcome outcome;
+  DriveSetup(*store, {0}, setup, {}, &outcome, {run.init});
+  EXPECT_EQ(outcome.reply.type, static_cast<uint32_t>(MessageType::kInitReply));
+}
+
+TEST(ShardWorkerTest, MirrorLabelOutsideTheRangeIsRejected) {
+  // A mirror label must lie in [0, k): the gather indexes per-label tables
+  // with it, and a value >= 256 would also alias a valid label in the
+  // one-byte view.
+  const CsrGraph g = SmallWorldConverted(600);
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage setup;
+  setup.owned_shards = {0};
+  setup.shards = {store->shard(0)};
+  for (const PartitionId bad : {4, 256, kNoPartition}) {
+    const ShardZeroRun run = MakeShardZeroRun(*store, kNoPartition, bad);
+    ASSERT_GT(run.subscribed, 0u);
+    // Labels is one-way: the Snapshot after it makes a worker that wrongly
+    // accepted the labels answer instead of leaving the harness waiting.
+    SetupOutcome outcome;
+    DriveSetup(*store, {0}, setup, {}, &outcome,
+               {run.init, run.labels, run.snapshot});
+    ExpectSetupRejected(outcome, "Labels: mirror label");
+  }
+  // In-range mirrors are accepted: the next request is answered.
+  const ShardZeroRun run = MakeShardZeroRun(*store, kNoPartition, 3);
+  SetupOutcome outcome;
+  DriveSetup(*store, {0}, setup, {}, &outcome,
+             {run.init, run.labels, run.snapshot});
+  EXPECT_EQ(outcome.reply.type,
+            static_cast<uint32_t>(MessageType::kSnapshotReply));
+  // No Error: the worker exits only when the harness hangs up mid-run.
+  EXPECT_EQ(outcome.exit_code, 2);
+}
+
 // --- Multi-process execution ---------------------------------------------
 
 /// One in-process reference run over a fresh store.
@@ -492,38 +606,47 @@ Result<ShardedRunResult> ReferenceRun(const SpinnerConfig& config,
 TEST(MultiProcessSpinnerTest, BitIdenticalToInProcessAcrossShapes) {
   const CsrGraph g = SmallWorldConverted(1100, 21);
   SpinnerConfig config;
-  config.num_partitions = 6;
   config.seed = 7;
   config.max_iterations = 10;
   config.use_halting = false;
 
-  for (const int num_shards : {1, 2, 7}) {
-    std::vector<PartitionId> reference_labels;
-    auto reference =
-        ReferenceRun(config, g, num_shards, &reference_labels);
-    ASSERT_TRUE(reference.ok());
-    for (const int num_workers : {1, 3}) {
-      auto store = ShardedGraphStore::Build(g, num_shards);
-      ASSERT_TRUE(store.ok());
-      MultiProcessOptions options;
-      options.num_workers = num_workers;
-      std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
-      auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
-                                              options, nullptr);
-      ASSERT_TRUE(run.ok())
-          << "S=" << num_shards << " W=" << num_workers << ": "
-          << run.status();
-      EXPECT_EQ(store->labels(), reference_labels)
-          << "S=" << num_shards << " W=" << num_workers;
-      EXPECT_EQ(run->iterations, reference->iterations);
-      EXPECT_EQ(run->converged, reference->converged);
-      // The float convergence curves must match bit-for-bit too.
-      ASSERT_EQ(run->history.size(), reference->history.size());
-      for (size_t i = 0; i < run->history.size(); ++i) {
-        EXPECT_EQ(run->history[i].score, reference->history[i].score) << i;
-        EXPECT_EQ(run->history[i].phi, reference->history[i].phi) << i;
-        EXPECT_EQ(run->history[i].rho, reference->history[i].rho) << i;
-        EXPECT_EQ(run->history[i].loads, reference->history[i].loads) << i;
+  // k = 256 is the widest one-byte label view and 257 the smallest k
+  // scored on the PartitionId array: both sides of the cutover and a small
+  // k must match in-process.
+  for (const int k : {6, 256, 257}) {
+    config.num_partitions = k;
+    for (const int num_shards : {1, 2, 7}) {
+      std::vector<PartitionId> reference_labels;
+      auto reference =
+          ReferenceRun(config, g, num_shards, &reference_labels);
+      ASSERT_TRUE(reference.ok());
+      for (const int num_workers : {1, 3}) {
+        const std::string shape = "k=" + std::to_string(k) +
+                                  " S=" + std::to_string(num_shards) +
+                                  " W=" + std::to_string(num_workers);
+        auto store = ShardedGraphStore::Build(g, num_shards);
+        ASSERT_TRUE(store.ok());
+        MultiProcessOptions options;
+        options.num_workers = num_workers;
+        std::vector<PartitionId> no_labels(g.NumVertices(), kNoPartition);
+        auto run = dist::RunMultiProcessSpinner(config, &*store, no_labels,
+                                                options, nullptr);
+        ASSERT_TRUE(run.ok()) << shape << ": " << run.status();
+        EXPECT_EQ(store->labels(), reference_labels) << shape;
+        EXPECT_EQ(run->iterations, reference->iterations) << shape;
+        EXPECT_EQ(run->converged, reference->converged) << shape;
+        // The float convergence curves must match bit-for-bit too.
+        ASSERT_EQ(run->history.size(), reference->history.size()) << shape;
+        for (size_t i = 0; i < run->history.size(); ++i) {
+          EXPECT_EQ(run->history[i].score, reference->history[i].score)
+              << shape << " " << i;
+          EXPECT_EQ(run->history[i].phi, reference->history[i].phi)
+              << shape << " " << i;
+          EXPECT_EQ(run->history[i].rho, reference->history[i].rho)
+              << shape << " " << i;
+          EXPECT_EQ(run->history[i].loads, reference->history[i].loads)
+              << shape << " " << i;
+        }
       }
     }
   }

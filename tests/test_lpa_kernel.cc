@@ -3,13 +3,15 @@
 // touched-list gather with its sparse and dense picks that it replaced
 // (kept verbatim in lpa_kernel_reference.h): on random shards every output
 // of BlocksComputeScores is compared bit for bit against the reference,
-// across k on both sides of the one-word bitmap, both balance modes, the
-// asynchronous view on and off, partial block ranges and a worker's
-// remapped compact layout. Per vertex, the reference sparse and dense
-// picks and the bitmap scan must agree on random neighbourhoods, and on a
-// graph whose out-degrees straddle k the library must match a sparse-only
-// reference run. The tie pass must not depend on scan order, and the
-// table-fill helpers must match the direct per-label computation exactly.
+// across k on both sides of the one-word bitmap and of the one-byte label
+// view, both balance modes, the asynchronous view on and off, partial
+// block ranges and a worker's remapped compact layout. Per vertex, the
+// reference sparse and dense picks and the bitmap scan must agree on
+// random neighbourhoods, and on a graph whose out-degrees straddle k the
+// library must match a sparse-only reference run. Label writes keep the
+// one-byte view equal to the labels' low byte. The tie pass must not
+// depend on scan order, and the table-fill helpers must match the direct
+// per-label computation exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,7 +236,9 @@ void ExpectSameOutput(const ScanOutput& got, const ScanOutput& want,
 
 /// Compares the library scan against the reference with and without its
 /// dense cutover, and checks the scan leaves freq and the bitmap zero.
-/// Returns how many migration candidates the scan chose.
+/// When k <= 256 the scan also runs over a one-byte copy of the labels,
+/// which must give identical outputs. Returns how many migration
+/// candidates the scan chose.
 int64_t CheckAgainstReference(const ScanCase& c, const std::string& what) {
   ShardScratch sc;
   const ScanOutput got = RunScan(
@@ -253,6 +257,25 @@ int64_t CheckAgainstReference(const ScanCase& c, const std::string& what) {
   EXPECT_TRUE(std::all_of(sc.present.begin(), sc.present.end(),
                           [](uint64_t w) { return w == 0; }))
       << what;
+  if (UsesByteLabelView(c.config.num_partitions)) {
+    const std::vector<uint8_t> view(c.labels.begin(), c.labels.end());
+    ShardScratch byte_sc;
+    const ScanOutput narrow = RunScan(
+        c,
+        [&](const ScanCase& c, std::span<PartitionId> candidate,
+            std::span<double> block_score,
+            std::span<int32_t> block_candidates, ShardScratch* sc) {
+          BlocksComputeScores(c.config, c.shard, c.begin, c.end,
+                              std::span<const uint8_t>(view), c.superstep,
+                              candidate, block_score, block_candidates, sc,
+                              c.index_base);
+        },
+        &byte_sc);
+    ExpectSameOutput(narrow, got, what + " byte view");
+    EXPECT_TRUE(std::all_of(byte_sc.freq.begin(), byte_sc.freq.end(),
+                            [](int64_t f) { return f == 0; }))
+        << what << " byte view";
+  }
   for (const bool dense_cutover : {true, false}) {
     const ScanOutput want = RunScan(
         c, [&](const ScanCase& c, std::span<PartitionId> candidate,
@@ -274,7 +297,9 @@ TEST(LpaKernelTest, BlocksComputeScoresMatchesTheReferenceScan) {
   Rng rng(2024);
   int64_t candidates = 0;
   int cases = 0;
-  for (const int k : {1, 2, 8, 32, 63, 64, 65, 128, 257}) {
+  // k <= 256 runs each case over both label widths; 257 is the smallest
+  // k left on the PartitionId array alone.
+  for (const int k : {1, 2, 8, 32, 63, 64, 65, 128, 256, 257}) {
     for (int trial = 0; trial < 32; ++trial) {
       const bool async = trial % 2 == 0;
       const BalanceMode mode =
@@ -288,7 +313,7 @@ TEST(LpaKernelTest, BlocksComputeScoresMatchesTheReferenceScan) {
       if (HasFailure()) return;
     }
   }
-  EXPECT_EQ(cases, 9 * 32);
+  EXPECT_EQ(cases, 10 * 32);
   // Moves were chosen, so the comparison is not vacuous.
   EXPECT_GT(candidates, 0);
 }
@@ -481,6 +506,87 @@ TEST(LpaKernelTest, BlocksComputeScoresMatchesASparseOnlyRun) {
     got.local_weight = sc.local_weight;
     ExpectSameOutput(got, want, "async=" + std::to_string(async));
   }
+}
+
+TEST(LpaKernelTest, LabelWritesKeepTheByteViewInStep) {
+  // Initialize and ComputeMigrations write every label into the one-byte
+  // view too, so over a run the view stays the labels' low byte and the
+  // byte-view scan keeps choosing what the PartitionId scan chooses. At
+  // k = 256 every byte value is a label.
+  constexpr int k = kMaxByteViewPartitions;
+  constexpr int64_t n = 3 * kBlock + 17;
+  std::mt19937_64 rng(99);
+  EdgeList edges;
+  for (VertexId v = 0; v < n; ++v) {
+    const int deg = 1 + static_cast<int>(rng() % 24);
+    for (int j = 0; j < deg; ++j) {
+      edges.push_back({v, static_cast<VertexId>(rng() % n)});
+    }
+  }
+  auto g = CsrGraph::FromEdges(n, edges);
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto store = ShardedGraphStore::Build(*g, 1);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ShardedGraphStore::Shard& shard = store->mutable_shard(0);
+
+  SpinnerConfig config;
+  config.num_partitions = k;
+  config.seed = 17;
+  // Fixed restart labels at both ends of the byte range, hashed elsewhere.
+  std::vector<PartitionId> initial(n, kNoPartition);
+  for (VertexId v = 0; v < n; v += 3) {
+    initial[v] = v % 2 == 0 ? k - 1 : 0;
+  }
+  std::vector<PartitionId> labels(n, kNoPartition);
+  std::vector<uint8_t> view(n, 0);
+  ShardInitialize(config, &shard, labels, initial, 0, view);
+  const auto expect_in_step = [&](const std::string& what) {
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(view[v], static_cast<uint8_t>(labels[v])) << what << " v=" << v;
+    }
+  };
+  expect_in_step("after Initialize");
+
+  std::vector<double> capacities(k, 1.02 * static_cast<double>(n) / k);
+  int64_t migrated = 0;
+  for (int64_t step = 1; step <= 9; step += 2) {
+    const std::vector<int64_t> loads = shard.loads;
+    ScanOutput wide;
+    ScanOutput narrow;
+    ShardScratch sc;
+    sc.Prepare(k);
+    for (const bool byte_view : {false, true}) {
+      std::vector<PartitionId> candidate(n, kNoPartition);
+      std::vector<double> block_score(store->NumBlocks(), 0.0);
+      std::vector<int32_t> block_candidates(store->NumBlocks(), 0);
+      if (byte_view) {
+        ShardComputeScores(config, shard, std::span<const uint8_t>(view),
+                           loads, capacities, step, candidate, block_score,
+                           block_candidates, &sc);
+      } else {
+        ShardComputeScores(config, shard, labels, loads, capacities, step,
+                           candidate, block_score, block_candidates, &sc);
+      }
+      ScanOutput& out = byte_view ? narrow : wide;
+      out.candidate = std::move(candidate);
+      for (const double s : block_score) {
+        out.block_score_bits.push_back(std::bit_cast<uint64_t>(s));
+      }
+      out.block_candidates = std::move(block_candidates);
+      out.migrations = sc.migrations;
+      out.local_weight = sc.local_weight;
+    }
+    ExpectSameOutput(narrow, wide, "step=" + std::to_string(step));
+    ShardComputeMigrations(config, &shard, labels, loads, capacities,
+                           narrow.migrations, step + 1, narrow.candidate,
+                           narrow.block_candidates, /*moves=*/nullptr, &sc,
+                           0, view);
+    migrated += sc.migrated;
+    expect_in_step("after step " + std::to_string(step + 1));
+    if (HasFailure()) return;
+  }
+  // Labels moved, so the view was rewritten, not merely initialized.
+  EXPECT_GT(migrated, 0);
 }
 
 TEST(LpaKernelTest, VertexTouchingEveryLabelFillsEveryWalkSlot) {

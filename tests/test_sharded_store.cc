@@ -570,6 +570,34 @@ TEST(ShardedSpinnerTest, StoreLoadsStayConsistentWithAssignment) {
   EXPECT_EQ(store->MergedLoads(), expected);
 }
 
+TEST(ShardedSpinnerTest, RejectsInitialLabelsOutsideTheRange) {
+  // Every per-label table has k slots, so a fixed restart label must be
+  // kNoPartition or in [0, k); anything else is refused before Initialize.
+  const CsrGraph g = SmallWorldConverted(300, 4);
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 2;
+  ThreadPool pool(1);
+  for (const PartitionId bad : {4, 300, -2}) {
+    auto store = ShardedGraphStore::Build(g, 2);
+    ASSERT_TRUE(store.ok());
+    std::vector<PartitionId> initial(g.NumVertices(), kNoPartition);
+    initial[17] = bad;
+    auto run = RunShardedSpinner(config, &*store, initial, &pool,
+                                 /*observer=*/nullptr);
+    ASSERT_FALSE(run.ok()) << "label " << bad;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+        << run.status();
+  }
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  std::vector<PartitionId> initial(g.NumVertices(), kNoPartition);
+  initial[17] = 3;
+  auto run = RunShardedSpinner(config, &*store, initial, &pool,
+                               /*observer=*/nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+}
+
 TEST(ShardedSpinnerTest, ResolveHelpersHonorExplicitConfig) {
   SpinnerConfig config;
   config.execution.num_shards = 9;
