@@ -48,26 +48,23 @@ AppResult RunGraph(const std::string& key, int k) {
 
   auto run_sp = [&](pregel::Placement placement) {
     apps::SsspProgram program(0);
-    return sim::RunOnCluster<apps::SsspVertex, char, int64_t>(
+    return sim::RunOnCluster<apps::SsspVertex, int64_t>(
                g, k, std::move(placement), program,
-               [](VertexId) { return apps::SsspVertex{}; },
-               [](VertexId, VertexId, EdgeWeight) { return char{}; })
+               [](VertexId) { return apps::SsspVertex{}; })
         .simulation.total_seconds;
   };
   auto run_pr = [&](pregel::Placement placement) {
     apps::PageRankProgram program(20);
-    return sim::RunOnCluster<apps::PageRankVertex, char, double>(
+    return sim::RunOnCluster<apps::PageRankVertex, double>(
                g, k, std::move(placement), program,
-               [](VertexId) { return apps::PageRankVertex{}; },
-               [](VertexId, VertexId, EdgeWeight) { return char{}; })
+               [](VertexId) { return apps::PageRankVertex{}; })
         .simulation.total_seconds;
   };
   auto run_cc = [&](pregel::Placement placement) {
     apps::WccProgram program;
-    return sim::RunOnCluster<apps::WccVertex, char, VertexId>(
+    return sim::RunOnCluster<apps::WccVertex, VertexId>(
                g, k, std::move(placement), program,
-               [](VertexId) { return apps::WccVertex{}; },
-               [](VertexId, VertexId, EdgeWeight) { return char{}; })
+               [](VertexId) { return apps::WccVertex{}; })
         .simulation.total_seconds;
   };
 

@@ -404,11 +404,6 @@ void WriteJson(const std::string& path, bool smoke, int iters,
   SPINNER_CHECK(json != nullptr) << "cannot write " << path;
   std::fprintf(json, "{\n  \"bench\": \"lpa_kernel\",\n");
   std::fprintf(json, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-#if defined(SPINNER_SIMD)
-  std::fprintf(json, "  \"simd\": true,\n");
-#else
-  std::fprintf(json, "  \"simd\": false,\n");
-#endif
   std::fprintf(json, "  \"iterations\": %d,\n", iters);
   std::fprintf(json, "  \"cases\": [\n");
   for (size_t i = 0; i < cases.size(); ++i) {
@@ -518,7 +513,19 @@ void Run(bool smoke, const std::string& out_path, int n, int k, int iters) {
 int main(int argc, char** argv) {
   const bool smoke = spinner::bench::ConsumeSmokeFlag(&argc, argv);
   spinner::CommandLine cli;
-  SPINNER_CHECK(cli.Parse(argc, argv).ok());
+  // Only --smoke and the flags read below are accepted. Anything else,
+  // --help included, exits here: a run would overwrite the JSON artifact.
+  bool usable = cli.Parse(argc, argv).ok() && cli.Positional().empty();
+  for (const std::string& name : cli.FlagNames()) {
+    usable = usable &&
+             (name == "out" || name == "n" || name == "k" || name == "iters");
+  }
+  if (!usable) {
+    std::fprintf(stderr,
+                 "usage: bench_lpa_kernel [--smoke] [--out=PATH] [--n=N] "
+                 "[--k=K] [--iters=N]\n");
+    return 2;
+  }
   spinner::bench::Run(smoke, cli.GetString("out", "BENCH_lpa_kernel.json"),
                       static_cast<int>(cli.GetInt("n", 0)),
                       static_cast<int>(cli.GetInt("k", 0)),

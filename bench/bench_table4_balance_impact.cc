@@ -60,10 +60,9 @@ void Run() {
 
   auto run_placement = [&](pregel::Placement placement) {
     apps::PageRankProgram program(20);
-    return sim::RunOnCluster<apps::PageRankVertex, char, double>(
+    return sim::RunOnCluster<apps::PageRankVertex, double>(
         g, workers, std::move(placement), program,
-        [](VertexId) { return apps::PageRankVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::PageRankVertex{}; });
   };
 
   auto random_run = run_placement(pregel::HashPlacement(workers));

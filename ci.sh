@@ -44,14 +44,6 @@
 # SPINNER_FAULT_PLAN of frame delays — the run must survive the failover
 # and stay byte-identical to the in-process assignment (delays and
 # recovery preserve bytes by construction; docs/DISTRIBUTED.md).
-#
-# SIMD-parity mode (two Release configurations):
-#   ./ci.sh --mode=simd-parity
-# Builds Release with SPINNER_SIMD=ON (the default) and =OFF, runs the
-# kernel/scheduler/session tests in both, then diffs a partition_tool
-# run byte-for-byte across the two binaries — the knob's pragma on the
-# penalty fill must be a pure speed knob, never a results knob
-# (docs/PERFORMANCE.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,10 +63,9 @@ for arg in "$@"; do
     --mode=wire-stress) MODE="wire-stress" ;;
     --mode=tcp) MODE="tcp" ;;
     --mode=chaos) MODE="chaos" ;;
-    --mode=simd-parity) MODE="simd-parity" ;;
     --mode=*)
       echo "ci.sh: unknown mode '${arg#--mode=}'" \
-        "(multiprocess|wire-stress|tcp|chaos|simd-parity)" >&2
+        "(multiprocess|wire-stress|tcp|chaos)" >&2
       exit 2
       ;;
     *)
@@ -89,41 +80,6 @@ if [[ -n "${SANITIZE}" && -n "${MODE}" ]]; then
   # two would run something other than what was asked for.
   echo "ci.sh: --sanitize and --mode are mutually exclusive" >&2
   exit 2
-fi
-
-if [[ "${MODE}" == "simd-parity" ]]; then
-  # Two Release builds differing only in the SPINNER_SIMD knob, which
-  # marks only the penalty fill (lpa_kernel.h). The pragma changes no
-  # expression, so the OFF build must pass the same
-  # kernel/scheduler/session tests and produce byte-identical
-  # partitions.
-  declare -A simd_dirs=([on]=build-ci-simd-on [off]=build-ci-simd-off)
-  for knob in on off; do
-    build_dir="${simd_dirs[${knob}]}"
-    echo "=== Release (-Werror, SPINNER_SIMD=${knob^^}) ==="
-    cmake -B "${build_dir}" -S . \
-      -DCMAKE_BUILD_TYPE=Release \
-      -DSPINNER_WERROR=ON \
-      -DSPINNER_SIMD="${knob^^}"
-    cmake --build "${build_dir}" -j "${JOBS}"
-    ctest --test-dir "${build_dir}" \
-      -R '(LpaKernel|ShardedGraphStore|ShardedSpinner|StealSchedule|StealingSupersteps|Session)' \
-      --timeout 120 --output-on-failure -j "${JOBS}"
-  done
-
-  echo "=== SIMD=ON vs SIMD=OFF partition_tool diff (byte-for-byte) ==="
-  smoke_dir="$(mktemp -d)"
-  trap 'rm -rf "${smoke_dir}"' EXIT
-  "./${simd_dirs[on]}/partition_tool" generate \
-    --out="${smoke_dir}/edges.txt" --vertices=5000 --seed=7
-  for knob in on off; do
-    "./${simd_dirs[${knob}]}/partition_tool" partition \
-      --input="${smoke_dir}/edges.txt" --k=16 --seed=11 \
-      --out="${smoke_dir}/simd_${knob}.txt"
-  done
-  cmp "${smoke_dir}/simd_on.txt" "${smoke_dir}/simd_off.txt"
-  echo "ci.sh: SIMD=ON and SIMD=OFF assignments are byte-identical"
-  exit 0
 fi
 
 if [[ "${MODE}" == "chaos" ]]; then

@@ -54,28 +54,24 @@ int main(int argc, char** argv) {
   {
     apps::SsspProgram h_prog(0);
     apps::SsspProgram s_prog(0);
-    auto h = sim::RunOnCluster<apps::SsspVertex, char, int64_t>(
+    auto h = sim::RunOnCluster<apps::SsspVertex, int64_t>(
         *g, workers, hash, h_prog,
-        [](VertexId) { return apps::SsspVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
-    auto s = sim::RunOnCluster<apps::SsspVertex, char, int64_t>(
+        [](VertexId) { return apps::SsspVertex{}; });
+    auto s = sim::RunOnCluster<apps::SsspVertex, int64_t>(
         *g, workers, by_label, s_prog,
-        [](VertexId) { return apps::SsspVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::SsspVertex{}; });
     report("shortest paths (BFS)", h.simulation.total_seconds,
            s.simulation.total_seconds);
   }
   {
     apps::PageRankProgram h_prog(20);
     apps::PageRankProgram s_prog(20);
-    auto h = sim::RunOnCluster<apps::PageRankVertex, char, double>(
+    auto h = sim::RunOnCluster<apps::PageRankVertex, double>(
         *g, workers, hash, h_prog,
-        [](VertexId) { return apps::PageRankVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
-    auto s = sim::RunOnCluster<apps::PageRankVertex, char, double>(
+        [](VertexId) { return apps::PageRankVertex{}; });
+    auto s = sim::RunOnCluster<apps::PageRankVertex, double>(
         *g, workers, by_label, s_prog,
-        [](VertexId) { return apps::PageRankVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::PageRankVertex{}; });
     report("pagerank (20 iters)", h.simulation.total_seconds,
            s.simulation.total_seconds);
     std::printf("  remote messages: %lld -> %lld\n",
@@ -85,14 +81,12 @@ int main(int argc, char** argv) {
   {
     apps::WccProgram h_prog;
     apps::WccProgram s_prog;
-    auto h = sim::RunOnCluster<apps::WccVertex, char, VertexId>(
+    auto h = sim::RunOnCluster<apps::WccVertex, VertexId>(
         *g, workers, hash, h_prog,
-        [](VertexId) { return apps::WccVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
-    auto s = sim::RunOnCluster<apps::WccVertex, char, VertexId>(
+        [](VertexId) { return apps::WccVertex{}; });
+    auto s = sim::RunOnCluster<apps::WccVertex, VertexId>(
         *g, workers, by_label, s_prog,
-        [](VertexId) { return apps::WccVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::WccVertex{}; });
     report("connected components", h.simulation.total_seconds,
            s.simulation.total_seconds);
   }

@@ -5,8 +5,7 @@ namespace spinner::apps {
 void PageRankProgram::RegisterAggregators(
     pregel::AggregatorRegistry* registry) {
   registry->Register(kDanglingAgg,
-                     std::make_unique<pregel::DoubleSumAggregator>(),
-                     /*persistent=*/false);
+                     std::make_unique<pregel::DoubleSumAggregator>());
 }
 
 void PageRankProgram::Compute(PageRankHandle& vertex,

@@ -14,16 +14,15 @@ struct PageRankVertex {
   double rank = 0.0;
 };
 
-/// Engine instantiation: no edge state, double messages (rank shares).
-using PageRankEngine = pregel::PregelEngine<PageRankVertex, char, double>;
-using PageRankHandle = pregel::VertexHandle<PageRankVertex, char, double>;
+/// Engine instantiation: double messages (rank shares).
+using PageRankEngine = pregel::PregelEngine<PageRankVertex, double>;
+using PageRankHandle = pregel::VertexHandle<PageRankVertex, double>;
 
 /// Synchronous PageRank with damping 0.85, run for a fixed number of
 /// iterations (the paper runs 20 supersteps). Dangling mass is
 /// redistributed uniformly via an aggregator, keeping Σ rank = |V|.
 /// Uses a sum combiner, as any production Pregel deployment would.
-class PageRankProgram
-    : public pregel::VertexProgram<PageRankVertex, char, double> {
+class PageRankProgram : public pregel::VertexProgram<PageRankVertex, double> {
  public:
   explicit PageRankProgram(int num_iterations, double damping = 0.85)
       : num_iterations_(num_iterations), damping_(damping) {}

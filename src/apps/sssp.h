@@ -17,14 +17,14 @@ struct SsspVertex {
   int64_t distance = kInfDistance;
 };
 
-using SsspEngine = pregel::PregelEngine<SsspVertex, char, int64_t>;
-using SsspHandle = pregel::VertexHandle<SsspVertex, char, int64_t>;
+using SsspEngine = pregel::PregelEngine<SsspVertex, int64_t>;
+using SsspHandle = pregel::VertexHandle<SsspVertex, int64_t>;
 
 /// Classic Pregel SSSP: the source starts at 0; vertices propagate improved
 /// distances and vote to halt, so only the frontier is active — the
 /// message pattern whose locality §V.F measures. Unit edge weights (BFS).
 /// Uses a min combiner.
-class SsspProgram : public pregel::VertexProgram<SsspVertex, char, int64_t> {
+class SsspProgram : public pregel::VertexProgram<SsspVertex, int64_t> {
  public:
   explicit SsspProgram(VertexId source) : source_(source) {}
 

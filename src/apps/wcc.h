@@ -13,13 +13,13 @@ struct WccVertex {
   VertexId component = 0;
 };
 
-using WccEngine = pregel::PregelEngine<WccVertex, char, VertexId>;
-using WccHandle = pregel::VertexHandle<WccVertex, char, VertexId>;
+using WccEngine = pregel::PregelEngine<WccVertex, VertexId>;
+using WccHandle = pregel::VertexHandle<WccVertex, VertexId>;
 
 /// HashMin WCC: every vertex starts as its own component id and propagates
 /// the minimum id it has seen; converges in O(diameter) supersteps.
 /// Requires a symmetric graph (weak connectivity). Uses a min combiner.
-class WccProgram : public pregel::VertexProgram<WccVertex, char, VertexId> {
+class WccProgram : public pregel::VertexProgram<WccVertex, VertexId> {
  public:
   void Compute(WccHandle& vertex, std::span<const VertexId> messages) override;
   bool HasCombiner() const override { return true; }

@@ -8,7 +8,10 @@ namespace spinner {
 Status CommandLine::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (!StartsWith(arg, "--")) continue;  // positional; ignored
+    if (!StartsWith(arg, "--")) {
+      positional_.emplace_back(arg);
+      continue;
+    }
     arg.remove_prefix(2);
     if (arg.empty()) {
       return Status::InvalidArgument("empty flag name: '--'");
@@ -58,6 +61,13 @@ bool CommandLine::GetBool(const std::string& name, bool def) const {
 
 bool CommandLine::Has(const std::string& name) const {
   return values_.count(name) > 0;
+}
+
+std::vector<std::string> CommandLine::FlagNames() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
 }
 
 }  // namespace spinner

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -14,11 +15,11 @@ namespace spinner {
 
 /// Parses argv into a name->value map and answers typed lookups with
 /// defaults. Flags no getter asks for are silently ignored; a binary that
-/// must reject one checks Has() itself.
+/// must reject one checks Has() or FlagNames() itself.
 class CommandLine {
  public:
-  /// Parses flags; non-flag arguments are ignored. Returns an error on
-  /// malformed input (e.g. "--" with no name).
+  /// Parses flags; non-flag arguments are kept in Positional(). Returns an
+  /// error on malformed input (e.g. "--" with no name).
   Status Parse(int argc, const char* const* argv);
 
   /// Typed getters; return `def` when the flag is absent and CHECK-fail on
@@ -31,8 +32,15 @@ class CommandLine {
   /// True iff the flag appeared on the command line.
   bool Has(const std::string& name) const;
 
+  /// Names of every flag that appeared on the command line, sorted.
+  std::vector<std::string> FlagNames() const;
+
+  /// Arguments that are neither a flag nor a flag's value, in order.
+  const std::vector<std::string>& Positional() const { return positional_; }
+
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> positional_;
 };
 
 }  // namespace spinner

@@ -232,6 +232,8 @@ class ShardWorker {
   void ResetRun() {
     assign_done_ = false;
     setup_done_ = false;
+    init_done_ = false;
+    labels_done_ = false;
     config_ = SpinnerConfig();
     n_ = 0;
     owned_shards_.clear();
@@ -257,6 +259,18 @@ class ShardWorker {
     if (!setup_done_) {
       return Status::FailedPrecondition(
           "worker received a run message before Setup");
+    }
+    return Status::OK();
+  }
+
+  /// Scores, Migrate and ApplyDeltas read every owned and mirror label,
+  /// which hold kNoPartition until Init and Labels have filled them: a
+  /// gather over them would index the per-label tables at -1.
+  Status CheckLabelsSeeded(const char* what) const {
+    SPINNER_RETURN_IF_ERROR(CheckSetup());
+    if (!init_done_ || !labels_done_) {
+      return Status::FailedPrecondition(
+          StrFormat("worker received %s before Init and Labels", what));
     }
     return Status::OK();
   }
@@ -444,6 +458,7 @@ class ShardWorker {
                                          request.initial_labels,
                                          layout_.owned_begin, label_view_));
     }
+    init_done_ = true;
     return Send(MessageType::kInitReply, StateReply(messages).Encode());
   }
 
@@ -462,11 +477,12 @@ class ShardWorker {
     for (size_t i = 0; i < message.values.size(); ++i) {
       SetLabel(mirror_base + i, message.values[i]);
     }
+    labels_done_ = true;
     return Status::OK();
   }
 
   Status HandleScores(std::span<const uint8_t> payload) {
-    SPINNER_RETURN_IF_ERROR(CheckSetup());
+    SPINNER_RETURN_IF_ERROR(CheckLabelsSeeded("Scores"));
     SPINNER_ASSIGN_OR_RETURN(ScoresRequest request,
                              ScoresRequest::Decode(payload));
     SPINNER_RETURN_IF_ERROR(
@@ -521,7 +537,7 @@ class ShardWorker {
   }
 
   Status HandleMigrate(std::span<const uint8_t> payload) {
-    SPINNER_RETURN_IF_ERROR(CheckSetup());
+    SPINNER_RETURN_IF_ERROR(CheckLabelsSeeded("Migrate"));
     SPINNER_ASSIGN_OR_RETURN(MigrateRequest request,
                              MigrateRequest::Decode(payload));
     SPINNER_RETURN_IF_ERROR(
@@ -552,7 +568,7 @@ class ShardWorker {
   }
 
   Status HandleApplyDeltas(std::span<const uint8_t> payload) {
-    SPINNER_RETURN_IF_ERROR(CheckSetup());
+    SPINNER_RETURN_IF_ERROR(CheckLabelsSeeded("ApplyDeltas"));
     SPINNER_ASSIGN_OR_RETURN(ApplyDeltasMessage deltas,
                              ApplyDeltasMessage::Decode(payload));
     // Own moves were already applied by HandleMigrate; the coordinator
@@ -617,6 +633,9 @@ class ShardWorker {
   uint64_t next_message_id_ = 1;
   bool assign_done_ = false;
   bool setup_done_ = false;
+  /// Init and Labels seen since the last Setup (CheckLabelsSeeded).
+  bool init_done_ = false;
+  bool labels_done_ = false;
   SpinnerConfig config_;
   int64_t n_ = 0;
   std::vector<int32_t> owned_shards_;

@@ -3,13 +3,11 @@
 namespace spinner::pregel {
 
 void AggregatorRegistry::Register(const std::string& name,
-                                  std::unique_ptr<AggregatorBase> agg,
-                                  bool persistent) {
+                                  std::unique_ptr<AggregatorBase> agg) {
   SPINNER_CHECK(slots_.count(name) == 0)
       << "aggregator registered twice: " << name;
   Slot slot;
   slot.global = std::move(agg);
-  slot.persistent = persistent;
   slots_[name] = std::move(slot);
 }
 
@@ -25,7 +23,7 @@ void AggregatorRegistry::CreatePartials(int num_workers) {
 
 void AggregatorRegistry::MergePartials() {
   for (auto& [name, slot] : slots_) {
-    if (!slot.persistent) slot.global->Reset();
+    slot.global->Reset();
     for (auto& partial : slot.partials) {
       slot.global->MergeFrom(*partial);
       partial->Reset();

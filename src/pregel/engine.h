@@ -1,16 +1,14 @@
 // PregelEngine: a from-scratch, multi-threaded implementation of the Pregel
-// BSP model (Malewicz et al.) — the substrate the paper builds Spinner on.
+// BSP model (Malewicz et al.), sized to what §V.F of the paper runs on it:
+// PageRank, shortest paths and connected components under hash placement
+// and under Spinner's placement (fig9, Table IV).
 //
-// Faithfully implemented primitives:
+// Implemented primitives:
 //  * synchronous supersteps — messages sent in superstep S are delivered at
 //    the start of superstep S+1, never earlier;
 //  * vote-to-halt with message reactivation;
 //  * combiners (associative message reduction applied on ingest);
 //  * aggregators with sharded-style per-worker partials (aggregators.h);
-//  * per-worker shared state (worker_context.h), the hook Spinner's
-//    asynchronous-within-a-superstep counters need;
-//  * vertex-local graph mutation (a vertex may add/modify its own out-edges,
-//    which is all NeighborDiscovery requires);
 //  * pluggable vertex→worker placement, so computed partitionings can drive
 //    data placement exactly as §V.F does in Giraph.
 //
@@ -37,184 +35,103 @@
 #include "graph/types.h"
 #include "pregel/aggregators.h"
 #include "pregel/stats.h"
-#include "pregel/worker_context.h"
+#include "pregel/topology.h"
 
 namespace spinner::pregel {
-
-/// An out-edge as stored by the engine: target plus a mutable edge value.
-template <typename E>
-struct OutEdge {
-  VertexId target;
-  E value;
-};
 
 /// Engine construction knobs.
 struct EngineConfig {
   /// Number of logical workers (the unit of placement and of sequential
   /// execution). In a cluster deployment this would be machine count.
   int num_workers = 4;
-  /// OS threads executing workers; 0 = min(num_workers, hardware).
-  int num_threads = 0;
   /// Hard superstep cap; Run stops with a warning when exceeded.
   int64_t max_supersteps = 1000000;
 };
 
-template <typename V, typename E, typename M>
+template <typename V, typename M>
 class PregelEngine;
-
-/// Read/write access handed to PreSuperstep/PostSuperstep hooks: the
-/// worker's identity, merged aggregator values from the previous superstep,
-/// and this worker's writable partials.
-class WorkerApi {
- public:
-  WorkerApi(WorkerId worker, int num_workers, int64_t superstep,
-            AggregatorRegistry* registry)
-      : worker_(worker),
-        num_workers_(num_workers),
-        superstep_(superstep),
-        registry_(registry) {}
-
-  WorkerId worker_id() const { return worker_; }
-  int num_workers() const { return num_workers_; }
-  int64_t superstep() const { return superstep_; }
-
-  /// Merged value from the previous superstep (read-only by convention).
-  template <typename T>
-  const T* Aggregated(const std::string& name) const {
-    return registry_->Get<T>(name);
-  }
-
-  /// This worker's writable partial for the current superstep.
-  template <typename T>
-  T* Partial(const std::string& name) {
-    return registry_->Partial<T>(name, worker_);
-  }
-
- private:
-  WorkerId worker_;
-  int num_workers_;
-  int64_t superstep_;
-  AggregatorRegistry* registry_;
-};
 
 /// View given to MasterCompute after every superstep barrier.
 class MasterContext {
  public:
-  MasterContext(int64_t superstep, int64_t active_vertices,
-                int64_t messages_sent, int64_t num_vertices,
-                AggregatorRegistry* registry)
-      : superstep_(superstep),
-        active_vertices_(active_vertices),
-        messages_sent_(messages_sent),
-        num_vertices_(num_vertices),
-        registry_(registry) {}
+  explicit MasterContext(int64_t superstep) : superstep_(superstep) {}
 
   /// Index of the superstep that just finished (0-based).
   int64_t superstep() const { return superstep_; }
-  /// Vertices that executed Compute() in the finished superstep.
-  int64_t active_vertices() const { return active_vertices_; }
-  /// Messages sent in the finished superstep (delivered next superstep).
-  int64_t messages_sent() const { return messages_sent_; }
-  int64_t num_vertices() const { return num_vertices_; }
-
-  /// Merged aggregators. The master may mutate values (e.g. broadcast the
-  /// next phase); mutations are visible to vertices next superstep.
-  AggregatorRegistry& aggregators() { return *registry_; }
 
  private:
   int64_t superstep_;
-  int64_t active_vertices_;
-  int64_t messages_sent_;
-  int64_t num_vertices_;
-  AggregatorRegistry* registry_;
 };
 
 /// The per-vertex API visible inside Compute(). Thin view over worker
 /// storage; cheap to construct per call.
-template <typename V, typename E, typename M>
+template <typename V, typename M>
 class VertexHandle {
  public:
   /// This vertex's global id.
   VertexId id() const { return id_; }
   /// Current superstep (0-based).
-  int64_t superstep() const { return api_->superstep(); }
-  /// Worker executing this vertex.
-  WorkerId worker() const { return api_->worker_id(); }
-  int num_workers() const { return api_->num_workers(); }
+  int64_t superstep() const { return superstep_; }
   /// Total vertices in the graph (constant over the run).
-  int64_t total_num_vertices() const { return total_vertices_; }
+  int64_t total_num_vertices() const { return engine_->num_vertices_; }
 
   /// Mutable vertex state.
   V& value() { return *value_; }
   const V& value() const { return *value_; }
 
-  /// This vertex's out-edges. Mutation is allowed (vertex-local mutation in
-  /// Pregel terms): values may be rewritten and edges appended.
-  const std::vector<OutEdge<E>>& edges() const { return *edges_; }
-  std::vector<OutEdge<E>>& mutable_edges() { return *edges_; }
-
-  /// Appends an out-edge from this vertex, effective immediately.
-  void AddEdge(VertexId target, E value) {
-    edges_->push_back(OutEdge<E>{target, std::move(value)});
-  }
+  /// This vertex's out-neighbours, in the CSR order of the engine's graph.
+  std::span<const VertexId> edges() const { return edges_; }
 
   /// Sends `msg` to `target`, delivered at the start of the next superstep.
   void SendMessage(VertexId target, const M& msg) {
-    engine_->EnqueueMessage(api_->worker_id(), target, msg);
+    engine_->EnqueueMessage(worker_, target, msg);
   }
 
   /// Sends `msg` along every out-edge.
   void SendMessageToAllEdges(const M& msg) {
-    for (const auto& e : *edges_) SendMessage(e.target, msg);
+    for (const VertexId target : edges_) SendMessage(target, msg);
   }
 
   /// Deactivates this vertex until a message arrives for it.
   void VoteToHalt() { *halted_ = 1; }
 
-  /// Aggregator access (see WorkerApi).
+  /// Merged value from the previous superstep (read-only by convention).
   template <typename T>
   const T* Aggregated(const std::string& name) const {
-    return api_->template Aggregated<T>(name);
+    return engine_->aggregators_.template Get<T>(name);
   }
+  /// This worker's writable partial for the current superstep.
   template <typename T>
   T* AggregatePartial(const std::string& name) {
-    return api_->template Partial<T>(name);
+    return engine_->aggregators_.template Partial<T>(name, worker_);
   }
 
-  /// The worker-shared context (downcast to the program's subclass).
-  WorkerContextBase* worker_context() { return context_; }
-
  private:
-  friend class PregelEngine<V, E, M>;
+  friend class PregelEngine<V, M>;
 
-  VertexHandle(PregelEngine<V, E, M>* engine, WorkerApi* api,
-               WorkerContextBase* context, VertexId id, V* value,
-               std::vector<OutEdge<E>>* edges, uint8_t* halted,
-               int64_t total_vertices)
+  VertexHandle(PregelEngine<V, M>* engine, WorkerId worker, int64_t superstep,
+               VertexId id, V* value, uint8_t* halted)
       : engine_(engine),
-        api_(api),
-        context_(context),
+        worker_(worker),
+        superstep_(superstep),
         id_(id),
         value_(value),
-        edges_(edges),
-        halted_(halted),
-        total_vertices_(total_vertices) {}
+        edges_(engine->graph_.Neighbors(id)),
+        halted_(halted) {}
 
-  PregelEngine<V, E, M>* engine_;
-  WorkerApi* api_;
-  WorkerContextBase* context_;
+  PregelEngine<V, M>* engine_;
+  WorkerId worker_;
+  int64_t superstep_;
   VertexId id_;
   V* value_;
-  std::vector<OutEdge<E>>* edges_;
+  std::span<const VertexId> edges_;
   uint8_t* halted_;
-  int64_t total_vertices_;
 };
 
 /// A vertex-centric program: the user-facing abstraction of the Pregel
 /// model. Subclass and override Compute(); optionally register aggregators,
-/// provide a worker context, combine messages, and steer the run from
-/// MasterCompute.
-template <typename V, typename E, typename M>
+/// combine messages, and steer the run from MasterCompute.
+template <typename V, typename M>
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
@@ -222,17 +139,8 @@ class VertexProgram {
   /// Called once before superstep 0; register aggregators here.
   virtual void RegisterAggregators(AggregatorRegistry* /*registry*/) {}
 
-  /// Per-worker shared state factory.
-  virtual std::unique_ptr<WorkerContextBase> CreateWorkerContext() {
-    return std::make_unique<WorkerContextBase>();
-  }
-
-  /// Hooks bracketing each worker's sequential pass over its vertices.
-  virtual void PreSuperstep(WorkerContextBase* /*wc*/, WorkerApi& /*api*/) {}
-  virtual void PostSuperstep(WorkerContextBase* /*wc*/, WorkerApi& /*api*/) {}
-
   /// The vertex kernel.
-  virtual void Compute(VertexHandle<V, E, M>& vertex,
+  virtual void Compute(VertexHandle<V, M>& vertex,
                        std::span<const M> messages) = 0;
 
   /// Message combiner. When HasCombiner() is true, each vertex's inbox
@@ -240,35 +148,30 @@ class VertexProgram {
   virtual bool HasCombiner() const { return false; }
   virtual void Combine(M* /*accumulator*/, const M& /*incoming*/) const {}
 
-  /// Runs after every superstep barrier with merged aggregators. Return
-  /// false to terminate the computation.
+  /// Runs after every superstep barrier. Return false to terminate the
+  /// computation.
   virtual bool MasterCompute(MasterContext& /*ctx*/) { return true; }
 };
 
 /// The BSP engine. One Run() per instance.
-template <typename V, typename E, typename M>
+template <typename V, typename M>
 class PregelEngine {
  public:
-  using Handle = VertexHandle<V, E, M>;
-  using Program = VertexProgram<V, E, M>;
+  using Handle = VertexHandle<V, M>;
+  using Program = VertexProgram<V, M>;
 
   /// Distributes `graph` across workers. `placement` maps vertex → worker
-  /// (must return values in [0, num_workers)); `init_vertex` and `init_edge`
-  /// produce initial vertex and edge values.
-  PregelEngine(
-      const CsrGraph& graph, EngineConfig config,
-      std::function<WorkerId(VertexId)> placement,
-      std::function<V(VertexId)> init_vertex,
-      std::function<E(VertexId, VertexId, EdgeWeight)> init_edge)
-      : config_(config), num_vertices_(graph.NumVertices()) {
+  /// (must return values in [0, num_workers)); `init_vertex` produces the
+  /// initial vertex values. The engine reads out-edges from `graph` for
+  /// its whole lifetime, so `graph` must outlive it.
+  PregelEngine(const CsrGraph& graph, EngineConfig config,
+               Placement placement, std::function<V(VertexId)> init_vertex)
+      : config_(config), graph_(graph), num_vertices_(graph.NumVertices()) {
     SPINNER_CHECK(config_.num_workers >= 1);
     const int W = config_.num_workers;
-    int threads = config_.num_threads;
-    if (threads <= 0) {
-      threads = std::min<int>(
-          W, std::max(1u, std::thread::hardware_concurrency()));
-    }
-    pool_ = std::make_unique<ThreadPool>(threads);
+    // One OS thread per worker, up to the hardware's.
+    pool_ = std::make_unique<ThreadPool>(
+        std::min<int>(W, std::max(1u, std::thread::hardware_concurrency())));
 
     owner_.resize(num_vertices_);
     local_index_.resize(num_vertices_);
@@ -281,26 +184,14 @@ class PregelEngine {
       local_index_[v] = static_cast<int64_t>(workers_[w].ids.size());
       workers_[w].ids.push_back(v);
     }
-    for (WorkerId w = 0; w < W; ++w) {
-      WorkerState& ws = workers_[w];
+    for (WorkerState& ws : workers_) {
       const size_t n_local = ws.ids.size();
       ws.values.reserve(n_local);
-      ws.out_edges.resize(n_local);
       ws.halted.assign(n_local, 0);
       ws.inbox_cur.resize(n_local);
       ws.inbox_nxt.resize(n_local);
       ws.outbox.resize(W);
-      for (size_t i = 0; i < n_local; ++i) {
-        const VertexId v = ws.ids[i];
-        ws.values.push_back(init_vertex(v));
-        auto nbrs = graph.Neighbors(v);
-        auto wts = graph.Weights(v);
-        ws.out_edges[i].reserve(nbrs.size());
-        for (size_t j = 0; j < nbrs.size(); ++j) {
-          ws.out_edges[i].push_back(
-              OutEdge<E>{nbrs[j], init_edge(v, nbrs[j], wts[j])});
-        }
-      }
+      for (const VertexId v : ws.ids) ws.values.push_back(init_vertex(v));
     }
   }
 
@@ -314,10 +205,6 @@ class PregelEngine {
     aggregators_ = AggregatorRegistry();
     program.RegisterAggregators(&aggregators_);
     aggregators_.CreatePartials(W);
-    for (WorkerId w = 0; w < W; ++w) {
-      workers_[w].context = program.CreateWorkerContext();
-      workers_[w].context->BindWorker(w, W);
-    }
 
     RunStats run_stats;
     WallTimer total_timer;
@@ -365,8 +252,7 @@ class PregelEngine {
       run_stats.per_superstep.push_back(ss);
       ++run_stats.supersteps;
 
-      MasterContext mc(step, active, messages_sent, num_vertices_,
-                       &aggregators_);
+      MasterContext mc(step);
       if (!program.MasterCompute(mc)) {
         halt_requested = true;
         break;
@@ -384,24 +270,10 @@ class PregelEngine {
     return run_stats;
   }
 
-  /// Number of vertices.
-  int64_t NumVertices() const { return num_vertices_; }
-  /// Number of workers.
-  int num_workers() const { return config_.num_workers; }
-  /// Worker owning vertex v.
-  WorkerId WorkerOf(VertexId v) const { return owner_[v]; }
-
   /// Final (or current) value of vertex v.
   const V& Value(VertexId v) const {
     const WorkerState& ws = workers_[owner_[v]];
     return ws.values[local_index_[v]];
-  }
-
-  /// Final (or current) out-edges of vertex v, including any added by the
-  /// program (e.g. Spinner's NeighborDiscovery). Inspection/debugging aid.
-  const std::vector<OutEdge<E>>& EdgesOf(VertexId v) const {
-    const WorkerState& ws = workers_[owner_[v]];
-    return ws.out_edges[local_index_[v]];
   }
 
   /// Iterates fn(vertex_id, value) over all vertices in id order.
@@ -410,22 +282,16 @@ class PregelEngine {
     for (VertexId v = 0; v < num_vertices_; ++v) fn(v, Value(v));
   }
 
-  /// Merged aggregator values after the last superstep.
-  const AggregatorRegistry& aggregators() const { return aggregators_; }
-  AggregatorRegistry& aggregators() { return aggregators_; }
-
  private:
-  friend class VertexHandle<V, E, M>;
+  friend class VertexHandle<V, M>;
 
   struct WorkerState {
     std::vector<VertexId> ids;  // local index -> global id, ascending
     std::vector<V> values;
-    std::vector<std::vector<OutEdge<E>>> out_edges;
     std::vector<uint8_t> halted;
     std::vector<std::vector<M>> inbox_cur;  // read by Compute this superstep
     std::vector<std::vector<M>> inbox_nxt;  // filled at the barrier
     std::vector<std::vector<std::pair<VertexId, M>>> outbox;  // by dst worker
-    std::unique_ptr<WorkerContextBase> context;
     // Per-superstep counters (reset at superstep start).
     int64_t msgs_out = 0;
     int64_t msgs_local = 0;
@@ -449,22 +315,18 @@ class PregelEngine {
     ws.vertices_computed = 0;
     ws.edges_scanned = 0;
 
-    WorkerApi api(w, config_.num_workers, step, &aggregators_);
-    program->PreSuperstep(ws.context.get(), api);
     const size_t n_local = ws.ids.size();
     for (size_t i = 0; i < n_local; ++i) {
       const bool has_msg = !ws.inbox_cur[i].empty();
       if (ws.halted[i] && !has_msg) continue;
       ws.halted[i] = 0;
-      Handle handle(this, &api, ws.context.get(), ws.ids[i], &ws.values[i],
-                    &ws.out_edges[i], &ws.halted[i], num_vertices_);
+      Handle handle(this, w, step, ws.ids[i], &ws.values[i], &ws.halted[i]);
       program->Compute(handle,
                        std::span<const M>(ws.inbox_cur[i].data(),
                                           ws.inbox_cur[i].size()));
       ++ws.vertices_computed;
-      ws.edges_scanned += static_cast<int64_t>(ws.out_edges[i].size());
+      ws.edges_scanned += static_cast<int64_t>(handle.edges().size());
     }
-    program->PostSuperstep(ws.context.get(), api);
   }
 
   void DeliverMessages(Program* program, SuperstepStats* ss) {
@@ -513,6 +375,7 @@ class PregelEngine {
   }
 
   EngineConfig config_;
+  const CsrGraph& graph_;
   int64_t num_vertices_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<WorkerId> owner_;

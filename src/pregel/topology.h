@@ -10,9 +10,11 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "graph/types.h"
-#include "pregel/worker_context.h"
 
 namespace spinner::pregel {
+
+/// A logical worker: the unit of placement and of sequential execution.
+using WorkerId = int;
 
 /// Placement function type: vertex id → worker id in [0, num_workers).
 using Placement = std::function<WorkerId(VertexId)>;

@@ -34,21 +34,20 @@ struct ClusterRun {
 
 /// Runs `program` on `graph` distributed across `num_workers` simulated
 /// machines via `placement`, then prices the run with `model`.
-/// V/E/M are the program's vertex/edge/message types; `init_vertex` and
-/// `init_edge` seed the state exactly as PregelEngine's constructor does.
-template <typename V, typename E, typename M>
-ClusterRun RunOnCluster(
-    const CsrGraph& graph, int num_workers, pregel::Placement placement,
-    pregel::VertexProgram<V, E, M>& program,
-    std::function<V(VertexId)> init_vertex,
-    std::function<E(VertexId, VertexId, EdgeWeight)> init_edge,
-    const CostModel& model = {}, int64_t max_supersteps = 100000) {
+/// V/M are the program's vertex/message types; `init_vertex` seeds the
+/// state exactly as PregelEngine's constructor does.
+template <typename V, typename M>
+ClusterRun RunOnCluster(const CsrGraph& graph, int num_workers,
+                        pregel::Placement placement,
+                        pregel::VertexProgram<V, M>& program,
+                        std::function<V(VertexId)> init_vertex,
+                        const CostModel& model = {},
+                        int64_t max_supersteps = 100000) {
   pregel::EngineConfig config;
   config.num_workers = num_workers;
   config.max_supersteps = max_supersteps;
-  pregel::PregelEngine<V, E, M> engine(graph, config, std::move(placement),
-                                       std::move(init_vertex),
-                                       std::move(init_edge));
+  pregel::PregelEngine<V, M> engine(graph, config, std::move(placement),
+                                    std::move(init_vertex));
   ClusterRun run;
   run.engine_stats = engine.Run(program);
   run.simulation = Simulate(run.engine_stats, model);

@@ -47,17 +47,6 @@
 #include "common/random.h"
 #include "graph/types.h"
 
-// SPINNER_SIMD (CMake -DSPINNER_SIMD=ON, the default) marks FillPenalties'
-// per-label loop with `#pragma omp simd` (compile-time only via
-// -fopenmp-simd; no OpenMP runtime dependency). The label scan carries no
-// pragma. With the knob OFF the pragma vanishes — same expressions, same
-// results, byte-for-byte (the simd-parity CI lane asserts this).
-#if defined(SPINNER_SIMD)
-#define SPINNER_PRAGMA_SIMD _Pragma("omp simd")
-#else
-#define SPINNER_PRAGMA_SIMD
-#endif
-
 namespace spinner::lpa {
 
 /// Domain separators for hash-derived randomness, so distinct decision
@@ -88,7 +77,6 @@ inline void FillPenalties(std::span<const int64_t> loads,
                           std::span<const double> capacities,
                           std::span<double> penalty) {
   const int k = static_cast<int>(penalty.size());
-  SPINNER_PRAGMA_SIMD
   for (int l = 0; l < k; ++l) {
     penalty[l] = capacities[l] > 0
                      ? static_cast<double>(loads[l]) / capacities[l]

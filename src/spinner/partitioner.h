@@ -28,7 +28,6 @@
 #include "common/result.h"
 #include "graph/csr_graph.h"
 #include "graph/types.h"
-#include "pregel/stats.h"
 #include "spinner/config.h"
 #include "spinner/metrics.h"
 #include "spinner/observer.h"
@@ -42,7 +41,7 @@ class WorkerRegistry;
 }  // namespace dist
 
 /// Everything a run produces: the assignment plus quality metrics,
-/// convergence curves and engine statistics (used by the adaptation
+/// convergence curves and run statistics (used by the adaptation
 /// benches to measure time/message savings).
 struct PartitionResult {
   /// Partition label per vertex, all in [0, num_partitions).
@@ -60,8 +59,8 @@ struct PartitionResult {
   PartitionMetrics metrics;
   /// Per-iteration evolution (Fig. 4 curves); empty if record_history off.
   std::vector<IterationPoint> history;
-  /// Engine statistics: supersteps, wall time, messages.
-  pregel::RunStats run_stats;
+  /// Run statistics: supersteps, wall time, messages.
+  RunRecord run_stats;
   /// Wire traffic of the cross-process execution mode (zeros when the run
   /// stayed in-process).
   WireTraffic wire;

@@ -33,12 +33,36 @@
 #include "common/threadpool.h"
 #include "graph/sharded_store.h"
 #include "graph/types.h"
-#include "pregel/stats.h"
 #include "spinner/config.h"
 #include "spinner/observer.h"
 #include "spinner/types.h"
 
 namespace spinner {
+
+/// One driver superstep (Initialize, then ComputeScores/ComputeMigrations
+/// rounds).
+struct SuperstepRecord {
+  /// Measured wall-clock duration, barrier included.
+  double wall_seconds = 0.0;
+  /// Label-update messages sent: one per arc whose source announced a
+  /// label (Initialize) or a move (ComputeMigrations); zero for
+  /// ComputeScores.
+  int64_t messages_sent = 0;
+};
+
+/// Wall time and message counts of one run, per driver superstep.
+struct RunRecord {
+  int64_t supersteps = 0;
+  double total_wall_seconds = 0.0;
+  std::vector<SuperstepRecord> per_superstep;
+
+  /// Sum of messages_sent over all supersteps.
+  int64_t TotalMessages() const {
+    int64_t total = 0;
+    for (const SuperstepRecord& s : per_superstep) total += s.messages_sent;
+    return total;
+  }
+};
 
 /// Wire traffic of one run, reported by message-passing backends (the
 /// cross-process coordinator); all zeros for in-process runs, whose label
@@ -112,9 +136,8 @@ struct ShardedRunResult {
   bool cancelled = false;
   /// Per-iteration φ/ρ/score curves (when config.record_history).
   std::vector<IterationPoint> history;
-  /// Superstep statistics, mirroring the Pregel engine's layout with one
-  /// "worker" per shard (message counts model label-update traffic).
-  pregel::RunStats run_stats;
+  /// Per-superstep wall time and label-update message counts.
+  RunRecord run_stats;
   /// Wire traffic of message-passing backends (zeros in-process).
   WireTraffic wire;
   /// Work-stealing claim counters of the in-process backend (zeros for

@@ -33,32 +33,14 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
   store->labels().assign(static_cast<size_t>(n), kNoPartition);
 
   ShardedRunResult out;
-  pregel::RunStats& stats = out.run_stats;
+  RunRecord& stats = out.run_stats;
   WallTimer total_timer;
 
-  // Superstep stats mirroring the engine's layout: one "worker" per shard;
-  // every vertex computes every superstep (Spinner never votes to halt).
-  auto NewStepStats = [&](int64_t step) {
-    pregel::SuperstepStats ss;
-    ss.superstep = step;
-    ss.active_vertices = n;
-    ss.worker_messages_in.assign(S, 0);
-    ss.worker_remote_messages_in.assign(S, 0);
-    ss.worker_vertices_computed.assign(S, 0);
-    ss.worker_edges_scanned.assign(S, 0);
-    ss.worker_messages_out.assign(S, 0);
-    for (int s = 0; s < S; ++s) {
-      ss.worker_vertices_computed[s] = store->shard(s).NumOwnedVertices();
-      ss.worker_edges_scanned[s] = store->shard(s).NumArcs();
-    }
-    return ss;
-  };
-  auto FinishStep = [&](pregel::SuperstepStats ss, WallTimer& timer,
-                        int64_t messages) {
-    ss.messages_sent = messages;
-    ss.messages_remote = messages;  // per-edge locality is engine-only
-    ss.wall_seconds = timer.ElapsedSeconds();
-    stats.per_superstep.push_back(std::move(ss));
+  auto FinishStep = [&](const WallTimer& timer, int64_t messages) {
+    SuperstepRecord step;
+    step.wall_seconds = timer.ElapsedSeconds();
+    step.messages_sent = messages;
+    stats.per_superstep.push_back(step);
     ++stats.supersteps;
   };
 
@@ -66,15 +48,11 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
   // labels or hash-drawn; loads accumulate shard-locally.
   {
     WallTimer step_timer;
-    pregel::SuperstepStats ss = NewStepStats(0);
     SuperstepBackend::InitOutcome init;
     SPINNER_RETURN_IF_ERROR(backend->Initialize(initial_labels, &init));
     int64_t messages = 0;
-    for (int s = 0; s < S; ++s) {
-      ss.worker_messages_out[s] = init.messages_out[s];
-      messages += init.messages_out[s];
-    }
-    FinishStep(std::move(ss), step_timer, messages);
+    for (int s = 0; s < S; ++s) messages += init.messages_out[s];
+    FinishStep(step_timer, messages);
   }
 
   std::vector<int64_t> global_loads = store->MergedLoads();
@@ -109,7 +87,6 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     // streams are keyed by it).
     const int64_t score_step = 2 * static_cast<int64_t>(out.iterations) + 1;
     WallTimer step_timer;
-    pregel::SuperstepStats ss = NewStepStats(score_step);
     SuperstepBackend::ScoreOutcome scores;
     SPINNER_RETURN_IF_ERROR(
         backend->ComputeScores(score_step, global_loads, capacities,
@@ -120,7 +97,7 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     double score_total = 0.0;  // fixed block-order reduction
     for (const double b : scores.block_score) score_total += b;
     const double score = score_total / static_cast<double>(n);
-    FinishStep(std::move(ss), step_timer, /*messages=*/0);
+    FinishStep(step_timer, /*messages=*/0);
 
     // --- Master logic after ComputeScores: the φ/ρ history point,
     // observer callbacks and the halting check.
@@ -180,7 +157,6 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     // were merged by the backend before the probabilistic moves.
     const int64_t migration_step = 2 * static_cast<int64_t>(iteration);
     WallTimer mig_timer;
-    pregel::SuperstepStats ms = NewStepStats(migration_step);
     SuperstepBackend::MigrateOutcome migrate;
     SPINNER_RETURN_IF_ERROR(
         backend->ComputeMigrations(migration_step, global_loads, capacities,
@@ -188,11 +164,8 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     global_loads = store->MergedLoads();
     last_migrations = migrate.migrated;
     int64_t messages = 0;
-    for (int s = 0; s < S; ++s) {
-      ms.worker_messages_out[s] = migrate.messages_out[s];
-      messages += migrate.messages_out[s];
-    }
-    FinishStep(std::move(ms), mig_timer, messages);
+    for (int s = 0; s < S; ++s) messages += migrate.messages_out[s];
+    FinishStep(mig_timer, messages);
   }
 
   stats.total_wall_seconds = total_timer.ElapsedSeconds();

@@ -4,8 +4,8 @@
 // with its OutDegree(v) >= k dense cutover, kept verbatim so the
 // differential tests can compare the library's bitmap scan against them.
 // Two deviations, neither of which changes a result: the dense pick has no
-// `omp simd` pragma, and the cutover is a parameter instead of the
-// SPINNER_SIMD build knob (the knob's OFF build ran every vertex sparse).
+// `omp simd` pragma, and the cutover, which a build knob selected at the
+// time (since removed), is a parameter: off runs every vertex sparse.
 #ifndef SPINNER_TESTS_LPA_KERNEL_REFERENCE_H_
 #define SPINNER_TESTS_LPA_KERNEL_REFERENCE_H_
 
@@ -123,8 +123,8 @@ inline LabelChoice PickLabelDense(std::span<const int64_t> freq,
 /// BlocksComputeScores as it was, over the library's ShardScratch. The
 /// scratch's k-slot `touched` is one slot short of GatherTouched's bound,
 /// so the touched list lives in a local k + 1 buffer instead.
-/// `dense_cutover` = the SPINNER_SIMD=ON build (dense scan for vertices
-/// with OutDegree(v) >= k); false = the OFF build (all sparse).
+/// `dense_cutover`: true scans vertices with OutDegree(v) >= k densely,
+/// false scans every vertex sparse (the removed knob's two builds).
 inline void BlocksComputeScores(const SpinnerConfig& config,
                                 const ShardedGraphStore::Shard& shard,
                                 VertexId begin, VertexId end,

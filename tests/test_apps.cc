@@ -29,10 +29,19 @@ TEST(PageRankTest, MatchesReferenceOnSmallWorldGraph) {
   config.num_workers = 4;
   PageRankEngine engine(
       g, config, pregel::HashPlacement(4),
-      [](VertexId) { return PageRankVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return PageRankVertex{}; });
   PageRankProgram program(20);
-  engine.Run(program);
+  const pregel::RunStats stats = engine.Run(program);
+  // edges() is the graph's CSR adjacency: every superstep scans each arc
+  // once and, with no dangling vertex, sends one message along it.
+  ASSERT_EQ(stats.per_superstep.size(), 20u);
+  for (const pregel::SuperstepStats& step : stats.per_superstep) {
+    int64_t scanned = 0;
+    for (const int64_t edges : step.worker_edges_scanned) scanned += edges;
+    EXPECT_EQ(scanned, g.NumArcs()) << "superstep " << step.superstep;
+    EXPECT_EQ(step.messages_sent, g.NumArcs())
+        << "superstep " << step.superstep;
+  }
 
   auto reference = PageRankReference(g, 20);
   engine.ForEachVertex([&](VertexId v, const PageRankVertex& val) {
@@ -48,8 +57,7 @@ TEST(PageRankTest, HandlesDanglingVertices) {
   config.num_workers = 2;
   PageRankEngine engine(
       *g, config, pregel::HashPlacement(2),
-      [](VertexId) { return PageRankVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return PageRankVertex{}; });
   PageRankProgram program(30);
   engine.Run(program);
 
@@ -70,8 +78,7 @@ TEST(PageRankTest, HubAccumulatesRank) {
   config.num_workers = 3;
   PageRankEngine engine(
       g, config, pregel::HashPlacement(3),
-      [](VertexId) { return PageRankVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return PageRankVertex{}; });
   PageRankProgram program(25);
   engine.Run(program);
   const double hub = engine.Value(0).rank;
@@ -85,8 +92,7 @@ TEST(PageRankTest, RunsExactlyRequestedSupersteps) {
   config.num_workers = 2;
   PageRankEngine engine(
       g, config, pregel::HashPlacement(2),
-      [](VertexId) { return PageRankVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return PageRankVertex{}; });
   PageRankProgram program(20);
   auto stats = engine.Run(program);
   EXPECT_EQ(stats.supersteps, 20);
@@ -102,8 +108,7 @@ TEST(SsspTest, MatchesBfsReference) {
   config.num_workers = 4;
   SsspEngine engine(
       g, config, pregel::HashPlacement(4),
-      [](VertexId) { return SsspVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return SsspVertex{}; });
   SsspProgram program(/*source=*/0);
   engine.Run(program);
   auto reference = BfsReference(g, 0);
@@ -120,8 +125,7 @@ TEST(SsspTest, UnreachableVerticesStayInfinite) {
   config.num_workers = 2;
   SsspEngine engine(
       *g, config, pregel::HashPlacement(2),
-      [](VertexId) { return SsspVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return SsspVertex{}; });
   SsspProgram program(0);
   engine.Run(program);
   EXPECT_EQ(engine.Value(0).distance, 0);
@@ -136,8 +140,7 @@ TEST(SsspTest, FrontierTerminatesInDiameterSupersteps) {
   config.num_workers = 2;
   SsspEngine engine(
       g, config, pregel::HashPlacement(2),
-      [](VertexId) { return SsspVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return SsspVertex{}; });
   SsspProgram program(0);
   auto stats = engine.Run(program);
   // 29 hops + 1 quiescent superstep (plus slack for halting mechanics).
@@ -156,8 +159,7 @@ TEST(WccTest, MatchesUnionFindReference) {
   config.num_workers = 4;
   WccEngine engine(
       g, config, pregel::HashPlacement(4),
-      [](VertexId) { return WccVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return WccVertex{}; });
   WccProgram program;
   engine.Run(program);
   auto reference = WccReference(g);
@@ -172,8 +174,7 @@ TEST(WccTest, SingleComponentGetsMinimumId) {
   config.num_workers = 3;
   WccEngine engine(
       g, config, pregel::HashPlacement(3),
-      [](VertexId) { return WccVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return WccVertex{}; });
   WccProgram program;
   engine.Run(program);
   engine.ForEachVertex([](VertexId, const WccVertex& val) {
@@ -188,8 +189,7 @@ TEST(WccTest, IsolatedVerticesAreOwnComponents) {
   config.num_workers = 2;
   WccEngine engine(
       *g, config, pregel::HashPlacement(2),
-      [](VertexId) { return WccVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return WccVertex{}; });
   WccProgram program;
   engine.Run(program);
   EXPECT_EQ(engine.Value(0).component, 0);

@@ -42,9 +42,11 @@ TEST(CommandLineTest, DefaultsWhenAbsent) {
 }
 
 TEST(CommandLineTest, HasDetectsPresence) {
-  auto cli = Parse({"--x=1"});
+  auto cli = Parse({"--x=1", "-h", "--w", "2", "--v"});
   EXPECT_TRUE(cli.Has("x"));
   EXPECT_FALSE(cli.Has("y"));
+  EXPECT_EQ(cli.FlagNames(), (std::vector<std::string>{"v", "w", "x"}));
+  EXPECT_EQ(cli.Positional(), std::vector<std::string>{"-h"});
 }
 
 TEST(CommandLineTest, BoolValueSpellings) {

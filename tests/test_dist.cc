@@ -446,14 +446,14 @@ void DriveSetup(const ShardedGraphStore& store, std::vector<int32_t> assigned,
   worker.join();
 }
 
-/// Asserts that `outcome` is an InvalidArgument Error frame naming
-/// `needle`, after which the worker exited 1.
-void ExpectSetupRejected(const SetupOutcome& outcome,
-                         const std::string& needle) {
+/// Asserts that `outcome` is an Error frame with `code` naming `needle`,
+/// after which the worker exited 1.
+void ExpectSetupRejected(const SetupOutcome& outcome, const std::string& needle,
+                         StatusCode code = StatusCode::kInvalidArgument) {
   ASSERT_EQ(outcome.reply.type, static_cast<uint32_t>(MessageType::kError));
   auto error = dist::ErrorMessage::Decode(outcome.reply.payload);
   ASSERT_TRUE(error.ok());
-  EXPECT_EQ(error->code, static_cast<int32_t>(StatusCode::kInvalidArgument));
+  EXPECT_EQ(error->code, static_cast<int32_t>(code));
   EXPECT_NE(error->message.find(needle), std::string::npos)
       << error->message;
   EXPECT_EQ(outcome.exit_code, 1);
@@ -510,6 +510,8 @@ struct ShardZeroRun {
   RunMessage init;
   RunMessage labels;
   RunMessage snapshot;
+  RunMessage scores;
+  RunMessage migrate;
   size_t subscribed = 0;
 };
 ShardZeroRun MakeShardZeroRun(const ShardedGraphStore& store,
@@ -531,6 +533,17 @@ ShardZeroRun MakeShardZeroRun(const ShardedGraphStore& store,
   if (!labels.values.empty()) labels.values.back() = last_mirror;
   run.labels = {MessageType::kLabels, labels.Encode(), /*answered=*/false};
   run.snapshot = {MessageType::kSnapshot, {}};
+  dist::ScoresRequest scores;
+  scores.superstep = 1;
+  scores.global_loads.assign(4, 0);
+  scores.capacities.assign(4, 1.0);
+  run.scores = {MessageType::kScores, scores.Encode()};
+  dist::MigrateRequest migrate;
+  migrate.superstep = 2;
+  migrate.global_loads.assign(4, 0);
+  migrate.capacities.assign(4, 1.0);
+  migrate.migration_counts.assign(4, 0);
+  run.migrate = {MessageType::kMigrate, migrate.Encode()};
   return run;
 }
 
@@ -586,6 +599,37 @@ TEST(ShardWorkerTest, MirrorLabelOutsideTheRangeIsRejected) {
             static_cast<uint32_t>(MessageType::kSnapshotReply));
   // No Error: the worker exits only when the harness hangs up mid-run.
   EXPECT_EQ(outcome.exit_code, 2);
+}
+
+TEST(ShardWorkerTest, RunMessagesBeforeInitAndLabelsAreRejected) {
+  // Until Init and Labels fill them, every label slot holds kNoPartition:
+  // a Scores or Migrate gather would index the per-label tables at -1, and
+  // an ApplyDeltas checksum would fold labels no Init produced.
+  const CsrGraph g = SmallWorldConverted(600);
+  auto store = ShardedGraphStore::Build(g, 2);
+  ASSERT_TRUE(store.ok());
+  dist::SetupMessage setup;
+  setup.owned_shards = {0};
+  setup.shards = {store->shard(0)};
+  const ShardZeroRun run = MakeShardZeroRun(*store, kNoPartition, 3);
+  const RunMessage deltas = {MessageType::kApplyDeltas,
+                             dist::ApplyDeltasMessage{}.Encode()};
+  for (const std::vector<RunMessage>& then :
+       std::vector<std::vector<RunMessage>>{{run.scores},
+                                            {run.migrate},
+                                            {deltas},
+                                            {run.init, run.scores}}) {
+    SetupOutcome outcome;
+    DriveSetup(*store, {0}, setup, {}, &outcome, then);
+    ExpectSetupRejected(outcome, "before Init and Labels",
+                        StatusCode::kFailedPrecondition);
+  }
+  // In protocol order the same Scores is answered.
+  SetupOutcome outcome;
+  DriveSetup(*store, {0}, setup, {}, &outcome,
+             {run.init, run.labels, run.scores});
+  EXPECT_EQ(outcome.reply.type,
+            static_cast<uint32_t>(MessageType::kScoresReply));
 }
 
 // --- Multi-process execution ---------------------------------------------

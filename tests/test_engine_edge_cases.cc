@@ -1,6 +1,6 @@
 // Engine edge cases beyond the core-semantics suite: self-messages,
-// message conservation across stats, empty graphs, more workers than
-// vertices, and aggregator persistence through a long run.
+// message conservation across stats, empty graphs, and more workers than
+// vertices.
 #include <gtest/gtest.h>
 
 #include "graph/conversion.h"
@@ -18,9 +18,9 @@ struct CounterVertex {
 TEST(EngineEdgeCaseTest, SelfMessagesDeliverNextSuperstep) {
   auto g = BuildSymmetric(3, {{0, 1}, {1, 2}});
   ASSERT_TRUE(g.ok());
-  class SelfPing : public VertexProgram<CounterVertex, char, int64_t> {
+  class SelfPing : public VertexProgram<CounterVertex, int64_t> {
    public:
-    void Compute(VertexHandle<CounterVertex, char, int64_t>& v,
+    void Compute(VertexHandle<CounterVertex, int64_t>& v,
                  std::span<const int64_t> messages) override {
       if (v.superstep() == 0) {
         v.SendMessage(v.id(), 7);  // message to self
@@ -35,10 +35,9 @@ TEST(EngineEdgeCaseTest, SelfMessagesDeliverNextSuperstep) {
   } program;
   EngineConfig config;
   config.num_workers = 2;
-  PregelEngine<CounterVertex, char, int64_t> engine(
+  PregelEngine<CounterVertex, int64_t> engine(
       *g, config, HashPlacement(2),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return CounterVertex{}; });
   engine.Run(program);
   engine.ForEachVertex([](VertexId, const CounterVertex& v) {
     EXPECT_EQ(v.received, 1);
@@ -51,9 +50,9 @@ TEST(EngineEdgeCaseTest, MessageAccountingIsConserved) {
   auto g = BuildSymmetric(ws->num_vertices, ws->edges);
   ASSERT_TRUE(g.ok());
 
-  class Broadcast : public VertexProgram<CounterVertex, char, int64_t> {
+  class Broadcast : public VertexProgram<CounterVertex, int64_t> {
    public:
-    void Compute(VertexHandle<CounterVertex, char, int64_t>& v,
+    void Compute(VertexHandle<CounterVertex, int64_t>& v,
                  std::span<const int64_t>) override {
       if (v.superstep() < 2) {
         v.SendMessageToAllEdges(1);
@@ -64,10 +63,9 @@ TEST(EngineEdgeCaseTest, MessageAccountingIsConserved) {
   } program;
   EngineConfig config;
   config.num_workers = 5;
-  PregelEngine<CounterVertex, char, int64_t> engine(
+  PregelEngine<CounterVertex, int64_t> engine(
       *g, config, HashPlacement(5),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return CounterVertex{}; });
   RunStats stats = engine.Run(program);
 
   for (const auto& step : stats.per_superstep) {
@@ -92,19 +90,18 @@ TEST(EngineEdgeCaseTest, MessageAccountingIsConserved) {
 TEST(EngineEdgeCaseTest, EmptyGraphTerminatesImmediately) {
   auto g = CsrGraph::FromEdges(0, {});
   ASSERT_TRUE(g.ok());
-  class Nop : public VertexProgram<CounterVertex, char, int64_t> {
+  class Nop : public VertexProgram<CounterVertex, int64_t> {
    public:
-    void Compute(VertexHandle<CounterVertex, char, int64_t>& v,
+    void Compute(VertexHandle<CounterVertex, int64_t>& v,
                  std::span<const int64_t>) override {
       v.VoteToHalt();
     }
   } program;
   EngineConfig config;
   config.num_workers = 4;
-  PregelEngine<CounterVertex, char, int64_t> engine(
+  PregelEngine<CounterVertex, int64_t> engine(
       *g, config, HashPlacement(4),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return CounterVertex{}; });
   RunStats stats = engine.Run(program);
   EXPECT_EQ(stats.supersteps, 1);
   EXPECT_EQ(stats.per_superstep[0].active_vertices, 0);
@@ -113,9 +110,9 @@ TEST(EngineEdgeCaseTest, EmptyGraphTerminatesImmediately) {
 TEST(EngineEdgeCaseTest, MoreWorkersThanVertices) {
   auto g = BuildSymmetric(3, {{0, 1}, {1, 2}});
   ASSERT_TRUE(g.ok());
-  class Echo : public VertexProgram<CounterVertex, char, int64_t> {
+  class Echo : public VertexProgram<CounterVertex, int64_t> {
    public:
-    void Compute(VertexHandle<CounterVertex, char, int64_t>& v,
+    void Compute(VertexHandle<CounterVertex, int64_t>& v,
                  std::span<const int64_t> messages) override {
       if (v.superstep() == 0) {
         v.SendMessageToAllEdges(1);
@@ -127,83 +124,12 @@ TEST(EngineEdgeCaseTest, MoreWorkersThanVertices) {
   } program;
   EngineConfig config;
   config.num_workers = 16;  // > |V|
-  PregelEngine<CounterVertex, char, int64_t> engine(
+  PregelEngine<CounterVertex, int64_t> engine(
       *g, config, HashPlacement(16),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return CounterVertex{}; });
   engine.Run(program);
   EXPECT_EQ(engine.Value(1).received, 2);
   EXPECT_EQ(engine.Value(0).received, 1);
-}
-
-TEST(EngineEdgeCaseTest, PersistentAggregatorSurvivesManySupersteps) {
-  auto ring = Ring(8);
-  auto g = BuildSymmetric(ring.num_vertices, ring.edges);
-  ASSERT_TRUE(g.ok());
-  class Accumulate : public VertexProgram<CounterVertex, char, int64_t> {
-   public:
-    void RegisterAggregators(AggregatorRegistry* registry) override {
-      registry->Register("persist", std::make_unique<LongSumAggregator>(),
-                         /*persistent=*/true);
-      registry->Register("volatile", std::make_unique<LongSumAggregator>(),
-                         /*persistent=*/false);
-    }
-    void Compute(VertexHandle<CounterVertex, char, int64_t>& v,
-                 std::span<const int64_t>) override {
-      v.AggregatePartial<LongSumAggregator>("persist")->Add(1);
-      v.AggregatePartial<LongSumAggregator>("volatile")->Add(1);
-    }
-    bool MasterCompute(MasterContext& ctx) override {
-      if (ctx.superstep() == 9) {
-        // Persistent: 8 vertices × 10 supersteps; volatile: last superstep
-        // only.
-        EXPECT_EQ(ctx.aggregators().Get<LongSumAggregator>("persist")->value(),
-                  80);
-        EXPECT_EQ(
-            ctx.aggregators().Get<LongSumAggregator>("volatile")->value(),
-            8);
-        return false;
-      }
-      return true;
-    }
-  } program;
-  EngineConfig config;
-  config.num_workers = 3;
-  PregelEngine<CounterVertex, char, int64_t> engine(
-      *g, config, HashPlacement(3),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
-  RunStats stats = engine.Run(program);
-  EXPECT_EQ(stats.supersteps, 10);
-}
-
-TEST(EngineEdgeCaseTest, EdgeValuesMutableAndIndependent) {
-  auto g = BuildSymmetric(4, {{0, 1}, {1, 2}, {2, 3}});
-  ASSERT_TRUE(g.ok());
-  class TagEdges : public VertexProgram<CounterVertex, int64_t, int64_t> {
-   public:
-    void Compute(VertexHandle<CounterVertex, int64_t, int64_t>& v,
-                 std::span<const int64_t>) override {
-      for (auto& e : v.mutable_edges()) {
-        e.value = v.id() * 100 + e.target;
-      }
-      v.VoteToHalt();
-    }
-  } program;
-  EngineConfig config;
-  config.num_workers = 2;
-  PregelEngine<CounterVertex, int64_t, int64_t> engine(
-      *g, config, HashPlacement(2),
-      [](VertexId) { return CounterVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return int64_t{-1}; });
-  engine.Run(program);
-  // Each direction of the symmetric edge carries its own value.
-  for (const auto& e : engine.EdgesOf(1)) {
-    EXPECT_EQ(e.value, 100 + e.target);
-  }
-  for (const auto& e : engine.EdgesOf(2)) {
-    EXPECT_EQ(e.value, 200 + e.target);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Engine semantics tests: superstep-delayed message delivery, vote-to-halt
-// with reactivation, combiners, aggregator visibility, worker contexts,
-// placement-dependent local/remote statistics, vertex-local mutation, and
-// determinism across worker counts.
+// with reactivation, combiners, aggregator visibility, placement-dependent
+// local/remote statistics, and determinism across worker counts.
 #include "pregel/engine.h"
 
 #include <gtest/gtest.h>
@@ -22,15 +21,13 @@ CsrGraph RingGraph(int64_t n) {
   return std::move(g).value();
 }
 
-template <typename V, typename E, typename M>
-PregelEngine<V, E, M> MakeEngine(const CsrGraph& graph, int workers,
-                                 V init_value = V{}) {
+template <typename V, typename M>
+PregelEngine<V, M> MakeEngine(const CsrGraph& graph, int workers,
+                              V init_value = V{}) {
   EngineConfig config;
   config.num_workers = workers;
-  return PregelEngine<V, E, M>(
-      graph, config, HashPlacement(workers),
-      [init_value](VertexId) { return init_value; },
-      [](VertexId, VertexId, EdgeWeight) { return E{}; });
+  return PregelEngine<V, M>(graph, config, HashPlacement(workers),
+                            [init_value](VertexId) { return init_value; });
 }
 
 // --- Message timing ---------------------------------------------------
@@ -41,9 +38,9 @@ struct RecvVertex {
   int64_t received_at = -1;
 };
 
-class SendOnceProgram : public VertexProgram<RecvVertex, char, int64_t> {
+class SendOnceProgram : public VertexProgram<RecvVertex, int64_t> {
  public:
-  void Compute(VertexHandle<RecvVertex, char, int64_t>& v,
+  void Compute(VertexHandle<RecvVertex, int64_t>& v,
                std::span<const int64_t> messages) override {
     if (v.superstep() == 0) {
       v.SendMessageToAllEdges(1);
@@ -57,7 +54,7 @@ class SendOnceProgram : public VertexProgram<RecvVertex, char, int64_t> {
 
 TEST(PregelEngineTest, MessagesArriveExactlyOneSuperstepLater) {
   CsrGraph g = RingGraph(10);
-  auto engine = MakeEngine<RecvVertex, char, int64_t>(g, 3);
+  auto engine = MakeEngine<RecvVertex, int64_t>(g, 3);
   SendOnceProgram program;
   engine.Run(program);
   engine.ForEachVertex([](VertexId, const RecvVertex& v) {
@@ -74,9 +71,9 @@ struct WakeVertex {
   int64_t woken_at = -1;
 };
 
-class ChainWakeProgram : public VertexProgram<WakeVertex, char, int64_t> {
+class ChainWakeProgram : public VertexProgram<WakeVertex, int64_t> {
  public:
-  void Compute(VertexHandle<WakeVertex, char, int64_t>& v,
+  void Compute(VertexHandle<WakeVertex, int64_t>& v,
                std::span<const int64_t> messages) override {
     if (v.superstep() == 0 && v.id() == 0) {
       v.value().woken_at = 0;
@@ -98,7 +95,7 @@ TEST(PregelEngineTest, HaltedVerticesReactivateOnMessage) {
   auto path = Path(6);
   auto g = BuildSymmetric(path.num_vertices, path.edges);
   ASSERT_TRUE(g.ok());
-  auto engine = MakeEngine<WakeVertex, char, int64_t>(*g, 2);
+  auto engine = MakeEngine<WakeVertex, int64_t>(*g, 2);
   ChainWakeProgram program;
   RunStats stats = engine.Run(program);
   engine.ForEachVertex([](VertexId id, const WakeVertex& v) {
@@ -110,11 +107,11 @@ TEST(PregelEngineTest, HaltedVerticesReactivateOnMessage) {
 
 TEST(PregelEngineTest, TerminatesWhenAllHaltAndNoMessages) {
   CsrGraph g = RingGraph(5);
-  auto engine = MakeEngine<RecvVertex, char, int64_t>(g, 2);
+  auto engine = MakeEngine<RecvVertex, int64_t>(g, 2);
 
-  class HaltNow : public VertexProgram<RecvVertex, char, int64_t> {
+  class HaltNow : public VertexProgram<RecvVertex, int64_t> {
    public:
-    void Compute(VertexHandle<RecvVertex, char, int64_t>& v,
+    void Compute(VertexHandle<RecvVertex, int64_t>& v,
                  std::span<const int64_t>) override {
       v.VoteToHalt();
     }
@@ -131,9 +128,9 @@ struct SumVertex {
   int64_t message_count = 0;
 };
 
-class CombinerProgram : public VertexProgram<SumVertex, char, int64_t> {
+class CombinerProgram : public VertexProgram<SumVertex, int64_t> {
  public:
-  void Compute(VertexHandle<SumVertex, char, int64_t>& v,
+  void Compute(VertexHandle<SumVertex, int64_t>& v,
                std::span<const int64_t> messages) override {
     if (v.superstep() == 0) {
       // Everyone sends its id to vertex 0, twice.
@@ -151,7 +148,7 @@ class CombinerProgram : public VertexProgram<SumVertex, char, int64_t> {
 
 TEST(PregelEngineTest, CombinerReducesToSingleMessagePerVertex) {
   CsrGraph g = RingGraph(8);
-  auto engine = MakeEngine<SumVertex, char, int64_t>(g, 3);
+  auto engine = MakeEngine<SumVertex, int64_t>(g, 3);
   CombinerProgram program;
   engine.Run(program);
   const SumVertex& v0 = engine.Value(0);
@@ -162,25 +159,24 @@ TEST(PregelEngineTest, CombinerReducesToSingleMessagePerVertex) {
 // --- Aggregators ---------------------------------------------------------
 
 struct AggVertex {
-  int64_t observed = -1;
+  double observed = -1;
 };
 
-class AggregatorProgram : public VertexProgram<AggVertex, char, char> {
+class AggregatorProgram : public VertexProgram<AggVertex, char> {
  public:
   void RegisterAggregators(AggregatorRegistry* registry) override {
-    registry->Register("count", std::make_unique<LongSumAggregator>(),
-                       /*persistent=*/false);
+    registry->Register("count", std::make_unique<DoubleSumAggregator>());
   }
-  void Compute(VertexHandle<AggVertex, char, char>& v,
+  void Compute(VertexHandle<AggVertex, char>& v,
                std::span<const char>) override {
     if (v.superstep() == 0) {
       // Value aggregated at superstep 0 must be invisible now...
-      EXPECT_EQ(v.Aggregated<LongSumAggregator>("count")->value(), 0);
-      v.AggregatePartial<LongSumAggregator>("count")->Add(1);
+      EXPECT_EQ(v.Aggregated<DoubleSumAggregator>("count")->value(), 0);
+      v.AggregatePartial<DoubleSumAggregator>("count")->Add(1);
     } else if (v.superstep() == 1) {
       // ...and visible at superstep 1.
       v.value().observed =
-          v.Aggregated<LongSumAggregator>("count")->value();
+          v.Aggregated<DoubleSumAggregator>("count")->value();
       v.VoteToHalt();
     }
   }
@@ -191,7 +187,7 @@ class AggregatorProgram : public VertexProgram<AggVertex, char, char> {
 
 TEST(PregelEngineTest, AggregatedValuesVisibleNextSuperstep) {
   CsrGraph g = RingGraph(12);
-  auto engine = MakeEngine<AggVertex, char, char>(g, 4);
+  auto engine = MakeEngine<AggVertex, char>(g, 4);
   AggregatorProgram program;
   engine.Run(program);
   engine.ForEachVertex([](VertexId, const AggVertex& v) {
@@ -199,57 +195,11 @@ TEST(PregelEngineTest, AggregatedValuesVisibleNextSuperstep) {
   });
 }
 
-// --- Worker context -------------------------------------------------------
-
-class CountingContext : public WorkerContextBase {
- public:
-  int64_t local_count = 0;
-};
-
-struct WcVertex {
-  int64_t worker_total = -1;
-};
-
-class WorkerContextProgram : public VertexProgram<WcVertex, char, char> {
- public:
-  std::unique_ptr<WorkerContextBase> CreateWorkerContext() override {
-    return std::make_unique<CountingContext>();
-  }
-  void Compute(VertexHandle<WcVertex, char, char>& v,
-               std::span<const char>) override {
-    auto* ctx = static_cast<CountingContext*>(v.worker_context());
-    if (v.superstep() == 0) {
-      ++ctx->local_count;  // shared mutable state within the worker
-    } else {
-      v.value().worker_total = ctx->local_count;
-      v.VoteToHalt();
-    }
-  }
-  bool MasterCompute(MasterContext& ctx) override {
-    return ctx.superstep() < 1;
-  }
-};
-
-TEST(PregelEngineTest, WorkerContextSharedWithinWorker) {
-  CsrGraph g = RingGraph(20);
-  const int workers = 4;
-  auto engine = MakeEngine<WcVertex, char, char>(g, workers);
-  WorkerContextProgram program;
-  engine.Run(program);
-  // Each vertex must have seen exactly the number of vertices its worker
-  // owns.
-  std::vector<int64_t> owned(workers, 0);
-  for (VertexId v = 0; v < 20; ++v) ++owned[engine.WorkerOf(v)];
-  engine.ForEachVertex([&](VertexId v, const WcVertex& val) {
-    EXPECT_EQ(val.worker_total, owned[engine.WorkerOf(v)]);
-  });
-}
-
 // --- Statistics ------------------------------------------------------------
 
-class BroadcastProgram : public VertexProgram<RecvVertex, char, int64_t> {
+class BroadcastProgram : public VertexProgram<RecvVertex, int64_t> {
  public:
-  void Compute(VertexHandle<RecvVertex, char, int64_t>& v,
+  void Compute(VertexHandle<RecvVertex, int64_t>& v,
                std::span<const int64_t>) override {
     if (v.superstep() == 0) {
       v.SendMessageToAllEdges(7);
@@ -261,7 +211,7 @@ class BroadcastProgram : public VertexProgram<RecvVertex, char, int64_t> {
 
 TEST(PregelEngineTest, SingleWorkerMakesAllMessagesLocal) {
   CsrGraph g = RingGraph(16);
-  auto engine = MakeEngine<RecvVertex, char, int64_t>(g, 1);
+  auto engine = MakeEngine<RecvVertex, int64_t>(g, 1);
   BroadcastProgram program;
   RunStats stats = engine.Run(program);
   const auto& s0 = stats.per_superstep[0];
@@ -277,10 +227,9 @@ TEST(PregelEngineTest, LocalRemoteSplitMatchesPlacement) {
   // Block placement: only ring edges crossing block boundaries are remote:
   // 4 boundaries × 2 directions × 2 arcs = 8... each boundary edge carries
   // one arc per direction: 4 boundaries × 2 arcs = 8 remote messages.
-  PregelEngine<RecvVertex, char, int64_t> engine(
+  PregelEngine<RecvVertex, int64_t> engine(
       g, config, BlockPlacement(16, 4),
-      [](VertexId) { return RecvVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
+      [](VertexId) { return RecvVertex{}; });
   BroadcastProgram program;
   RunStats stats = engine.Run(program);
   const auto& s0 = stats.per_superstep[0];
@@ -293,34 +242,6 @@ TEST(PregelEngineTest, LocalRemoteSplitMatchesPlacement) {
   EXPECT_EQ(in_sum, 32);
 }
 
-// --- Vertex-local mutation ---------------------------------------------
-
-struct MutVertex {
-  int64_t final_degree = 0;
-};
-
-class AddEdgeProgram : public VertexProgram<MutVertex, char, char> {
- public:
-  void Compute(VertexHandle<MutVertex, char, char>& v,
-               std::span<const char>) override {
-    if (v.superstep() == 0) {
-      v.AddEdge((v.id() + 2) % v.total_num_vertices(), char{});
-    }
-    v.value().final_degree = static_cast<int64_t>(v.edges().size());
-    v.VoteToHalt();
-  }
-};
-
-TEST(PregelEngineTest, AddEdgeIsImmediatelyVisible) {
-  CsrGraph g = RingGraph(6);
-  auto engine = MakeEngine<MutVertex, char, char>(g, 2);
-  AddEdgeProgram program;
-  engine.Run(program);
-  engine.ForEachVertex([](VertexId, const MutVertex& v) {
-    EXPECT_EQ(v.final_degree, 3);  // 2 ring arcs + 1 added
-  });
-}
-
 // --- Determinism across worker counts -----------------------------------
 
 TEST(PregelEngineTest, ResultsIdenticalAcrossWorkerCounts) {
@@ -330,10 +251,10 @@ TEST(PregelEngineTest, ResultsIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(g.ok());
 
   auto run = [&](int workers) {
-    auto engine = MakeEngine<SumVertex, char, int64_t>(*g, workers);
-    class DegreeSum : public VertexProgram<SumVertex, char, int64_t> {
+    auto engine = MakeEngine<SumVertex, int64_t>(*g, workers);
+    class DegreeSum : public VertexProgram<SumVertex, int64_t> {
      public:
-      void Compute(VertexHandle<SumVertex, char, int64_t>& v,
+      void Compute(VertexHandle<SumVertex, int64_t>& v,
                    std::span<const int64_t> messages) override {
         if (v.superstep() == 0) {
           v.SendMessageToAllEdges(v.id());
@@ -363,12 +284,11 @@ TEST(PregelEngineTest, MaxSuperstepsCapStopsRun) {
   EngineConfig config;
   config.num_workers = 1;
   config.max_supersteps = 3;
-  PregelEngine<RecvVertex, char, int64_t> engine(
-      g, config, HashPlacement(1), [](VertexId) { return RecvVertex{}; },
-      [](VertexId, VertexId, EdgeWeight) { return char{}; });
-  class Forever : public VertexProgram<RecvVertex, char, int64_t> {
+  PregelEngine<RecvVertex, int64_t> engine(
+      g, config, HashPlacement(1), [](VertexId) { return RecvVertex{}; });
+  class Forever : public VertexProgram<RecvVertex, int64_t> {
    public:
-    void Compute(VertexHandle<RecvVertex, char, int64_t>& v,
+    void Compute(VertexHandle<RecvVertex, int64_t>& v,
                  std::span<const int64_t>) override {
       v.SendMessageToAllEdges(1);
     }
@@ -379,7 +299,7 @@ TEST(PregelEngineTest, MaxSuperstepsCapStopsRun) {
 
 TEST(PregelEngineDeathTest, SecondRunAborts) {
   CsrGraph g = RingGraph(4);
-  auto engine = MakeEngine<RecvVertex, char, int64_t>(g, 1);
+  auto engine = MakeEngine<RecvVertex, int64_t>(g, 1);
   SendOnceProgram program;
   engine.Run(program);
   SendOnceProgram program2;
@@ -391,10 +311,9 @@ TEST(PregelEngineDeathTest, PlacementOutOfRangeAborts) {
   EngineConfig config;
   config.num_workers = 2;
   EXPECT_DEATH(
-      (PregelEngine<RecvVertex, char, int64_t>(
+      (PregelEngine<RecvVertex, int64_t>(
           g, config, [](VertexId) { return 5; },
-          [](VertexId) { return RecvVertex{}; },
-          [](VertexId, VertexId, EdgeWeight) { return char{}; })),
+          [](VertexId) { return RecvVertex{}; })),
       "placement");
 }
 

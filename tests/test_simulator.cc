@@ -108,10 +108,9 @@ TEST(ClusterSimulatorTest, SpinnerPlacementBeatsHashForPageRank) {
 
   auto run_with = [&](pregel::Placement placement) {
     apps::PageRankProgram program(15);
-    return RunOnCluster<apps::PageRankVertex, char, double>(
+    return RunOnCluster<apps::PageRankVertex, double>(
         *g, workers, std::move(placement), program,
-        [](VertexId) { return apps::PageRankVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::PageRankVertex{}; });
   };
 
   auto hash_run = run_with(pregel::HashPlacement(workers));
@@ -139,8 +138,7 @@ TEST(ClusterSimulatorTest, ResultsUnaffectedByPlacement) {
     config.num_workers = 5;
     apps::PageRankEngine engine(
         *g, config, std::move(placement),
-        [](VertexId) { return apps::PageRankVertex{}; },
-        [](VertexId, VertexId, EdgeWeight) { return char{}; });
+        [](VertexId) { return apps::PageRankVertex{}; });
     apps::PageRankProgram program(10);
     engine.Run(program);
     std::vector<double> ranks;
