@@ -1,12 +1,10 @@
 #include "baselines/fennel_partitioner.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "baselines/partitioner_registry.h"
-#include "common/random.h"
+#include "baselines/streaming_pass.h"
 
 namespace spinner {
 
@@ -24,59 +22,22 @@ Result<std::vector<PartitionId>> FennelPartitioner::Partition(
   const double alpha = std::sqrt(static_cast<double>(k)) * m /
                        std::pow(static_cast<double>(n), 1.5);
 
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), VertexId{0});
-  if (stream_seed_ != 0) {
-    Rng rng(SplitMix64(stream_seed_));
-    for (int64_t i = n - 1; i > 0; --i) {
-      std::swap(order[i], order[rng.Uniform(i + 1)]);
-    }
-  }
-
-  const double total_units =
-      balance_on_edges_ ? static_cast<double>(converted.TotalArcWeight())
-                        : static_cast<double>(n);
+  const double total_units = TotalStreamUnits(converted, balance_on_edges_);
   const double max_size = balance_cap_ * total_units / static_cast<double>(k);
+  const auto score = [&](int64_t neighbors, int64_t size) {
+    // In edge mode, rescale the load to "equivalent vertices" so the
+    // alpha calibration from the Fennel paper still applies.
+    const double load =
+        balance_on_edges_ ? static_cast<double>(size) *
+                                static_cast<double>(n) / total_units
+                          : static_cast<double>(size);
+    return static_cast<double>(neighbors) -
+           alpha * gamma_ / 2.0 * std::pow(load, gamma_ - 1.0);
+  };
   std::vector<PartitionId> labels(n, kNoPartition);
   std::vector<int64_t> sizes(k, 0);
-  std::vector<int64_t> neighbor_count(k, 0);
-
-  for (VertexId v : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : converted.Neighbors(v)) {
-      if (labels[u] != kNoPartition) ++neighbor_count[labels[u]];
-    }
-    const int64_t unit =
-        balance_on_edges_ ? converted.WeightedDegree(v) : 1;
-    double best = -1e300;
-    PartitionId best_part = -1;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (static_cast<double>(sizes[p] + unit) > max_size) continue;
-      // In edge mode, rescale the load to "equivalent vertices" so the
-      // alpha calibration from the Fennel paper still applies.
-      const double load =
-          balance_on_edges_
-              ? static_cast<double>(sizes[p]) * static_cast<double>(n) /
-                    total_units
-              : static_cast<double>(sizes[p]);
-      const double cost =
-          alpha * gamma_ / 2.0 * std::pow(load, gamma_ - 1.0);
-      const double score = static_cast<double>(neighbor_count[p]) - cost;
-      if (score > best ||
-          (score == best && best_part >= 0 && sizes[p] < sizes[best_part])) {
-        best = score;
-        best_part = p;
-      }
-    }
-    if (best_part < 0) {
-      // All partitions at the cap (can happen only via rounding): fall
-      // back to the smallest.
-      best_part = static_cast<PartitionId>(
-          std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
-    }
-    labels[v] = best_part;
-    sizes[best_part] += unit;
-  }
+  StreamingPass(converted, max_size, balance_on_edges_,
+                StreamOrder(n, stream_seed_), score, labels, sizes);
   return labels;
 }
 

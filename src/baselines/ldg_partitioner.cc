@@ -1,70 +1,25 @@
 #include "baselines/ldg_partitioner.h"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 
 #include "baselines/partitioner_registry.h"
-#include "common/random.h"
+#include "baselines/streaming_pass.h"
 
 namespace spinner {
 
 Result<std::vector<PartitionId>> LdgPartitioner::Partition(
     const CsrGraph& converted, int k) const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  const int64_t n = converted.NumVertices();
-
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), VertexId{0});
-  if (stream_seed_ != 0) {
-    Rng rng(SplitMix64(stream_seed_));
-    for (int64_t i = n - 1; i > 0; --i) {
-      std::swap(order[i], order[rng.Uniform(i + 1)]);
-    }
-  }
-
-  // Capacity with the canonical slack of one unit per partition. In
-  // vertex mode a unit is a vertex; in edge mode it is the total weighted
-  // degree divided by k (so `sizes` accumulates weighted degrees).
-  const double total_units =
-      balance_on_edges_ ? static_cast<double>(converted.TotalArcWeight())
-                        : static_cast<double>(n);
+  // Capacity with the canonical slack of one unit per partition (5% of a
+  // partition's share in edge mode).
+  const double total_units = TotalStreamUnits(converted, balance_on_edges_);
   const double capacity = total_units / static_cast<double>(k) +
                           (balance_on_edges_ ? 0.05 * total_units / k : 1.0);
-  std::vector<PartitionId> labels(n, kNoPartition);
+  std::vector<PartitionId> labels(converted.NumVertices(), kNoPartition);
   std::vector<int64_t> sizes(k, 0);
-  std::vector<int64_t> neighbor_count(k, 0);
-
-  for (VertexId v : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : converted.Neighbors(v)) {
-      if (labels[u] != kNoPartition) ++neighbor_count[labels[u]];
-    }
-    const int64_t unit =
-        balance_on_edges_ ? converted.WeightedDegree(v) : 1;
-    double best = -1.0;
-    PartitionId best_part = 0;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (static_cast<double>(sizes[p] + unit) > capacity) continue;
-      const double score =
-          static_cast<double>(neighbor_count[p]) *
-          (1.0 - static_cast<double>(sizes[p]) / capacity);
-      // Ties go to the smaller partition, then lower index: deterministic.
-      if (score > best ||
-          (score == best && sizes[p] < sizes[best_part])) {
-        best = score;
-        best_part = p;
-      }
-    }
-    // All partitions at capacity (possible when a hub exceeds the slack):
-    // fall back to the least-loaded one.
-    if (best < 0.0) {
-      best_part = static_cast<PartitionId>(
-          std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
-    }
-    labels[v] = best_part;
-    sizes[best_part] += unit;
-  }
+  StreamingPass(converted, capacity, balance_on_edges_,
+                StreamOrder(converted.NumVertices(), stream_seed_),
+                LdgScore(capacity), labels, sizes);
   return labels;
 }
 

@@ -1,57 +1,11 @@
 #include "baselines/restreaming_partitioner.h"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 
 #include "baselines/partitioner_registry.h"
-#include "common/random.h"
+#include "baselines/streaming_pass.h"
 
 namespace spinner {
-
-namespace {
-
-/// One restream pass: every vertex is (re)assigned in stream order, scoring
-/// partitions by neighbor counts under `labels` (previous pass for unseen
-/// vertices, current pass for already-restreamed ones — the standard
-/// restreaming semantics) with LDG's capacity-discounted score.
-void RestreamPass(const CsrGraph& g, int k, double capacity,
-                  bool balance_on_edges, const std::vector<VertexId>& order,
-                  std::vector<PartitionId>* labels,
-                  std::vector<int64_t>* sizes) {
-  std::vector<int64_t> neighbor_count(k, 0);
-  for (VertexId v : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : g.Neighbors(v)) {
-      if ((*labels)[u] != kNoPartition) ++neighbor_count[(*labels)[u]];
-    }
-    const int64_t unit = balance_on_edges ? g.WeightedDegree(v) : 1;
-    // Moving v: free its capacity first so it can stay put.
-    if ((*labels)[v] != kNoPartition) (*sizes)[(*labels)[v]] -= unit;
-
-    double best = -1.0;
-    PartitionId best_part = 0;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (static_cast<double>((*sizes)[p] + unit) > capacity) continue;
-      const double score =
-          static_cast<double>(neighbor_count[p]) *
-          (1.0 - static_cast<double>((*sizes)[p]) / capacity);
-      if (score > best ||
-          (score == best && (*sizes)[p] < (*sizes)[best_part])) {
-        best = score;
-        best_part = p;
-      }
-    }
-    if (best < 0.0) {
-      best_part = static_cast<PartitionId>(
-          std::min_element(sizes->begin(), sizes->end()) - sizes->begin());
-    }
-    (*labels)[v] = best_part;
-    (*sizes)[best_part] += unit;
-  }
-}
-
-}  // namespace
 
 Result<std::vector<PartitionId>> RestreamingPartitioner::Partition(
     const CsrGraph& converted, int k) const {
@@ -77,33 +31,25 @@ Result<std::vector<PartitionId>> RestreamingPartitioner::Restream(
     }
   }
 
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), VertexId{0});
-  if (stream_seed_ != 0) {
-    Rng rng(SplitMix64(stream_seed_));
-    for (int64_t i = n - 1; i > 0; --i) {
-      std::swap(order[i], order[rng.Uniform(i + 1)]);
-    }
-  }
-
-  const double total_units =
-      balance_on_edges_ ? static_cast<double>(converted.TotalArcWeight())
-                        : static_cast<double>(n);
+  const std::vector<VertexId> order = StreamOrder(n, stream_seed_);
   const double capacity =
-      1.05 * total_units / static_cast<double>(k) + 1.0;
-
+      1.05 * TotalStreamUnits(converted, balance_on_edges_) /
+          static_cast<double>(k) +
+      1.0;
   std::vector<PartitionId> labels = previous;
   std::vector<int64_t> sizes(k, 0);
   for (VertexId v = 0; v < n; ++v) {
-    if (labels[v] == kNoPartition) continue;
-    sizes[labels[v]] +=
-        balance_on_edges_ ? converted.WeightedDegree(v) : 1;
+    if (labels[v] != kNoPartition) {
+      sizes[labels[v]] += StreamUnit(converted, v, balance_on_edges_);
+    }
   }
-
+  // Each pass counts a vertex's neighbours by their current labels: the
+  // previous pass's for those not yet restreamed (the standard restreaming
+  // semantics).
   for (int pass = 0; pass < num_passes; ++pass) {
     const std::vector<PartitionId> before = labels;
-    RestreamPass(converted, k, capacity, balance_on_edges_, order, &labels,
-                 &sizes);
+    StreamingPass(converted, capacity, balance_on_edges_, order,
+                  LdgScore(capacity), labels, sizes);
     if (labels == before) break;  // converged
   }
   return labels;

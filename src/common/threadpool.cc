@@ -60,30 +60,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& fn) {
-  ParallelForChunked(pool, begin, end, pool->num_threads(),
-                     [&fn](int /*chunk*/, int64_t lo, int64_t hi) {
-                       for (int64_t i = lo; i < hi; ++i) fn(i);
-                     });
-}
-
-void ParallelForChunked(
-    ThreadPool* pool, int64_t begin, int64_t end, int num_chunks,
-    const std::function<void(int, int64_t, int64_t)>& fn) {
-  SPINNER_CHECK(begin <= end);
-  const int64_t n = end - begin;
-  if (n == 0) return;
-  num_chunks = static_cast<int>(
-      std::min<int64_t>(std::max(1, num_chunks), n));
-  const int64_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (int c = 0; c < num_chunks; ++c) {
-    const int64_t lo = begin + c * chunk;
-    const int64_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool->Submit([c, lo, hi, &fn] { fn(c, lo, hi); });
-  }
-  pool->Wait();
-}
-
 }  // namespace spinner

@@ -1,6 +1,7 @@
-// Fixed-size thread pool plus a blocking ParallelFor, the only concurrency
-// primitives the Pregel engine needs. Workers are long-lived so superstep
-// loops do not pay thread-creation costs.
+// Fixed-size thread pool: the persistent workers of in-process supersteps
+// (spinner/sharded_program.cc) and of the session's execution resources.
+// Workers are long-lived so superstep loops do not pay thread-creation
+// costs.
 #ifndef SPINNER_COMMON_THREADPOOL_H_
 #define SPINNER_COMMON_THREADPOOL_H_
 
@@ -44,20 +45,6 @@ class ThreadPool {
   int64_t pending_ = 0;  // queued + running tasks
   bool shutdown_ = false;
 };
-
-/// Runs fn(i) for i in [begin, end) across `pool`, blocking until done.
-/// Work is split into contiguous chunks, one per worker, so that fn bodies
-/// that touch per-index arrays keep cache locality. fn must be safe to call
-/// concurrently for distinct i.
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& fn);
-
-/// Runs fn(chunk_index, chunk_begin, chunk_end) over `num_chunks` contiguous
-/// ranges covering [begin, end). Used when the caller wants per-chunk state
-/// (e.g. one accumulator per worker).
-void ParallelForChunked(
-    ThreadPool* pool, int64_t begin, int64_t end, int num_chunks,
-    const std::function<void(int, int64_t, int64_t)>& fn);
 
 }  // namespace spinner
 

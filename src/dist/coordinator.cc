@@ -94,7 +94,8 @@ class MultiProcessBackend final : public SuperstepBackend {
     }
     SPINNER_ASSIGN_OR_RETURN(
         std::vector<WorkerEndpoint> endpoints,
-        transport_->Acquire(num_workers, options_.transport));
+        transport_->Acquire(num_workers, options_.transport,
+                            /*wait_ms=*/std::nullopt));
     SPINNER_RETURN_IF_ERROR(
         AssignFleet(std::move(endpoints), /*inject_fail_hook=*/true));
     for (const Worker& worker : workers_) {
@@ -466,8 +467,8 @@ class MultiProcessBackend final : public SuperstepBackend {
       // materialize (a fresh fork, or a spare dialing into the registry);
       // otherwise the survivors absorb the dead worker's shards, and their
       // stores re-download exactly the slices that changed hands.
-      auto replacements = transport_->TryAcquire(
-          missing, options_.transport, options_.rpc_timeout_ms);
+      auto replacements = transport_->Acquire(missing, options_.transport,
+                                              options_.rpc_timeout_ms);
       if (replacements.ok()) {
         wire_.workers_replaced += static_cast<int64_t>(replacements->size());
         for (WorkerEndpoint& ep : *replacements) {

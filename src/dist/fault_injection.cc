@@ -7,61 +7,35 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <utility>
 
+#include "common/random.h"
 #include "common/string_util.h"
 
 namespace spinner::dist {
 
 namespace {
 
-/// SplitMix64 — the deterministic per-frame coin of probabilistic rules.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform [0, 1) from (seed, connection ordinal, direction, frame index).
+/// Uniform [0, 1) from (seed, connection ordinal, direction, frame index):
+/// the deterministic per-frame coin of probabilistic rules.
 double FrameCoin(uint64_t seed, int ordinal, int direction,
                  int64_t frame_index) {
-  uint64_t h = Mix64(seed ^ 0x5350464cull);  // "SPFL"
-  h = Mix64(h ^ static_cast<uint64_t>(ordinal));
-  h = Mix64(h ^ (static_cast<uint64_t>(direction) << 32));
-  h = Mix64(h ^ static_cast<uint64_t>(frame_index));
+  uint64_t h = SplitMix64(seed ^ 0x5350464cull);  // "SPFL"
+  h = SplitMix64(h ^ static_cast<uint64_t>(ordinal));
+  h = SplitMix64(h ^ (static_cast<uint64_t>(direction) << 32));
+  h = SplitMix64(h ^ static_cast<uint64_t>(frame_index));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// Strict numeric field parsers: the whole value must be a number. A
-/// typo'd plan must be rejected, not silently read as 0 (which would
-/// perturb frame 0 instead of the intended one).
-bool ParseI64(const std::string& value, int64_t* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) return false;
-  *out = parsed;
-  return true;
-}
-
+/// Strict unsigned parser for the plan seed: the whole value must be a
+/// number. A typo'd plan must be rejected, not silently read as 0.
 bool ParseU64(const std::string& value, uint64_t* out) {
   if (value.empty() || value[0] == '-') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseF64(const std::string& value, double* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
   if (errno != 0 || end != value.c_str() + value.size()) return false;
   *out = parsed;
   return true;
@@ -77,40 +51,6 @@ bool RuleMatchesDirection(const FaultRule& rule, bool coordinator_to_worker) {
       return true;
   }
   return false;
-}
-
-/// Writes all of `data` to `fd` (MSG_NOSIGNAL: a dead peer is a false
-/// return, never a SIGPIPE). Returns false on any error.
-bool WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Reads exactly `size` bytes; false on EOF/error. Assumes the caller
-/// poll()ed readability for the first byte (later bytes may block
-/// briefly mid-frame, which is fine for a proxy).
-bool ReadAll(int fd, uint8_t* data, size_t size) {
-  size_t received = 0;
-  while (received < size) {
-    const ssize_t n = ::recv(fd, data + received, size - received, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    received += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -182,25 +122,29 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
         }
       } else if (key == "worker") {
         int64_t worker = -1;
-        if (value != "all" && !ParseI64(value, &worker)) {
+        if (value != "all" &&
+            (!ParseInt64(value, &worker) || worker < 0 ||
+             worker > std::numeric_limits<int>::max())) {
           return Status::InvalidArgument(StrFormat(
-              "fault plan: worker=%s (want N or all)", value.c_str()));
+              "fault plan: worker=%s (want N in [0, INT_MAX] or all)",
+              value.c_str()));
         }
         rule.worker = static_cast<int>(worker);
       } else if (key == "frame") {
-        if (!ParseI64(value, &rule.frame_index)) {
+        if (!ParseInt64(value, &rule.frame_index)) {
           return Status::InvalidArgument(StrFormat(
               "fault plan: frame=%s is not a number", value.c_str()));
         }
       } else if (key == "p") {
-        if (!ParseF64(value, &rule.probability) ||
-            rule.probability < 0.0 || rule.probability > 1.0) {
+        // Written as a range test so that NaN fails it too.
+        if (!ParseDouble(value, &rule.probability) ||
+            !(rule.probability >= 0.0 && rule.probability <= 1.0)) {
           return Status::InvalidArgument(StrFormat(
               "fault plan: p=%s is not a probability in [0, 1]",
               value.c_str()));
         }
       } else if (key == "ms") {
-        if (!ParseI64(value, &rule.delay_ms) || rule.delay_ms < 0) {
+        if (!ParseInt64(value, &rule.delay_ms) || rule.delay_ms < 0) {
           return Status::InvalidArgument(StrFormat(
               "fault plan: ms=%s is not a non-negative number",
               value.c_str()));
@@ -288,25 +232,26 @@ void PumpFrames(int src, int dst, int real_fd, int proxy_fd, int stop_fd,
     if (raw_passthrough) {
       uint8_t chunk[4096];
       const ssize_t n = ::recv(src, chunk, sizeof chunk, 0);
-      if (n <= 0 || !WriteAll(dst, chunk, static_cast<size_t>(n))) break;
+      if (n <= 0 || !SendAll(dst, chunk, static_cast<size_t>(n)).ok()) break;
       continue;
     }
 
+    // Reads may block briefly mid-frame once poll() saw the first byte;
+    // that is fine for a proxy.
+    bool got_any = false;
     uint8_t header[kFrameHeaderSize];
-    if (!ReadAll(src, header, sizeof header)) break;
+    if (!RecvAll(src, header, sizeof header, &got_any).ok()) break;
     uint32_t magic = 0;
     uint64_t payload_size = 0;
     std::memcpy(&magic, header, sizeof magic);
     std::memcpy(&payload_size, header + 8, sizeof payload_size);
     if (magic != kFrameMagic || payload_size > kMaxFramePayload) {
       raw_passthrough = true;
-      if (!WriteAll(dst, header, sizeof header)) break;
+      if (!SendAll(dst, header, sizeof header).ok()) break;
       continue;
     }
     buffer.resize(static_cast<size_t>(payload_size));
-    if (payload_size > 0 && !ReadAll(src, buffer.data(), buffer.size())) {
-      break;
-    }
+    if (!RecvAll(src, buffer.data(), buffer.size(), &got_any).ok()) break;
 
     const FaultRule* fired = nullptr;
     for (const FaultRule& rule : plan.rules) {
@@ -348,8 +293,8 @@ void PumpFrames(int src, int dst, int real_fd, int proxy_fd, int stop_fd,
           return;
       }
     }
-    if (!WriteAll(dst, header, sizeof header)) break;
-    if (!buffer.empty() && !WriteAll(dst, buffer.data(), buffer.size())) {
+    if (!SendAll(dst, header, sizeof header).ok() ||
+        !SendAll(dst, buffer.data(), buffer.size()).ok()) {
       break;
     }
     counters->frames_forwarded.fetch_add(1);
@@ -433,27 +378,10 @@ FaultInjectingTransport::DetachProxy(int coordinator_fd) {
 }
 
 Result<std::vector<WorkerEndpoint>> FaultInjectingTransport::Acquire(
-    int num_workers, const TransportOptions& options) {
+    int num_workers, const TransportOptions& options,
+    std::optional<int64_t> wait_ms) {
   SPINNER_ASSIGN_OR_RETURN(std::vector<WorkerEndpoint> real,
-                           inner_->Acquire(num_workers, options));
-  std::vector<WorkerEndpoint> wrapped;
-  wrapped.reserve(real.size());
-  for (WorkerEndpoint& ep : real) {
-    auto proxied = WrapEndpoint(std::move(ep));
-    if (!proxied.ok()) {
-      for (WorkerEndpoint& done : wrapped) Destroy(std::move(done));
-      return proxied.status();
-    }
-    wrapped.push_back(std::move(*proxied));
-  }
-  return wrapped;
-}
-
-Result<std::vector<WorkerEndpoint>> FaultInjectingTransport::TryAcquire(
-    int num_workers, const TransportOptions& options, int64_t timeout_ms) {
-  SPINNER_ASSIGN_OR_RETURN(
-      std::vector<WorkerEndpoint> real,
-      inner_->TryAcquire(num_workers, options, timeout_ms));
+                           inner_->Acquire(num_workers, options, wait_ms));
   std::vector<WorkerEndpoint> wrapped;
   wrapped.reserve(real.size());
   for (WorkerEndpoint& ep : real) {

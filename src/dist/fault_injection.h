@@ -109,10 +109,8 @@ class FaultInjectingTransport final : public Transport {
   const char* name() const override { return "fault"; }
 
   Result<std::vector<WorkerEndpoint>> Acquire(
-      int num_workers, const TransportOptions& options) override;
-  Result<std::vector<WorkerEndpoint>> TryAcquire(
       int num_workers, const TransportOptions& options,
-      int64_t timeout_ms) override;
+      std::optional<int64_t> wait_ms) override;
   void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
 

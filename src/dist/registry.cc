@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,12 +16,6 @@
 namespace spinner::dist {
 
 namespace {
-
-int64_t NowMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
 
 /// Waits for bytes on `fd` within `timeout_ms`, so a dial-in that never
 /// sends its Hello cannot park the registry forever.
@@ -48,7 +41,8 @@ Status PollReadable(int fd, int64_t timeout_ms) {
 /// worker prints it and exits) before the failure is returned.
 Result<HelloMessage> RecvHello(int fd, const TransportOptions& options,
                                int64_t timeout_ms) {
-  const int64_t deadline = NowMs() + (timeout_ms < 0 ? 0 : timeout_ms);
+  const int64_t deadline =
+      MonotonicNowMs() + (timeout_ms < 0 ? 0 : timeout_ms);
   SPINNER_RETURN_IF_ERROR(PollReadable(fd, timeout_ms));
   // The remaining budget bounds the Hello bytes themselves: a dial-in that
   // sends half a frame and stalls is rejected (DeadlineExceeded from the
@@ -56,7 +50,8 @@ Result<HelloMessage> RecvHello(int fd, const TransportOptions& options,
   SPINNER_ASSIGN_OR_RETURN(
       Frame frame,
       RecvMessage(fd, options, /*counters=*/nullptr,
-                  /*timeout_ms=*/std::max<int64_t>(deadline - NowMs(), 1)));
+                  /*timeout_ms=*/
+                  std::max<int64_t>(deadline - MonotonicNowMs(), 1)));
   if (frame.type != static_cast<uint32_t>(MessageType::kHello)) {
     return Status::InvalidArgument(StrFormat(
         "expected Hello as the first message, got frame type %u",
@@ -113,7 +108,8 @@ UnixSocketTransport::UnixSocketTransport(std::string worker_store_dir)
     : worker_store_dir_(std::move(worker_store_dir)) {}
 
 Result<std::vector<WorkerEndpoint>> UnixSocketTransport::Acquire(
-    int num_workers, const TransportOptions& options) {
+    int num_workers, const TransportOptions& options,
+    std::optional<int64_t> /*wait_ms*/) {
   if (num_workers < 1) {
     return Status::InvalidArgument("num_workers must be >= 1");
   }
@@ -203,18 +199,8 @@ Result<std::unique_ptr<WorkerRegistry>> WorkerRegistry::Listen(
 }
 
 Result<std::vector<WorkerEndpoint>> WorkerRegistry::Acquire(
-    int num_workers, const TransportOptions& options) {
-  return AcquireWithin(num_workers, options, options_.handshake_timeout_ms);
-}
-
-Result<std::vector<WorkerEndpoint>> WorkerRegistry::TryAcquire(
-    int num_workers, const TransportOptions& options, int64_t timeout_ms) {
-  return AcquireWithin(num_workers, options,
-                       std::max<int64_t>(timeout_ms, 1));
-}
-
-Result<std::vector<WorkerEndpoint>> WorkerRegistry::AcquireWithin(
-    int num_workers, const TransportOptions& options, int64_t timeout_ms) {
+    int num_workers, const TransportOptions& options,
+    std::optional<int64_t> wait_ms) {
   if (num_workers < 1) {
     return Status::InvalidArgument("num_workers must be >= 1");
   }
@@ -239,9 +225,11 @@ Result<std::vector<WorkerEndpoint>> WorkerRegistry::AcquireWithin(
     endpoints.push_back(std::move(ep));
   }
 
-  const int64_t deadline = NowMs() + timeout_ms;
+  const int64_t timeout_ms =
+      wait_ms ? std::max<int64_t>(*wait_ms, 1) : options_.handshake_timeout_ms;
+  const int64_t deadline = MonotonicNowMs() + timeout_ms;
   while (endpoints.size() < static_cast<size_t>(num_workers)) {
-    const int64_t remaining = deadline - NowMs();
+    const int64_t remaining = deadline - MonotonicNowMs();
     if (remaining <= 0) {
       return Status::IOError(StrFormat(
           "only %d of %d workers dialed in within %lld ms",
@@ -256,8 +244,7 @@ Result<std::vector<WorkerEndpoint>> WorkerRegistry::AcquireWithin(
           static_cast<long long>(timeout_ms),
           conn.status().message().c_str()));
     }
-    auto hello =
-        RecvHello(conn->fd(), options, deadline - NowMs());
+    auto hello = RecvHello(conn->fd(), options, deadline - MonotonicNowMs());
     if (!hello.ok()) {
       // A bad dial-in (wrong version, garbage, silent) is not fatal to
       // the fleet: close it and keep waiting for real workers.

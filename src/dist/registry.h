@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,21 +58,14 @@ class Transport {
 
   /// Produces `num_workers` live endpoints whose Hello handshake has been
   /// consumed and validated. `options` are the frame-transport options
-  /// both sides of every connection must share.
+  /// both sides of every connection must share. `wait_ms` bounds the wait
+  /// for endpoints to materialize: the initial fleet passes none and gets
+  /// the transport's own handshake bound; a recovery top-up passes its rpc
+  /// timeout, so a coordinator can fall back to the surviving workers
+  /// instead of stalling on a replacement that may never dial in.
   virtual Result<std::vector<WorkerEndpoint>> Acquire(
-      int num_workers, const TransportOptions& options) = 0;
-
-  /// Bounded acquisition for the fleet-recovery path: like Acquire but
-  /// waits at most `timeout_ms` for endpoints to materialize, so a
-  /// coordinator topping up a fleet mid-recovery can fall back to the
-  /// surviving workers instead of stalling a run on a replacement that may
-  /// never dial in. The default forwards to Acquire — correct for
-  /// transports whose Acquire cannot block indefinitely (fork-based).
-  virtual Result<std::vector<WorkerEndpoint>> TryAcquire(
-      int num_workers, const TransportOptions& options, int64_t timeout_ms) {
-    (void)timeout_ms;
-    return Acquire(num_workers, options);
-  }
+      int num_workers, const TransportOptions& options,
+      std::optional<int64_t> wait_ms) = 0;
 
   /// Returns endpoints after a clean run (TeardownAck received).
   /// UnixSocketTransport closes every connection, then reaps every child,
@@ -86,7 +80,9 @@ class Transport {
 };
 
 /// The single-host transport: Acquire forks one ShardWorker child per
-/// endpoint, connected by AF_UNIX socketpair (the pre-TCP behavior).
+/// endpoint, connected by AF_UNIX socketpair (the pre-TCP behavior). A
+/// fork cannot fail to show up, so Acquire ignores `wait_ms`; each child's
+/// Hello is bounded by 30 s.
 class UnixSocketTransport final : public Transport {
  public:
   /// `worker_store_dir`: when non-empty, children host their slices in a
@@ -96,7 +92,8 @@ class UnixSocketTransport final : public Transport {
 
   const char* name() const override { return "unix"; }
   Result<std::vector<WorkerEndpoint>> Acquire(
-      int num_workers, const TransportOptions& options) override;
+      int num_workers, const TransportOptions& options,
+      std::optional<int64_t> wait_ms) override;
   void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
 
@@ -136,17 +133,13 @@ class WorkerRegistry final : public Transport {
 
   /// Hands out pooled connections first (dropping any that died since
   /// release), then accepts new dial-ins until `num_workers` endpoints
-  /// are ready or the handshake timeout elapses (IOError naming how many
-  /// arrived). A rejected handshake (version mismatch) gets an Error
-  /// frame and its connection closed, and does not count.
+  /// are ready or `wait_ms` (default: the handshake timeout) elapses
+  /// (IOError naming how many arrived). A rejected handshake (version
+  /// mismatch) gets an Error frame and its connection closed, and does not
+  /// count.
   Result<std::vector<WorkerEndpoint>> Acquire(
-      int num_workers, const TransportOptions& options) override;
-
-  /// Acquire with an explicit wait bound instead of the registry-wide
-  /// handshake timeout — the recovery top-up path.
-  Result<std::vector<WorkerEndpoint>> TryAcquire(
       int num_workers, const TransportOptions& options,
-      int64_t timeout_ms) override;
+      std::optional<int64_t> wait_ms) override;
 
   void Release(std::vector<WorkerEndpoint> endpoints) override;
   void Destroy(WorkerEndpoint endpoint) override;
@@ -164,9 +157,6 @@ class WorkerRegistry final : public Transport {
  private:
   WorkerRegistry() = default;
 
-  Result<std::vector<WorkerEndpoint>> AcquireWithin(
-      int num_workers, const TransportOptions& options, int64_t timeout_ms);
-
   TcpListener listener_;
   RegistryOptions options_;
   std::vector<WorkerEndpoint> pool_;
@@ -174,10 +164,6 @@ class WorkerRegistry final : public Transport {
   int64_t handshakes_completed_ = 0;
   int64_t handshakes_rejected_ = 0;
 };
-
-/// The issue-facing name for the coordinator-side TCP transport: the
-/// registry IS the transport implementation.
-using TcpTransport = WorkerRegistry;
 
 }  // namespace spinner::dist
 

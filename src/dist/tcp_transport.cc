@@ -30,12 +30,6 @@ Status SetNoDelay(int fd) {
   return Status::OK();
 }
 
-int64_t NowMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
-
 void SleepMs(int64_t ms) {
   timespec ts{};
   ts.tv_sec = ms / 1000;
@@ -130,7 +124,8 @@ Result<UnixSocket> TcpDial(const std::string& address, int64_t timeout_ms) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(host_port.second);
   inet_pton(AF_INET, host_port.first.c_str(), &addr.sin_addr);
-  const int64_t deadline = NowMs() + (timeout_ms < 0 ? 0 : timeout_ms);
+  const int64_t deadline =
+      MonotonicNowMs() + (timeout_ms < 0 ? 0 : timeout_ms);
   for (;;) {
     UnixSocket fd(socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid()) return Errno("socket");
@@ -145,7 +140,7 @@ Result<UnixSocket> TcpDial(const std::string& address, int64_t timeout_ms) {
         errno != EHOSTUNREACH && errno != ETIMEDOUT) {
       return Errno("connect");
     }
-    if (NowMs() >= deadline) {
+    if (MonotonicNowMs() >= deadline) {
       return Status::IOError(StrFormat(
           "could not connect to %s within %lld ms", address.c_str(),
           static_cast<long long>(timeout_ms)));

@@ -68,28 +68,6 @@ Result<ChunkEnvelope> ParseEnvelope(std::span<const uint8_t> payload) {
   return env;
 }
 
-Status SendAll(int fd, const uint8_t* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE instead of SIGPIPE, so a
-    // crashed worker surfaces as a Status the coordinator can act on.
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("send failed: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-int64_t NowMs() {
-  timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
-
 /// Blocks until `fd` is readable (or hung up — the following recv reports
 /// EOF/reset as its own IOError) or `deadline_ms` (absolute CLOCK_MONOTONIC,
 /// < 0 = none) passes. The wait wakes every `poll_period_ms` to re-check
@@ -99,7 +77,7 @@ int64_t NowMs() {
 Status AwaitReadable(int fd, int64_t deadline_ms, int64_t poll_period_ms,
                      size_t received, size_t size) {
   for (;;) {
-    const int64_t remaining = deadline_ms - NowMs();
+    const int64_t remaining = deadline_ms - MonotonicNowMs();
     if (remaining <= 0) {
       return Status::DeadlineExceeded(
           StrFormat("read deadline exceeded: peer connected but silent "
@@ -121,16 +99,45 @@ Status AwaitReadable(int fd, int64_t deadline_ms, int64_t poll_period_ms,
   }
 }
 
-/// Reads exactly `size` bytes. `*got_any` reports whether at least one byte
-/// arrived, distinguishing a clean peer close (EOF at a frame boundary)
-/// from a torn frame. `timeout_ms` (< 0 = none) bounds every wait for more
-/// bytes; the deadline renews on progress, so only a peer that stops
-/// sending entirely for a full timeout is declared hung.
+uint64_t ClampFramePayload(uint64_t value) {
+  return std::clamp(value, kMinFramePayload, kMaxFramePayload);
+}
+
+void CountFrame(WireCounters* counters, int64_t WireCounters::* bytes,
+                int64_t WireCounters::* frames, size_t payload_size) {
+  if (counters == nullptr) return;
+  counters->*bytes += static_cast<int64_t>(kHeaderSize + payload_size);
+  counters->*frames += 1;
+}
+
+}  // namespace
+
+int64_t MonotonicNowMs() {
+  timespec ts;
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
+}
+
+Status SendAll(int fd, const uint8_t* data, size_t size) {
+  size_t sent = 0;
+  while (sent < size) {
+    // MSG_NOSIGNAL: a dead peer yields EPIPE instead of SIGPIPE, so a
+    // crashed worker surfaces as a Status the coordinator can act on.
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(
+          StrFormat("send failed: %s", std::strerror(errno)));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
 Status RecvAll(int fd, uint8_t* data, size_t size, bool* got_any,
-               int64_t timeout_ms = -1,
-               int64_t poll_period_ms = kDefaultPollPeriodMs) {
+               int64_t timeout_ms, int64_t poll_period_ms) {
   size_t received = 0;
-  int64_t deadline_ms = timeout_ms < 0 ? -1 : NowMs() + timeout_ms;
+  int64_t deadline_ms = timeout_ms < 0 ? -1 : MonotonicNowMs() + timeout_ms;
   while (received < size) {
     if (deadline_ms >= 0) {
       SPINNER_RETURN_IF_ERROR(AwaitReadable(fd, deadline_ms, poll_period_ms,
@@ -152,23 +159,10 @@ Status RecvAll(int fd, uint8_t* data, size_t size, bool* got_any,
     }
     *got_any = true;
     received += static_cast<size_t>(n);
-    if (deadline_ms >= 0) deadline_ms = NowMs() + timeout_ms;
+    if (deadline_ms >= 0) deadline_ms = MonotonicNowMs() + timeout_ms;
   }
   return Status::OK();
 }
-
-uint64_t ClampFramePayload(uint64_t value) {
-  return std::clamp(value, kMinFramePayload, kMaxFramePayload);
-}
-
-void CountFrame(WireCounters* counters, int64_t WireCounters::* bytes,
-                int64_t WireCounters::* frames, size_t payload_size) {
-  if (counters == nullptr) return;
-  counters->*bytes += static_cast<int64_t>(kHeaderSize + payload_size);
-  counters->*frames += 1;
-}
-
-}  // namespace
 
 void UnixSocket::Close() {
   if (fd_ >= 0) {

@@ -157,6 +157,22 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+/// Milliseconds on CLOCK_MONOTONIC: the clock of every deadline in dist/.
+int64_t MonotonicNowMs();
+
+/// Writes all `size` bytes of `data`. Blocks until done; IOError on a
+/// closed/dead peer (MSG_NOSIGNAL: never a SIGPIPE).
+Status SendAll(int fd, const uint8_t* data, size_t size);
+
+/// Reads exactly `size` bytes. `*got_any` reports whether at least one byte
+/// arrived, distinguishing a clean peer close (EOF at a frame boundary)
+/// from a torn frame. `timeout_ms` (< 0 = none) bounds every wait for more
+/// bytes; the deadline renews on progress, so only a peer that stops
+/// sending entirely for a full timeout is declared hung (DeadlineExceeded).
+Status RecvAll(int fd, uint8_t* data, size_t size, bool* got_any,
+               int64_t timeout_ms = -1,
+               int64_t poll_period_ms = kDefaultPollPeriodMs);
+
 /// Writes one frame: { magic u32 | type u32 | payload_size u64 | payload }.
 /// Fails (InvalidArgument) if the payload exceeds
 /// `options.max_frame_payload` — callers with larger messages use

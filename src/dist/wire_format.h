@@ -101,7 +101,6 @@ class WireWriter {
   void PutU64(uint64_t v) { PutRaw(v); }
   void PutI32(int32_t v) { PutRaw(v); }
   void PutI64(int64_t v) { PutRaw(v); }
-  void PutDouble(double v) { PutRaw(v); }
 
   template <typename T>
   void PutVector(const std::vector<T>& values) {
@@ -113,11 +112,6 @@ class WireWriter {
   void PutString(const std::string& s) {
     PutU64(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
-  /// Appends pre-encoded bytes verbatim (e.g. a binary_io shard slice).
-  void PutBytes(std::span<const uint8_t> bytes) {
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
   std::vector<uint8_t> Take() { return std::move(buf_); }

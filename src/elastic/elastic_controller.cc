@@ -18,7 +18,6 @@ ElasticController::ElasticController(PartitioningSession* session,
                             : std::make_shared<stream::SystemClock>()) {
   SPINNER_CHECK(session_ != nullptr) << "ElasticController needs a session";
   SPINNER_CHECK(policy_ != nullptr) << "ElasticController needs a policy";
-  policy_name_ = policy_->name();
 }
 
 bool ElasticController::OnApply(const stream::IngestStats& stats) {

@@ -147,7 +147,6 @@ class ElasticController {
   /// Once set, later decisions are logged but no longer executed.
   const Status& status() const { return status_; }
 
-  const std::string& policy_name() const { return policy_name_; }
   PartitioningSession* session() const { return session_; }
 
  private:
@@ -155,7 +154,6 @@ class ElasticController {
   std::unique_ptr<ScalingPolicy> policy_;
   ControllerOptions options_;
   std::shared_ptr<stream::Clock> clock_;
-  std::string policy_name_;
   int available_capacity_ = 0;
   /// events_ingested at the previous OnApply, for per-window deltas.
   int64_t last_events_ingested_ = 0;

@@ -138,7 +138,7 @@ Result<PartitionResult> SpinnerPartitioner::RunOnGraph(
           converted, ResolveNumShards(config_, converted.NumVertices())));
   ExecutionResources resources;
   return RunSpinner(config_, k, &store, std::move(initial_labels),
-                    &resources, observer_);
+                    &resources, /*observer=*/{});
 }
 
 }  // namespace spinner

@@ -107,8 +107,7 @@ Result<PartitionResult> RunSpinner(const SpinnerConfig& config, int k,
                                    ExecutionResources* resources,
                                    const ProgressObserver& observer);
 
-/// Stateless facade; safe to reuse and — observer mutation aside — to
-/// share across threads.
+/// Stateless facade; safe to reuse and to share across threads.
 class SpinnerPartitioner {
  public:
   explicit SpinnerPartitioner(const SpinnerConfig& config);
@@ -141,13 +140,6 @@ class SpinnerPartitioner {
   /// The configuration this partitioner runs with.
   const SpinnerConfig& config() const { return config_; }
 
-  /// Installs a per-iteration progress observer used by every subsequent
-  /// run (see spinner/observer.h). Pass {} to clear. Setting the observer
-  /// is not thread-safe with respect to in-flight runs.
-  void set_progress_observer(ProgressObserver observer) {
-    observer_ = std::move(observer);
-  }
-
  private:
   /// RunSpinner with `k` partitions over a throwaway ShardedGraphStore of
   /// `converted`, on throwaway execution resources.
@@ -156,7 +148,6 @@ class SpinnerPartitioner {
                                      int k) const;
 
   SpinnerConfig config_;
-  ProgressObserver observer_;
 };
 
 }  // namespace spinner

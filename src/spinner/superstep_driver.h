@@ -8,8 +8,9 @@
 // score reduction, φ/ρ points, the halting heuristic (§III.C), observer
 // callbacks and run statistics — while a SuperstepBackend executes the
 // per-shard phase bodies wherever the shards live:
-//  * in-process: one ThreadPool task per shard (RunShardedSpinner in
-//    sharded_program.cc);
+//  * in-process: blocks dealt out to ThreadPool workers by the
+//    work-stealing scheduler (RunShardedSpinner in sharded_program.cc,
+//    spinner/steal_schedule.h);
 //  * cross-process: one RPC round per phase to the ShardWorker processes
 //    (dist/coordinator.cc), whose replies carry exactly the quantities the
 //    outcome structs below name.

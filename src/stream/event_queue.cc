@@ -10,35 +10,28 @@ EventQueue::EventQueue(size_t capacity)
 
 bool EventQueue::Enqueue(EdgeEvent event) {
   std::unique_lock<std::mutex> lock(mutex_);
-  space_available_.wait(
-      lock, [&] { return closed_ || events_.size() < capacity_; });
-  if (closed_) return false;
-  events_.push_back(event);
-  high_water_ = std::max(high_water_, events_.size());
-  ++total_enqueued_;
-  data_available_.notify_one();
-  return true;
+  space_available_.wait(lock, [&] { return HasRoomOrClosed(); });
+  return PushLocked(event);
 }
 
 bool EventQueue::TryEnqueue(EdgeEvent event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_ || events_.size() >= capacity_) return false;
-  events_.push_back(event);
-  high_water_ = std::max(high_water_, events_.size());
-  ++total_enqueued_;
-  data_available_.notify_one();
-  return true;
+  return PushLocked(event);
 }
 
 bool EventQueue::EnqueueFor(EdgeEvent event,
                             std::chrono::microseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!space_available_.wait_for(lock, timeout, [&] {
-        return closed_ || events_.size() < capacity_;
-      })) {
-    return false;  // timed out, still full
-  }
-  if (closed_) return false;
+  space_available_.wait_for(lock, timeout, [&] { return HasRoomOrClosed(); });
+  return PushLocked(event);
+}
+
+bool EventQueue::HasRoomOrClosed() const {
+  return closed_ || events_.size() < capacity_;
+}
+
+bool EventQueue::PushLocked(const EdgeEvent& event) {
+  if (closed_ || events_.size() >= capacity_) return false;
   events_.push_back(event);
   high_water_ = std::max(high_water_, events_.size());
   ++total_enqueued_;

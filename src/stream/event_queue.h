@@ -100,6 +100,11 @@ class EventQueue {
   int64_t oldest_timestamp_micros() const;
 
  private:
+  bool HasRoomOrClosed() const;
+  /// The push of every enqueue variant, under `mutex_`: false if the queue
+  /// is closed or full.
+  bool PushLocked(const EdgeEvent& event);
+
   const size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable space_available_;

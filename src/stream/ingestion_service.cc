@@ -93,7 +93,9 @@ Status IngestionService::Drain() {
   return ingest_error_;
 }
 
-Status IngestionService::Submit(EdgeEvent event) {
+template <typename Push>
+Status IngestionService::Admit(EdgeEvent event, const char* when_full,
+                               Push push) {
   if (event.timestamp_micros < 0) {
     event.timestamp_micros = clock_->NowMicros();
   }
@@ -103,9 +105,14 @@ Status IngestionService::Submit(EdgeEvent event) {
       return Status::FailedPrecondition("ingestion service is not running");
     }
   }
-  if (!queue_.Enqueue(event)) {
-    return Status::FailedPrecondition(
-        "ingestion service stopped while waiting for queue space");
+  if (!push(event)) {
+    // A closed queue is a stop (Stop(), Cancel() or on_apply returning
+    // false), not backpressure: a retry can never succeed.
+    if (queue_.closed()) {
+      return Status::FailedPrecondition(
+          "ingestion service stopped: its queue is closed");
+    }
+    return Status::OutOfRange(when_full);
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.events_submitted;
@@ -113,44 +120,23 @@ Status IngestionService::Submit(EdgeEvent event) {
   return Status::OK();
 }
 
+Status IngestionService::Submit(EdgeEvent event) {
+  // Enqueue blocks until there is room, so it fails only when closed.
+  return Admit(event, "",
+               [this](const EdgeEvent& e) { return queue_.Enqueue(e); });
+}
+
 Status IngestionService::TrySubmit(EdgeEvent event) {
-  if (event.timestamp_micros < 0) {
-    event.timestamp_micros = clock_->NowMicros();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != State::kRunning) {
-      return Status::FailedPrecondition("ingestion service is not running");
-    }
-  }
-  if (!queue_.TryEnqueue(event)) {
-    return Status::OutOfRange("event queue is full");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.events_submitted;
-  quiescent_ = false;
-  return Status::OK();
+  return Admit(event, "event queue is full",
+               [this](const EdgeEvent& e) { return queue_.TryEnqueue(e); });
 }
 
 Status IngestionService::SubmitFor(EdgeEvent event,
                                    std::chrono::microseconds timeout) {
-  if (event.timestamp_micros < 0) {
-    event.timestamp_micros = clock_->NowMicros();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != State::kRunning) {
-      return Status::FailedPrecondition("ingestion service is not running");
-    }
-  }
-  if (!queue_.EnqueueFor(event, timeout)) {
-    return Status::OutOfRange(
-        "event queue stayed full past the submit timeout");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.events_submitted;
-  quiescent_ = false;
-  return Status::OK();
+  return Admit(event, "event queue stayed full past the submit timeout",
+               [this, timeout](const EdgeEvent& e) {
+                 return queue_.EnqueueFor(e, timeout);
+               });
 }
 
 void IngestionService::SetProgressObserver(ProgressObserver observer) {

@@ -152,12 +152,14 @@ class IngestionService {
 
   // --- Producers (any thread) --------------------------------------------
 
-  /// Blocks while the queue is full (backpressure). FailedPrecondition if
-  /// the service was stopped.
+  // All three fail with FailedPrecondition once the service is stopping
+  // (Stop(), Cancel(), or on_apply returned false) and differ only in
+  // their backpressure when the queue is full.
+
+  /// Blocks while the queue is full.
   Status Submit(EdgeEvent event);
 
-  /// Never blocks: FailedPrecondition if stopped, Unavailable-style
-  /// OutOfRange if the queue is full right now.
+  /// Never blocks: OutOfRange if the queue is full right now.
   Status TrySubmit(EdgeEvent event);
 
   /// Blocks up to `timeout`; OutOfRange on timeout.
@@ -178,6 +180,12 @@ class IngestionService {
  private:
   enum class State { kIdle, kRunning, kStopped };
 
+  /// The admission path of every producer call: stamps the event, pushes
+  /// it with `push` (one of the queue's enqueue variants) and counts it.
+  /// `when_full` is the OutOfRange message of a push refused on a full,
+  /// open queue.
+  template <typename Push>
+  Status Admit(EdgeEvent event, const char* when_full, Push push);
   void RunLoop();
   /// Folds one event into window_delta_, updating window bookkeeping.
   void FoldIntoWindow(const EdgeEvent& event);

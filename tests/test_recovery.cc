@@ -145,6 +145,12 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   // Unparseable numbers.
   EXPECT_FALSE(FaultPlan::Parse("seed=banana").ok());
   EXPECT_FALSE(FaultPlan::Parse("drop:frame=x").ok());
+  // A worker outside [0, INT_MAX] would silently target every connection
+  // (negative) or a truncated ordinal (2^32 -> 0).
+  EXPECT_FALSE(FaultPlan::Parse("drop:worker=-5:frame=1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("drop:worker=4294967296:frame=1").ok());
+  // A NaN probability compares false against every coin: it never fires.
+  EXPECT_FALSE(FaultPlan::Parse("drop:p=nan").ok());
 }
 
 // --- Crash recovery (no proxy: the worker really dies) ---------------------

@@ -484,6 +484,39 @@ TEST(IngestionServiceTest, OnApplyCallbackObservesEveryWindowAndCanStop) {
   ExpectValidAssignment(session);
 }
 
+TEST(IngestionServiceTest, SubmitsAfterOnApplyStopsFailWithFailedPrecondition) {
+  const GeneratedGraph g = SmallWorld();
+  PartitioningSession session(SmallConfig());
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  IngestionOptions options;
+  options.policy = std::make_unique<EventCountPolicy>(1);
+  // Stop after the first window: the queue closes before Stop() is called.
+  options.on_apply = [](const IngestStats&) { return false; };
+  IngestionService service(&session, std::move(options));
+  ASSERT_TRUE(service.Start().ok());
+
+  const GraphDelta fresh =
+      RandomEdgeAdditions(g.num_vertices, g.edges, 2, /*seed=*/23);
+  ASSERT_TRUE(service
+                  .Submit(EdgeEvent::AddEdge(fresh.added_edges[0].src,
+                                             fresh.added_edges[0].dst))
+                  .ok());
+  // Quiescence comes after the window that closed the queue.
+  ASSERT_TRUE(service.Drain().ok());
+
+  // None of the three is backpressure a producer should retry.
+  const EdgeEvent late = EdgeEvent::AddEdge(fresh.added_edges[1].src,
+                                            fresh.added_edges[1].dst);
+  EXPECT_EQ(service.Submit(late).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.TrySubmit(late).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.SubmitFor(late, microseconds(milliseconds(20))).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(service.Stop().ok());
+  EXPECT_EQ(service.stats().events_submitted, 1);
+  EXPECT_EQ(service.stats().events_ingested, 1);
+}
+
 // --- Checkpoint wiring ----------------------------------------------------
 
 TEST(IngestionServiceTest, CheckpointsEveryWindowAndRestoresIdentically) {

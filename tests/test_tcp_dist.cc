@@ -152,7 +152,8 @@ TEST(TcpRegistryTest, AcquireTimesOutWhenNobodyDialsIn) {
   options.handshake_timeout_ms = 200;
   auto registry = WorkerRegistry::Listen(options);
   ASSERT_TRUE(registry.ok()) << registry.status();
-  auto acquired = (*registry)->Acquire(1, dist::TransportOptions{});
+  auto acquired =
+      (*registry)->Acquire(1, dist::TransportOptions{}, std::nullopt);
   ASSERT_FALSE(acquired.ok());
   EXPECT_EQ(acquired.status().code(), StatusCode::kIOError);
   EXPECT_NE(acquired.status().message().find("dialed in"),
@@ -185,7 +186,7 @@ TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
 
     // The registry rejects the connection and keeps waiting for a valid
     // fleet, which never arrives.
-    auto acquired = (*registry)->Acquire(1, transport);
+    auto acquired = (*registry)->Acquire(1, transport, std::nullopt);
     ASSERT_FALSE(acquired.ok()) << "version " << version;
     EXPECT_EQ((*registry)->handshakes_rejected(), 1) << "version " << version;
     EXPECT_EQ((*registry)->handshakes_completed(), 0)
@@ -211,7 +212,7 @@ TEST(TcpRegistryTest, DeadPooledConnectionsAreDroppedNotHandedOut) {
   const dist::TransportOptions transport;
 
   const pid_t pid = ForkTcpWorker((*registry)->address(), transport);
-  auto acquired = (*registry)->Acquire(1, transport);
+  auto acquired = (*registry)->Acquire(1, transport, std::nullopt);
   ASSERT_TRUE(acquired.ok()) << acquired.status();
   ASSERT_EQ(acquired->size(), 1u);
   EXPECT_EQ((*registry)->handshakes_completed(), 1);
@@ -223,7 +224,7 @@ TEST(TcpRegistryTest, DeadPooledConnectionsAreDroppedNotHandedOut) {
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  auto again = (*registry)->Acquire(1, transport);
+  auto again = (*registry)->Acquire(1, transport, std::nullopt);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kIOError);
   EXPECT_EQ((*registry)->num_pooled(), 0);

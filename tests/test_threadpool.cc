@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <vector>
 
 namespace spinner {
 namespace {
@@ -44,51 +42,6 @@ TEST(ThreadPoolTest, ReusableAcrossWaves) {
     pool.Wait();
     EXPECT_EQ(counter.load(), (wave + 1) * 20);
   }
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 0, 1000, [&hits](int64_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(4);
-  int touched = 0;
-  ParallelFor(&pool, 5, 5, [&touched](int64_t) { ++touched; });
-  EXPECT_EQ(touched, 0);
-}
-
-TEST(ParallelForTest, NonZeroBegin) {
-  ThreadPool pool(2);
-  std::atomic<int64_t> sum{0};
-  ParallelFor(&pool, 10, 20, [&sum](int64_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 145);  // 10+11+...+19
-}
-
-TEST(ParallelForChunkedTest, ChunksAreDisjointAndCover) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  std::atomic<int> chunks_seen{0};
-  ParallelForChunked(&pool, 0, 100, 7,
-                     [&](int /*chunk*/, int64_t lo, int64_t hi) {
-                       chunks_seen.fetch_add(1);
-                       for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-                     });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_LE(chunks_seen.load(), 7);
-  EXPECT_GE(chunks_seen.load(), 1);
-}
-
-TEST(ParallelForChunkedTest, MoreChunksThanItems) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  ParallelForChunked(&pool, 0, 3, 100,
-                     [&](int, int64_t lo, int64_t hi) {
-                       count.fetch_add(static_cast<int>(hi - lo));
-                     });
-  EXPECT_EQ(count.load(), 3);
 }
 
 }  // namespace
