@@ -39,8 +39,8 @@
 # Chaos mode (one ASan Release configuration):
 #   ./ci.sh --mode=chaos
 # Builds RelWithDebInfo with AddressSanitizer + UBSan, runs the
-# failure-recovery, fault-injection, LPA-kernel and ShardWorker protocol
-# tests, then the failover smoke: a coordinator with
+# failure-recovery, fault-injection, LPA-kernel, ShardWorker protocol and
+# chunked graph-setup differential tests, then the failover smoke: a coordinator with
 # recovery armed drives 3 dial-in workers, one of which kills itself
 # mid-superstep (`worker --fail-after-scores`), under a benign
 # SPINNER_FAULT_PLAN of frame delays — the run must survive the failover
@@ -93,7 +93,11 @@ if [[ "${MODE}" == "chaos" ]]; then
   # (LpaKernel), whose k = 64/65 cases put the presence bitmap's word
   # boundary under UBSan's shift check and whose k = 256/257 cases run
   # both label widths, and the hand-driven worker protocol tests
-  # (ShardWorker), which feed Setup, Init and Labels out-of-range input.
+  # (ShardWorker), which feed Setup, Init and Labels out-of-range input,
+  # and the graph-setup differential tests (SetupDifferential,
+  # ParserCorpus), whose forced chunk counts run the chunked parser,
+  # Symmetrize and store build on transient threads over cut lines,
+  # skipped lines and hub buckets.
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   build_dir="build-ci-chaos"
@@ -104,9 +108,9 @@ if [[ "${MODE}" == "chaos" ]]; then
     -DSPINNER_SANITIZE=address
   cmake --build "${build_dir}" -j "${JOBS}"
 
-  echo "=== recovery, fault-injection, hostile-bytes, kernel and worker tests (ASan) ==="
+  echo "=== recovery, fault-injection, hostile-bytes, kernel, worker and setup tests (ASan) ==="
   ctest --test-dir "${build_dir}" \
-    -R '^(Recovery|FaultPlan|Tcp|MultiProcess|HostileBytes|LpaKernel|ShardWorker)' \
+    -R '^(Recovery|FaultPlan|Tcp|MultiProcess|HostileBytes|LpaKernel|ShardWorker|SetupDifferential|ParserCorpus)' \
     --output-on-failure -j "${JOBS}"
 
   echo "=== failover smoke: 3 workers, one dies mid-superstep ==="

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "dist/fault_injection.h"
 #include "dist/shard_store.h"
@@ -16,14 +17,6 @@
 #include "spinner/superstep_driver.h"
 
 namespace spinner::dist {
-
-namespace {
-
-int HardwareThreads() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-}  // namespace
 
 int ResolveNumWorkers(int requested, int num_shards) {
   if (requested > 0) return requested;

@@ -1,9 +1,11 @@
 #include "graph/binary_io.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "common/base_log.h"
 #include "common/string_util.h"
@@ -18,6 +20,21 @@ constexpr uint32_t kSnapshotVersion = 1;
 template <typename T>
 void PutRaw(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+static_assert(sizeof(Edge) == 2 * sizeof(VertexId) &&
+                  offsetof(Edge, src) == 0 &&
+                  offsetof(Edge, dst) == sizeof(VertexId) &&
+                  std::is_trivially_copyable_v<Edge>,
+              "an edge's bytes must be its src then its dst, unpadded");
+
+/// Writes the elements' bytes as one run (nothing for an empty vector,
+/// whose data() may be null).
+template <typename T>
+void PutArray(std::ostream& out, const std::vector<T>& values) {
+  if (values.empty()) return;
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(T)));
 }
 
 /// Reservation clamp for header counts: they are untrusted until the
@@ -62,11 +79,10 @@ Status WriteSessionSnapshot(const std::string& path,
     PutRaw(out, static_cast<int64_t>(snapshot.edges.size()));
     PutRaw(out, snapshot.num_partitions);
     PutRaw(out, static_cast<uint32_t>(snapshot.directed ? 1 : 0));
-    for (const Edge& e : snapshot.edges) {
-      PutRaw(out, e.src);
-      PutRaw(out, e.dst);
-    }
-    for (PartitionId l : snapshot.assignment) PutRaw(out, l);
+    // The edge and label arrays go out as one run each: their in-memory
+    // bytes are exactly the per-element encoding (src then dst per edge).
+    PutArray(out, snapshot.edges);
+    PutArray(out, snapshot.assignment);
   };
   return ReplaceFile(path, write, checksum);
 }

@@ -40,6 +40,13 @@ Result<CsrGraph> ConvertToWeightedUndirected(int64_t num_vertices,
 /// edge listed once). Self-loops and duplicates are dropped.
 Result<CsrGraph> BuildSymmetric(int64_t num_vertices, const EdgeList& edges);
 
+/// The builder behind both: Eq. 3 weights if `weighted`, else weight 1.
+/// It runs as `chunks` parallel chunks (common/parallel.h); both functions
+/// above pass ChunkCount(edges.size()). The result is the same for every
+/// count, and one chunk starts no thread.
+Result<CsrGraph> Symmetrize(int64_t num_vertices, const EdgeList& edges,
+                            bool weighted, int chunks);
+
 }  // namespace spinner
 
 #endif  // SPINNER_GRAPH_CONVERSION_H_

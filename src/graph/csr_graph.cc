@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace spinner {
@@ -43,8 +44,8 @@ Result<CsrGraph> CsrGraph::FromEdges(int64_t num_vertices,
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
   const auto m = static_cast<int64_t>(edges.size());
-  std::vector<VertexId> targets(m);
-  std::vector<EdgeWeight> arc_weights(m);
+  Targets targets(m);
+  ArcWeights arc_weights(m);
   std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t i = 0; i < edges.size(); ++i) {
     const int64_t pos = cursor[edges[i].src]++;
@@ -80,20 +81,30 @@ Result<CsrGraph> CsrGraph::FromEdges(int64_t num_vertices,
 }
 
 CsrGraph CsrGraph::Finish(int64_t num_vertices, std::vector<int64_t> offsets,
-                          std::vector<VertexId> targets,
-                          std::vector<EdgeWeight> weights) {
+                          Targets targets, ArcWeights weights, int chunks) {
   CsrGraph g;
   g.num_vertices_ = num_vertices;
   g.offsets_ = std::move(offsets);
   g.targets_ = std::move(targets);
   g.weights_ = std::move(weights);
   g.weighted_degree_.assign(num_vertices, 0);
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    int64_t wd = 0;
-    for (EdgeWeight w : g.Weights(v)) wd += w;
-    g.weighted_degree_[v] = wd;
-    g.total_arc_weight_ += wd;
-  }
+  // Integer sums: the per-chunk totals add up to the same total in any
+  // split.
+  chunks = std::max(chunks, 1);
+  std::vector<int64_t> totals(chunks, 0);
+  RunChunks(chunks, [&](int c) {
+    const VertexId end = ChunkBegin(num_vertices, chunks, c + 1);
+    int64_t total = 0;
+    for (VertexId v = ChunkBegin(num_vertices, chunks, c); v < end; ++v) {
+      int64_t wd = 0;
+      for (EdgeWeight w : g.Weights(v)) wd += w;
+      g.weighted_degree_[v] = wd;
+      total += wd;
+    }
+    totals[c] = total;
+  });
+  g.total_arc_weight_ = std::accumulate(totals.begin(), totals.end(),
+                                        int64_t{0});
   return g;
 }
 

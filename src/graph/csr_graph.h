@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "graph/types.h"
 
@@ -78,22 +79,28 @@ class CsrGraph {
   EdgeList ToEdgeList() const;
 
  private:
+  // Arc arrays are filled slot by slot by their builders, so they are
+  // not zeroed first.
+  using Targets = std::vector<VertexId, DefaultInitAllocator<VertexId>>;
+  using ArcWeights = std::vector<EdgeWeight, DefaultInitAllocator<EdgeWeight>>;
+
   // The sort-free symmetric builder behind ConvertToWeightedUndirected and
-  // BuildSymmetric (conversion.cc).
+  // BuildSymmetric (conversion.h).
   friend Result<CsrGraph> Symmetrize(int64_t num_vertices,
-                                     const EdgeList& edges, bool weighted);
+                                     const EdgeList& edges, bool weighted,
+                                     int chunks);
 
   /// Adopts CSR arrays whose rows are already sorted and derives the
   /// weighted degrees and total arc weight: the last step of every builder.
+  /// `chunks` vertex ranges are summed in parallel (common/parallel.h).
   static CsrGraph Finish(int64_t num_vertices, std::vector<int64_t> offsets,
-                         std::vector<VertexId> targets,
-                         std::vector<EdgeWeight> weights);
+                         Targets targets, ArcWeights weights, int chunks = 1);
 
   int64_t num_vertices_ = 0;
   int64_t total_arc_weight_ = 0;
   std::vector<int64_t> offsets_;         // size n+1
-  std::vector<VertexId> targets_;        // size NumArcs()
-  std::vector<EdgeWeight> weights_;      // size NumArcs()
+  Targets targets_;                       // size NumArcs()
+  ArcWeights weights_;                    // size NumArcs()
   std::vector<int64_t> weighted_degree_;  // size n
 };
 

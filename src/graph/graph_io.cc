@@ -1,14 +1,22 @@
 #include "graph/graph_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/base_log.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace spinner::graph_io {
@@ -33,19 +41,21 @@ File OpenForRead(const std::string& path) {
   return file;
 }
 
-/// Calls `on_line(line_no, line)` for every line of `file`: exactly the
-/// lines std::getline yields, '\n' excluded and a final unterminated line
-/// included. Stops at the first error `on_line` returns.
-template <typename OnLine>
-Status ForEachLine(std::FILE* file, const std::string& path,
+/// Calls `on_line(line_no, line)` for every line of the bytes that
+/// `read(dst, capacity)` delivers (it returns the count it put in dst, 0
+/// at the end, or -1 on a read error): exactly the lines std::getline
+/// yields, '\n' excluded and a final unterminated line included, numbered
+/// from first_line + 1. Stops at the first error `on_line` returns.
+template <typename Read, typename OnLine>
+Status ForEachLine(Read&& read, const std::string& path, int64_t first_line,
                    OnLine&& on_line) {
   std::vector<char> buf(kBlockBytes);
   size_t carry = 0;  // bytes of an unfinished line at the front of buf
-  int64_t line_no = 0;
+  int64_t line_no = first_line;
   for (;;) {
     if (carry == buf.size()) buf.resize(2 * buf.size());
-    const size_t got =
-        std::fread(buf.data() + carry, 1, buf.size() - carry, file);
+    const int64_t got = read(buf.data() + carry, buf.size() - carry);
+    if (got < 0) return Status::IOError("read error on: " + path);
     if (got == 0) break;
     const char* line = buf.data();
     const char* const end = line + carry + got;
@@ -59,13 +69,40 @@ Status ForEachLine(std::FILE* file, const std::string& path,
     carry = end - line;
     std::memmove(buf.data(), line, carry);
   }
-  if (std::ferror(file)) {
-    return Status::IOError("read error on: " + path);
-  }
   if (carry > 0) {
     return on_line(++line_no, std::string_view(buf.data(), carry));
   }
   return Status::OK();
+}
+
+/// ForEachLine over a whole stdio stream (regular file, FIFO or other).
+template <typename OnLine>
+Status ForEachLine(std::FILE* file, const std::string& path,
+                   OnLine&& on_line) {
+  return ForEachLine(
+      [file](char* dst, size_t capacity) -> int64_t {
+        const size_t got = std::fread(dst, 1, capacity, file);
+        return got == 0 && std::ferror(file) ? -1
+                                             : static_cast<int64_t>(got);
+      },
+      path, 0, on_line);
+}
+
+/// A reader of the bytes [begin, end) of the regular file open as `fd`.
+/// A file that shrank reads as ending early.
+auto RangeReader(int fd, int64_t begin, int64_t end) {
+  return [fd, pos = begin, end](char* dst, size_t capacity) mutable
+         -> int64_t {
+    const auto want =
+        static_cast<size_t>(std::min<int64_t>(end - pos, capacity));
+    if (want == 0) return 0;
+    ssize_t got;
+    do {
+      got = ::pread(fd, dst, want, static_cast<off_t>(pos));
+    } while (got < 0 && errno == EINTR);
+    if (got > 0) pos += got;
+    return got;
+  };
 }
 
 enum class LineKind { kSkip, kPair, kMalformed };
@@ -122,24 +159,124 @@ Status MalformedLine(const std::string& path, int64_t line_no,
       std::string(Trim(line)).c_str()));
 }
 
+/// The edge of one line, or the reason it has none: OK with *kept false
+/// for a skipped line.
+Status ParseEdgeLine(const std::string& path, int64_t line_no,
+                     std::string_view line, Edge* edge, bool* kept) {
+  const LineKind kind = ParsePair(line, &edge->src, &edge->dst);
+  *kept = kind == LineKind::kPair;
+  if (kind == LineKind::kMalformed ||
+      (*kept && (edge->src < 0 || edge->dst < 0))) {
+    return MalformedLine(path, line_no, "edge", line);
+  }
+  return Status::OK();
+}
+
+/// Where the chunk that starts at or after byte `from` begins: just past
+/// the first '\n' at or after byte from - 1, so every chunk starts a line
+/// (the file's size if no '\n' follows).
+Result<int64_t> LineStartFrom(int fd, const std::string& path, int64_t from,
+                              int64_t size) {
+  if (from == 0) return int64_t{0};
+  int64_t pos = from - 1;
+  auto read = RangeReader(fd, pos, size);
+  char buf[4096];  // a line is short: most cuts need one read
+  for (;;) {
+    const int64_t got = read(buf, sizeof(buf));
+    if (got < 0) return Status::IOError("read error on: " + path);
+    if (got == 0) return size;
+    if (const void* nl = std::memchr(buf, '\n', got)) {
+      return pos + (static_cast<const char*>(nl) - buf) + 1;
+    }
+    pos += got;
+  }
+}
+
+/// ReadEdgeList over `chunks` parallel byte ranges of a regular file. The
+/// ranges are cut at line starts; one pass counts each range's lines, the
+/// next parses each into its own slice of one exactly sized list, and the
+/// slices are then closed up over the skipped lines. A range reports its
+/// first malformed line, so the first failing range's is the file's.
+Result<EdgeList> ReadEdgeListChunked(int fd, const std::string& path,
+                                     int64_t size, int chunks) {
+  std::vector<int64_t> cut(chunks + 1, size);
+  cut[0] = 0;
+  for (int c = 1; c < chunks; ++c) {
+    SPINNER_ASSIGN_OR_RETURN(
+        const int64_t start,
+        LineStartFrom(fd, path, ChunkBegin(size, chunks, c), size));
+    cut[c] = std::max(cut[c - 1], start);
+  }
+  std::vector<Status> status(chunks);
+  std::vector<int64_t> first_line(chunks + 1, 0);
+  RunChunks(chunks, [&](int c) {
+    int64_t lines = 0;
+    status[c] = ForEachLine(RangeReader(fd, cut[c], cut[c + 1]), path, 0,
+                            [&](int64_t, std::string_view) {
+                              ++lines;
+                              return Status::OK();
+                            });
+    first_line[c + 1] = lines;
+  });
+  for (const Status& s : status) SPINNER_RETURN_IF_ERROR(s);
+  std::partial_sum(first_line.begin(), first_line.end(), first_line.begin());
+
+  // Line i of the file (from 0) parses into slot i at most.
+  EdgeList edges(static_cast<size_t>(first_line[chunks]));
+  std::vector<int64_t> kept(chunks, 0);
+  RunChunks(chunks, [&](int c) {
+    Edge* out = edges.data() + first_line[c];
+    Edge* const slice_end = edges.data() + first_line[c + 1];
+    status[c] = ForEachLine(
+        RangeReader(fd, cut[c], cut[c + 1]), path, first_line[c],
+        [&](int64_t line_no, std::string_view line) {
+          if (out == slice_end) {
+            return Status::IOError("file changed while reading: " + path);
+          }
+          bool is_edge = false;
+          SPINNER_RETURN_IF_ERROR(
+              ParseEdgeLine(path, line_no, line, out, &is_edge));
+          if (is_edge) ++out;
+          return Status::OK();
+        });
+    kept[c] = out - (edges.data() + first_line[c]);
+  });
+  for (const Status& s : status) SPINNER_RETURN_IF_ERROR(s);
+  auto end = edges.begin() + kept[0];
+  for (int c = 1; c < chunks; ++c) {
+    const auto slice = edges.begin() + first_line[c];
+    end = std::copy(slice, slice + kept[c], end);
+  }
+  edges.erase(end, edges.end());
+  return edges;
+}
+
 }  // namespace
 
 Result<EdgeList> ReadEdgeList(const std::string& path) {
+  return ReadEdgeList(path, 0);
+}
+
+Result<EdgeList> ReadEdgeList(const std::string& path, int chunks) {
   const File file = OpenForRead(path);
   if (!file) {
     return Status::IOError("cannot open edge list file: " + path);
   }
+  struct stat info {};
+  const int fd = ::fileno(file.get());
+  if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode)) {
+    const int64_t size = info.st_size;
+    if (chunks <= 0) chunks = ChunkCount(size);
+    if (chunks > 1) return ReadEdgeListChunked(fd, path, size, chunks);
+  }
   EdgeList edges;
   SPINNER_RETURN_IF_ERROR(ForEachLine(
       file.get(), path, [&](int64_t line_no, std::string_view line) {
-        int64_t src = 0;
-        int64_t dst = 0;
-        const LineKind kind = ParsePair(line, &src, &dst);
-        if (kind == LineKind::kSkip) return Status::OK();
-        if (kind == LineKind::kMalformed || src < 0 || dst < 0) {
-          return MalformedLine(path, line_no, "edge", line);
-        }
-        edges.push_back({src, dst});
+        Edge edge;
+        bool is_edge = false;
+        SPINNER_RETURN_IF_ERROR(
+            ParseEdgeLine(path, line_no, line, &edge, &is_edge));
+        if (is_edge) edges.push_back(edge);
         return Status::OK();
       }));
   return edges;

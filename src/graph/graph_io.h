@@ -19,7 +19,15 @@ namespace spinner::graph_io {
 /// the vertex count from MaxVertexId()+1. Fails with IOError if the file
 /// cannot be opened and InvalidArgument on a malformed line (message names
 /// the line number).
+///
+/// A regular file of at least 2 * kMinItemsPerChunk bytes is read in
+/// ChunkCount(size) parallel chunks (common/parallel.h); the result, and
+/// the error of a malformed file, do not depend on the chunk count.
 Result<EdgeList> ReadEdgeList(const std::string& path);
+
+/// ReadEdgeList with `chunks` chunks (<= 0: ChunkCount(file size)). A FIFO
+/// or any other file that is not regular is always read as one stream.
+Result<EdgeList> ReadEdgeList(const std::string& path, int chunks);
 
 /// Writes "src dst" per edge, replacing `path` atomically (ReplaceFile,
 /// common/base_log.h): a failed write leaves the old file whole.

@@ -6,6 +6,7 @@
 #include <ranges>
 #include <tuple>
 
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "graph/conversion.h"
 #include "graph/edge_list.h"
@@ -27,32 +28,17 @@ Status CheckVertexCount(int64_t num_vertices) {
 
 Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
                                                    int num_shards) {
+  return Build(converted, num_shards, ChunkCount(converted.NumArcs()));
+}
+
+Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
+                                                   int num_shards,
+                                                   int chunks) {
   if (num_shards < 1) {
     return Status::InvalidArgument(
         StrFormat("num_shards must be >= 1 (got %d)", num_shards));
   }
   SPINNER_RETURN_IF_ERROR(CheckVertexCount(converted.NumVertices()));
-  // Every weight must fit a Weight and be >= 1 (the label pick's gather
-  // relies on it). w - 1 wraps a 0 to the top, so one unsigned max over
-  // all arcs checks both ends.
-  EdgeWeight max_below = 0;
-  for (VertexId v = 0; v < converted.NumVertices(); ++v) {
-    for (const EdgeWeight w : converted.Weights(v)) {
-      max_below = std::max(max_below, w - 1u);
-    }
-  }
-  if (max_below >= kMaxArcWeight) {
-    return Status::InvalidArgument(StrFormat(
-        "arc weight outside [1,%u]: a shard stores 8-bit weights",
-        kMaxArcWeight));
-  }
-  ShardedGraphStore store;
-  store.num_vertices_ = converted.NumVertices();
-  store.num_arcs_ = converted.NumArcs();
-  store.total_arc_weight_ = converted.TotalArcWeight();
-  store.labels_.assign(store.num_vertices_, kNoPartition);
-  store.shards_.resize(num_shards);
-  store.rebuild_counts_.assign(num_shards, 0);
 
   // Cost-balanced, block-aligned range partition. A vertex costs its
   // out-degree plus kVertexCost, so the cost of the prefix [0, x) is
@@ -61,8 +47,8 @@ Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
   // block, so the block decomposition stays independent of S (see header).
   // Cuts are capped at the start of the last block, so every shard begins
   // block-aligned and below n even when that block outweighs a share.
-  const int64_t n = store.num_vertices_;
-  const int64_t blocks = store.NumBlocks();
+  const int64_t n = converted.NumVertices();
+  const int64_t blocks = (n + kBlockSize - 1) / kBlockSize;
   const auto boundary = [&](int64_t block) {
     return std::min(block * kBlockSize, n);
   };
@@ -73,6 +59,7 @@ Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
   };
   const int64_t total_cost = prefix_cost(blocks);
   const int64_t last_block = std::max<int64_t>(blocks - 1, 0);
+  std::vector<VertexId> begins(num_shards + 1, n);
   int64_t block = 0;
   for (int s = 0; s < num_shards; ++s) {
     // The first block b < last_block with S·prefix(b) >= s·T, else
@@ -82,14 +69,52 @@ Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& converted,
     };
     block = *std::ranges::partition_point(
         std::views::iota(block, last_block), below_share);
-    store.shards_[s].begin = boundary(block);
+    begins[s] = boundary(block);
   }
+
+  // Chunk c takes a contiguous group of whole shards, first to check
+  // their weights and then, if every weight passed, to fill them.
+  chunks = std::clamp(chunks, 1, num_shards);
+  const auto for_own_shards = [&](int c, const auto& body) {
+    for (int s = static_cast<int>(ChunkBegin(num_shards, chunks, c));
+         s < ChunkBegin(num_shards, chunks, c + 1); ++s) {
+      body(s);
+    }
+  };
+  // Every weight must fit a Weight and be >= 1 (the label pick's gather
+  // relies on it). w - 1 wraps a 0 to the top, so one unsigned max over
+  // all arcs checks both ends.
+  std::vector<EdgeWeight> max_below(chunks, 0);
+  RunChunks(chunks, [&](int c) {
+    EdgeWeight most = 0;
+    for_own_shards(c, [&](int s) {
+      for (VertexId v = begins[s]; v < begins[s + 1]; ++v) {
+        for (const EdgeWeight w : converted.Weights(v)) {
+          most = std::max(most, w - 1u);
+        }
+      }
+    });
+    max_below[c] = most;
+  });
+  if (std::ranges::max(max_below) >= kMaxArcWeight) {
+    return Status::InvalidArgument(StrFormat(
+        "arc weight outside [1,%u]: a shard stores 8-bit weights",
+        kMaxArcWeight));
+  }
+  ShardedGraphStore store;
+  store.num_vertices_ = n;
+  store.num_arcs_ = converted.NumArcs();
+  store.total_arc_weight_ = converted.TotalArcWeight();
+  store.labels_.assign(n, kNoPartition);
+  store.shards_.resize(num_shards);
+  store.rebuild_counts_.assign(num_shards, 1);
   for (int s = 0; s < num_shards; ++s) {
-    Shard& shard = store.shards_[s];
-    shard.end = s + 1 < num_shards ? store.shards_[s + 1].begin : n;
-    store.FillShard(converted, s);
-    ++store.rebuild_counts_[s];
+    store.shards_[s].begin = begins[s];
+    store.shards_[s].end = begins[s + 1];
   }
+  RunChunks(chunks, [&](int c) {
+    for_own_shards(c, [&](int s) { store.FillShard(converted, s); });
+  });
   return store;
 }
 

@@ -150,8 +150,16 @@ class ShardedGraphStore {
   /// independent of S. Fails with InvalidArgument, before allocating
   /// anything, when the graph has more than kMaxVertices vertices or an
   /// arc weight outside [1, kMaxArcWeight].
+  ///
+  /// The weight check and the shard fills run in parallel, shard by
+  /// shard, as ChunkCount(NumArcs()) chunks of whole shards (at most one
+  /// per shard; common/parallel.h). The store does not depend on it.
   static Result<ShardedGraphStore> Build(const CsrGraph& converted,
                                          int num_shards);
+
+  /// Build with `chunks` chunks (clamped to [1, num_shards]).
+  static Result<ShardedGraphStore> Build(const CsrGraph& converted,
+                                         int num_shards, int chunks);
 
   /// Converts `edges` over `num_vertices` vertices (Eq. 3 weights when
   /// `directed`, weight 1 otherwise), slices the result like Build() and

@@ -24,11 +24,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
 #include "graph/csr_graph.h"
@@ -170,8 +170,7 @@ class PregelEngine {
     SPINNER_CHECK(config_.num_workers >= 1);
     const int W = config_.num_workers;
     // One OS thread per worker, up to the hardware's.
-    pool_ = std::make_unique<ThreadPool>(
-        std::min<int>(W, std::max(1u, std::thread::hardware_concurrency())));
+    pool_ = std::make_unique<ThreadPool>(std::min(W, HardwareThreads()));
 
     owner_.resize(num_vertices_);
     local_index_.resize(num_vertices_);

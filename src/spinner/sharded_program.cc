@@ -5,11 +5,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "spinner/shard_superstep.h"
 #include "spinner/steal_schedule.h"
 #include "spinner/superstep_driver.h"
@@ -19,10 +19,6 @@ namespace spinner {
 namespace {
 
 constexpr int64_t kBlock = ShardedGraphStore::kBlockSize;
-
-int HardwareThreads() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
 
 /// The in-process SuperstepBackend: every phase is dealt out as kBlockSize
 /// vertex blocks through the work-stealing scheduler, executed by one

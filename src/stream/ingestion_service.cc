@@ -25,7 +25,15 @@ IngestionService::IngestionService(PartitioningSession* session,
 }
 
 IngestionService::~IngestionService() {
-  if (running()) (void)Cancel();  // best effort; errors have nowhere to go
+  // Also after the loop exited on its own (running() is false then): the
+  // stop hands the session back its caller's observer, which must not
+  // keep pointing at this service's cancel token.
+  bool started = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    started = state_ == State::kRunning;
+  }
+  if (started) (void)Cancel();  // best effort; errors have nowhere to go
   if (ingest_thread_.joinable()) ingest_thread_.join();
 }
 
@@ -153,7 +161,7 @@ IngestStats IngestionService::stats() const {
 
 bool IngestionService::running() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return state_ == State::kRunning;
+  return state_ == State::kRunning && !loop_exited_;
 }
 
 void IngestionService::FoldIntoWindow(const EdgeEvent& event) {
@@ -312,6 +320,7 @@ void IngestionService::RunLoop() {
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (!error.ok() && ingest_error_.ok()) ingest_error_ = error;
+  loop_exited_ = true;
   // Whatever ended the loop, wake every waiter: nothing further will be
   // applied.
   quiescent_ = true;

@@ -175,6 +175,9 @@ class IngestionService {
   /// Consistent snapshot of the live counters.
   IngestStats stats() const;
 
+  /// True from Start() until the ingestion loop exits: by Stop() or
+  /// Cancel(), after on_apply returned false and the queue drained, or on
+  /// an ingestion error.
   bool running() const;
 
  private:
@@ -208,6 +211,8 @@ class IngestionService {
   mutable std::mutex mutex_;
   std::condition_variable quiesced_;
   State state_ = State::kIdle;
+  /// Set by the ingestion thread as RunLoop returns.
+  bool loop_exited_ = false;
   bool cancel_requested_ = false;
   int drain_waiters_ = 0;
   /// True while the window is empty, the queue is drained and no apply is

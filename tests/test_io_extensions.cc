@@ -63,6 +63,64 @@ class BinaryIoTest : public ::testing::Test {
   }
 };
 
+/// The snapshot encoding written one field and one element at a time,
+/// the way the format is specified (graph/binary_io.h): the reference the
+/// library's bulk writes must reproduce byte for byte.
+std::vector<uint8_t> EncodeSnapshotPerElement(
+    const graph_io::SessionSnapshot& snapshot) {
+  std::vector<uint8_t> bytes;
+  const auto put = [&](const auto& value) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&value);
+    bytes.insert(bytes.end(), p, p + sizeof(value));
+  };
+  for (const char c : {'S', 'P', 'N', 'S'}) put(c);
+  put(uint32_t{1});
+  put(snapshot.num_vertices);
+  put(static_cast<int64_t>(snapshot.edges.size()));
+  put(snapshot.num_partitions);
+  put(static_cast<uint32_t>(snapshot.directed ? 1 : 0));
+  for (const Edge& e : snapshot.edges) {
+    put(e.src);
+    put(e.dst);
+  }
+  for (const PartitionId l : snapshot.assignment) put(l);
+  return bytes;
+}
+
+TEST_F(BinaryIoTest, SnapshotBytesAndChecksumMatchPerElementEncoding) {
+  auto graph = BarabasiAlbert(3000, 4, 4, /*seed=*/5);
+  ASSERT_TRUE(graph.ok());
+  graph_io::SessionSnapshot big;
+  big.num_vertices = graph->num_vertices;
+  big.edges = graph->edges;
+  big.directed = true;
+  big.num_partitions = 7;
+  for (VertexId v = 0; v < big.num_vertices; ++v) {
+    big.assignment.push_back(static_cast<PartitionId>(v * 5 % 7));
+  }
+  graph_io::SessionSnapshot unassigned = big;
+  unassigned.num_partitions = 0;
+  unassigned.assignment.clear();
+  unassigned.directed = false;
+  graph_io::SessionSnapshot isolated;
+  isolated.num_vertices = 3;
+  isolated.num_partitions = 2;
+  isolated.assignment = {1, 0, 1};
+
+  const std::string path = TempPath("per_element.spns");
+  for (const graph_io::SessionSnapshot& snapshot :
+       {graph_io::SessionSnapshot{}, isolated, unassigned, big}) {
+    uint64_t checksum = 0;
+    ASSERT_TRUE(graph_io::WriteSessionSnapshot(path, snapshot, &checksum).ok());
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    const std::vector<uint8_t> want = EncodeSnapshotPerElement(snapshot);
+    EXPECT_EQ(*bytes, want) << snapshot.edges.size() << " edges";
+    EXPECT_EQ(checksum, ChecksumBytes(want));
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(BinaryIoTest, EmptyGraphRoundTrip) {
   const std::string path = TempPath("empty.spns");
   ASSERT_TRUE(graph_io::WriteSessionSnapshot(path, {}).ok());

@@ -2,26 +2,40 @@
 // setup_reference.h: the O(m) conversions and CsrGraph::FromEdges must
 // produce byte-identical CSR arrays, and the block scanner behind the text
 // readers must return the same Status (code and message) and the same
-// values as the original line-at-a-time readers on every input.
+// values as the original line-at-a-time readers on every input. The
+// chunked setup passes (common/parallel.h) are forced to several chunk
+// counts, whatever the host's core count, and must match too.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "graph/conversion.h"
 #include "graph/csr_graph.h"
+#include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "graph/sharded_store.h"
 #include "setup_reference.h"
 
 namespace spinner {
 namespace {
 
 using setup_reference::ArraysOf;
+
+/// Chunk counts the chunked passes are forced to, beyond the single chunk
+/// the public entry points pick on a 1-CPU host.
+constexpr int kForcedChunks[] = {2, 3, 4, 7};
 
 // ------------------------------------------------------------- conversion
 
@@ -84,9 +98,11 @@ Shape RandomShape(Rng* rng) {
   return shape;
 }
 
-/// Runs both conversions and both references on one input.
+/// Runs both conversions and both references on one input, then
+/// Symmetrize in both modes with each of `chunks` chunk counts.
 void ExpectConversionsMatch(int64_t n, const EdgeList& edges,
-                            const std::string& label) {
+                            const std::string& label,
+                            std::span<const int> chunks = kForcedChunks) {
   auto converted = ConvertToWeightedUndirected(n, edges);
   auto converted_ref = setup_reference::ConvertToWeightedUndirected(n, edges);
   ASSERT_EQ(converted.status(), converted_ref.status()) << label;
@@ -99,6 +115,19 @@ void ExpectConversionsMatch(int64_t n, const EdgeList& edges,
   if (symmetric.ok()) {
     EXPECT_TRUE(ArraysOf(*symmetric) == *symmetric_ref) << label;
   }
+  for (const int c : chunks) {
+    const std::string where = label + " chunks=" + std::to_string(c);
+    auto weighted = Symmetrize(n, edges, /*weighted=*/true, c);
+    ASSERT_EQ(weighted.status(), converted_ref.status()) << where;
+    if (weighted.ok()) {
+      EXPECT_TRUE(ArraysOf(*weighted) == *converted_ref) << where;
+    }
+    auto unweighted = Symmetrize(n, edges, /*weighted=*/false, c);
+    ASSERT_EQ(unweighted.status(), symmetric_ref.status()) << where;
+    if (unweighted.ok()) {
+      EXPECT_TRUE(ArraysOf(*unweighted) == *symmetric_ref) << where;
+    }
+  }
 }
 
 TEST(SetupDifferentialTest, ConversionsMatchReferenceOnRandomGraphs) {
@@ -106,9 +135,13 @@ TEST(SetupDifferentialTest, ConversionsMatchReferenceOnRandomGraphs) {
   for (int trial = 0; trial < 400; ++trial) {
     const Shape shape = RandomShape(&rng);
     const EdgeList edges = RandomEdges(shape, 1000 + trial);
+    // One forced chunk count per trial keeps the thread starts few; the
+    // trials cycle through all of them.
+    const int chunks[] = {kForcedChunks[trial % std::size(kForcedChunks)]};
     ExpectConversionsMatch(shape.n, edges,
                            "trial " + std::to_string(trial) + " n=" +
-                               std::to_string(shape.n));
+                               std::to_string(shape.n),
+                           chunks);
     if (HasFailure()) return;
   }
 }
@@ -202,6 +235,7 @@ class ParserCorpusTest : public ::testing::Test {
     ExpectSameOnPath(path_, label);
   }
 
+  /// Also reads the edges with every forced chunk count.
   static void ExpectSameOnPath(const std::string& path,
                                const std::string& label) {
     auto got = graph_io::ReadEdgeList(path);
@@ -209,6 +243,14 @@ class ParserCorpusTest : public ::testing::Test {
     ASSERT_EQ(got.status(), want.status()) << label;
     if (got.ok()) {
       ASSERT_EQ(*got, *want) << label;
+    }
+    for (const int chunks : kForcedChunks) {
+      auto chunked = graph_io::ReadEdgeList(path, chunks);
+      ASSERT_EQ(chunked.status(), want.status())
+          << label << " chunks=" << chunks;
+      if (chunked.ok()) {
+        ASSERT_EQ(*chunked, *want) << label << " chunks=" << chunks;
+      }
     }
     for (const int64_t n : {0, 1, 3, 6}) {
       auto parts = graph_io::ReadPartitioning(path, n);
@@ -374,6 +416,234 @@ TEST_F(ParserCorpusTest, MultiMebibyteRandomFileMatchesLineReader) {
 TEST_F(ParserCorpusTest, UnreadablePathsMatchLineReader) {
   ExpectSameOnPath("/nonexistent/dir/edges.txt", "missing file");
   ExpectSameOnPath(testing::TempDir(), "a directory");
+}
+
+TEST_F(ParserCorpusTest, ChunkCutsAtEveryOffsetMatchLineReader) {
+  // Short lines of every kind, CRLF ones included. Padding the first line
+  // by 0..15 bytes moves each chunk's even cut across every offset of the
+  // lines around it, so cuts land on a '\r', between '\r' and '\n', on a
+  // comment, a blank line and the unterminated last line.
+  std::string body;
+  for (int i = 0; i < 24; ++i) {
+    body += std::to_string(i) + " " + std::to_string(i * 7 % 31) + "\r\n";
+    body += i % 3 == 0 ? "# comment\n" : i % 3 == 1 ? "\n" : " \t\n";
+    body += std::to_string(i + 1) + "\t" + std::to_string(i) + " x\n";
+  }
+  body += "40 41";  // unterminated
+  for (int pad = 0; pad < 16; ++pad) {
+    ExpectSameParse(std::string(pad, ' ') + "0 1\n" + body,
+                    "pad " + std::to_string(pad));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(ParserCorpusTest, MalformedLinesInTwoChunksReportTheFirst) {
+  // Two malformed lines, one in the first half and one in the last
+  // quarter of the file, so every forced chunk count puts them in
+  // different chunks: the error names the first, with its line number in
+  // the whole file. Without it, the later one is reported.
+  std::vector<std::string> lines;
+  for (int i = 0; i < 400; ++i) {
+    lines.push_back(std::to_string(i) + " " + std::to_string(i + 1));
+  }
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (const std::string& part : parts) out += part + "\n";
+    return out;
+  };
+  std::vector<std::string> both = lines;
+  both[130] = "130 oops";
+  both[350] = "-1 2";
+  ExpectSameParse(join(both), "both malformed");
+  std::vector<std::string> late = lines;
+  late[350] = "-1 2";
+  ExpectSameParse(join(late), "late malformed");
+
+  Write(join(both));
+  const Status first = graph_io::ReadEdgeList(path_, 4).status();
+  EXPECT_EQ(first.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(first.message().find(":131: malformed edge line: '130 oops'"),
+            std::string::npos)
+      << first;
+}
+
+TEST_F(ParserCorpusTest, LongLineAcrossAChunkCutMatchesLineReader) {
+  // A 1.5 MiB comment and a 1.5 MiB line of extra columns, each straddling
+  // the cuts of every forced chunk count.
+  const std::string long_run(3 << 19, 'x');
+  std::string lines;
+  for (int i = 0; i < 1000; ++i) lines += std::to_string(i) + " 1\n";
+  ExpectSameParse(lines + "#" + long_run + "\n" + lines, "long comment");
+  ExpectSameParse(lines + "5 6 " + long_run + "\n" + lines, "long columns");
+  ExpectSameParse(lines + long_run + "\n" + lines, "long malformed line");
+}
+
+TEST_F(ParserCorpusTest, FifoIsReadAsOneStream) {
+  std::string content;
+  for (int i = 0; i < 20000; ++i) {
+    content += std::to_string(i) + " " + std::to_string(i * 3 % 20000) + "\n";
+  }
+  content += "# trailer";
+  Write(content);
+  auto want = setup_reference::ReadEdgeList(path_);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  const std::string fifo = path_ + ".fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // The writer's open blocks until the reader opens the FIFO.
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  });
+  auto got = graph_io::ReadEdgeList(fifo, 4);
+  writer.join();
+  std::remove(fifo.c_str());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, *want);
+}
+
+// ------------------------------------------------------------ store build
+
+/// The arrays Build fills, shard by shard, must equal the single-chunk
+/// build's.
+void ExpectSameStore(const ShardedGraphStore& got,
+                     const ShardedGraphStore& want, const std::string& label) {
+  ASSERT_EQ(got.num_shards(), want.num_shards()) << label;
+  EXPECT_EQ(got.NumVertices(), want.NumVertices()) << label;
+  EXPECT_EQ(got.NumArcs(), want.NumArcs()) << label;
+  EXPECT_EQ(got.TotalArcWeight(), want.TotalArcWeight()) << label;
+  EXPECT_EQ(got.labels(), want.labels()) << label;
+  for (int s = 0; s < want.num_shards(); ++s) {
+    const auto& a = got.shard(s);
+    const auto& b = want.shard(s);
+    const std::string where = label + " shard " + std::to_string(s);
+    EXPECT_EQ(a.begin, b.begin) << where;
+    EXPECT_EQ(a.end, b.end) << where;
+    EXPECT_EQ(a.offsets, b.offsets) << where;
+    EXPECT_EQ(a.targets, b.targets) << where;
+    EXPECT_EQ(a.weights, b.weights) << where;
+    EXPECT_EQ(a.weighted_degree, b.weighted_degree) << where;
+    EXPECT_EQ(a.inv_weighted_degree, b.inv_weighted_degree) << where;
+    EXPECT_EQ(a.loads, b.loads) << where;
+    EXPECT_EQ(got.rebuild_count(s), want.rebuild_count(s)) << where;
+  }
+}
+
+TEST(SetupDifferentialTest, ChunkedStoreBuildMatchesSingleChunk) {
+  auto graph = BarabasiAlbert(6000, 4, 4, /*seed=*/17);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto converted =
+      ConvertToWeightedUndirected(graph->num_vertices, graph->edges);
+  ASSERT_TRUE(converted.ok()) << converted.status();
+  for (const int shards : {1, 2, 5, 16}) {
+    auto want = ShardedGraphStore::Build(*converted, shards, 1);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (const int chunks : kForcedChunks) {
+      auto got = ShardedGraphStore::Build(*converted, shards, chunks);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectSameStore(*got, *want,
+                      "S=" + std::to_string(shards) +
+                          " chunks=" + std::to_string(chunks));
+    }
+  }
+}
+
+TEST(SetupDifferentialTest, ChunkedStoreBuildRejectsAWeightInAnyChunk) {
+  // One arc of weight 300 (over the 8-bit limit) on the last vertex, so
+  // only the chunk of the last shard sees it.
+  const int64_t n = 4000;
+  EdgeList edges;
+  for (VertexId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+  std::vector<EdgeWeight> weights(edges.size(), 1);
+  edges.push_back({n - 1, 0});
+  weights.push_back(300);
+  auto graph = CsrGraph::FromEdges(n, edges, weights);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const Status want = ShardedGraphStore::Build(*graph, 8, 1).status();
+  EXPECT_EQ(want.code(), StatusCode::kInvalidArgument);
+  for (const int chunks : kForcedChunks) {
+    EXPECT_EQ(ShardedGraphStore::Build(*graph, 8, chunks).status(), want)
+        << "chunks=" << chunks;
+  }
+}
+
+// ------------------------------------------------------ transient threads
+
+/// Threads of this process, from /proc/self/task.
+int LiveThreads() {
+  int count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SetupDifferentialTest, ChunkedSetupLeavesNoThreadBehind) {
+  const std::string path = testing::TempDir() + "/chunked_threads.txt";
+  {
+    std::ofstream out(path);
+    for (int i = 0; i < 5000; ++i) out << i << ' ' << (i * 13 % 5000) << '\n';
+  }
+  // A first thread start may start a sanitizer runtime's own helper
+  // thread, which lives on; count after it.
+  RunChunks(2, [](int) {});
+  const int before = LiveThreads();
+  auto edges = graph_io::ReadEdgeList(path, 7);
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ(LiveThreads(), before);
+  auto converted = Symmetrize(5000, *edges, /*weighted=*/true, 7);
+  ASSERT_TRUE(converted.ok()) << converted.status();
+  EXPECT_EQ(LiveThreads(), before);
+  ASSERT_TRUE(ShardedGraphStore::Build(*converted, 7, 7).ok());
+  EXPECT_EQ(LiveThreads(), before);
+  std::remove(path.c_str());
+}
+
+TEST(SetupDifferentialTest, RunChunksRunsOneChunkOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int chunks : {-1, 0, 1}) {
+    int runs = 0;
+    RunChunks(chunks, [&](int c) {
+      EXPECT_EQ(c, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++runs;
+    });
+    EXPECT_EQ(runs, 1) << "chunks=" << chunks;
+  }
+}
+
+TEST(SetupDifferentialTest, RunChunksRunsEveryChunkAndRethrowsTheFirstError) {
+  std::vector<int> ran(7, 0);
+  RunChunks(7, [&](int c) { ++ran[c]; });
+  EXPECT_EQ(ran, std::vector<int>(7, 1));
+  try {
+    RunChunks(5, [](int c) {
+      if (c >= 2) throw std::runtime_error("chunk " + std::to_string(c));
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 2");
+  }
+}
+
+TEST(SetupDifferentialTest, ChunkRangesCoverTheItemsEvenly) {
+  for (const int64_t items : {0, 1, 6, 7, 100, 1001}) {
+    for (const int chunks : {1, 2, 3, 7}) {
+      EXPECT_EQ(ChunkBegin(items, chunks, 0), 0);
+      EXPECT_EQ(ChunkBegin(items, chunks, chunks), items);
+      for (int c = 0; c < chunks; ++c) {
+        const int64_t size =
+            ChunkBegin(items, chunks, c + 1) - ChunkBegin(items, chunks, c);
+        EXPECT_GE(size, items / chunks);
+        EXPECT_LE(size, items / chunks + 1);
+      }
+    }
+  }
+  EXPECT_EQ(ChunkCount(0), 1);
+  EXPECT_EQ(ChunkCount(2 * kMinItemsPerChunk - 1), 1);
+  EXPECT_EQ(ChunkCount(int64_t{1} << 40), HardwareThreads());
 }
 
 }  // namespace

@@ -517,6 +517,85 @@ TEST(IngestionServiceTest, SubmitsAfterOnApplyStopsFailWithFailedPrecondition) {
   EXPECT_EQ(service.stats().events_ingested, 1);
 }
 
+/// Polls until the service's loop has exited on its own; false if it has
+/// not within 30 s.
+bool AwaitLoopExit(const IngestionService& service) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.running()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
+}
+
+TEST(IngestionServiceTest, RunningTurnsFalseOnceAnOnApplyStopEndsTheLoop) {
+  const GeneratedGraph g = SmallWorld();
+  PartitioningSession session(SmallConfig());
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  IngestionOptions options;
+  options.policy = std::make_unique<EventCountPolicy>(1);
+  options.on_apply = [](const IngestStats&) { return false; };
+  IngestionService service(&session, std::move(options));
+  ASSERT_TRUE(service.Start().ok());
+  EXPECT_TRUE(service.running());
+
+  const GraphDelta fresh =
+      RandomEdgeAdditions(g.num_vertices, g.edges, 1, /*seed=*/29);
+  ASSERT_TRUE(service
+                  .Submit(EdgeEvent::AddEdge(fresh.added_edges[0].src,
+                                             fresh.added_edges[0].dst))
+                  .ok());
+  // No Stop(): the callback alone ends the loop, and running() says so.
+  EXPECT_TRUE(AwaitLoopExit(service));
+  EXPECT_EQ(service.stats().windows_applied, 1);
+  ASSERT_TRUE(service.Stop().ok());
+  EXPECT_FALSE(service.running());
+}
+
+TEST(IngestionServiceTest, DestructorAfterOnApplyStopRestoresCallersObserver) {
+  const GeneratedGraph g = SmallWorld();
+  SpinnerConfig config = SmallConfig();
+  config.halt_epsilon = 0.0;  // keep iterating until cancelled
+  PartitioningSession session(config);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  // The caller's observer counts iterations and carries its own, already
+  // cancelled, token: a refine under it stops after one iteration.
+  std::atomic<int> iterations{0};
+  CancellationToken callers_token;
+  ProgressObserver observer;
+  observer.on_iteration = [&](const IterationPoint&) {
+    ++iterations;
+    return true;
+  };
+  observer.cancel = &callers_token;
+  {
+    IngestionOptions options;
+    options.policy = std::make_unique<EventCountPolicy>(1);
+    options.on_apply = [](const IngestStats&) { return false; };
+    IngestionService service(&session, std::move(options));
+    service.SetProgressObserver(observer);
+    ASSERT_TRUE(service.Start().ok());
+    const GraphDelta fresh =
+        RandomEdgeAdditions(g.num_vertices, g.edges, 1, /*seed=*/31);
+    ASSERT_TRUE(service
+                    .Submit(EdgeEvent::AddEdge(fresh.added_edges[0].src,
+                                               fresh.added_edges[0].dst))
+                    .ok());
+    ASSERT_TRUE(AwaitLoopExit(service));
+    EXPECT_FALSE(service.running());
+  }  // destroyed without Stop()
+
+  // The session holds the caller's observer again, not one that points
+  // at the destroyed service's token.
+  callers_token.Cancel();
+  iterations = 0;
+  ASSERT_TRUE(session.Refine().ok());
+  EXPECT_EQ(iterations.load(), 1);
+}
+
 // --- Checkpoint wiring ----------------------------------------------------
 
 TEST(IngestionServiceTest, CheckpointsEveryWindowAndRestoresIdentically) {
