@@ -31,10 +31,12 @@
 #   ./ci.sh --mode=tcp
 # Builds Release, runs the TCP/registry/shard-store/execution-options
 # tests, then the docs/DISTRIBUTED.md walkthrough: a coordinator plus 3
-# dial-in `partition_tool worker` processes over 127.0.0.1, each with a
-# persistent shard store, diffed byte-for-byte against the in-process
-# run — twice, so the second run exercises the Assign/Resume
-# zero-download restart path against the populated stores.
+# dial-in `partition_tool worker` processes over 127.0.0.1 sharing one
+# persistent shard store root, diffed byte-for-byte against the
+# in-process run — twice, so the second run exercises the Assign/Resume
+# zero-download restart path against the populated store. Every Put
+# replaces a shard's file (tmp + rename, a new inode), so an unchanged
+# inode list across the second run proves nothing was downloaded.
 #
 # Chaos mode (one ASan Release configuration):
 #   ./ci.sh --mode=chaos
@@ -188,14 +190,18 @@ if [[ -n "${MODE}" ]]; then
     "./${build_dir}/partition_tool" partition \
       --input="${smoke_dir}/edges.txt" --k=16 --seed=11 \
       --out="${smoke_dir}/in_process.txt"
-    # Run the TCP fleet twice against the same stores: the first run
-    # populates shard_<id>.base files, the second must resume from them
-    # (Assign/Resume fingerprints match -> empty Setups, zero download).
+    # Run the TCP fleet twice against one shared store root: the first
+    # run populates the shard_<id>.base files, the second must resume
+    # from them (Assign/Resume fingerprints match -> empty Setups, zero
+    # download). The root is shared because shard ranges follow the
+    # registry's accept order: a worker with a private root may be handed
+    # a range it never held.
+    store_dir="${smoke_dir}/store"
     for round in 1 2; do
       worker_pids=()
       for w in 0 1 2; do
         "./${build_dir}/partition_tool" worker \
-          --connect="${listen}" --store="${smoke_dir}/store${w}" &
+          --connect="${listen}" --store="${store_dir}" &
         worker_pids+=("$!")
       done
       # --shards=6 pins the shard count so every worker owns >= 1 shard
@@ -206,13 +212,23 @@ if [[ -n "${MODE}" ]]; then
         --out="${smoke_dir}/tcp_round${round}.txt"
       wait "${worker_pids[@]}"
       cmp "${smoke_dir}/in_process.txt" "${smoke_dir}/tcp_round${round}.txt"
+      # Name and inode of every hosted slice; round 2 must leave them all
+      # in place (a downloaded slice would be a renamed-in new file).
+      stat -c '%n %i' "${store_dir}"/shard_*.base \
+        > "${smoke_dir}/inodes_round${round}.txt"
     done
-    for w in 0 1 2; do
-      # Every worker's persistent store must hold at least one slice.
-      ls "${smoke_dir}/store${w}"/shard_*.base > /dev/null
-    done
+    if [[ "$(wc -l < "${smoke_dir}/inodes_round1.txt")" -ne 6 ]]; then
+      echo "ci.sh: round 1 left $(wc -l < "${smoke_dir}/inodes_round1.txt")" \
+        "shard files, expected 6" >&2
+      exit 1
+    fi
+    if ! diff "${smoke_dir}/inodes_round1.txt" \
+        "${smoke_dir}/inodes_round2.txt"; then
+      echo "ci.sh: round 2 rewrote shard files: it downloaded slices" >&2
+      exit 1
+    fi
     echo "ci.sh: tcp assignment is byte-identical to in-process," \
-      "restart resumed from the persistent stores"
+      "restart resumed from the persistent store with zero download"
     exit 0
   fi
 

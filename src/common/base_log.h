@@ -1,11 +1,12 @@
-// Base-plus-log files: the one on-disk design behind the worker shard
-// store (dist/shard_store.h) and the session checkpointer
-// (stream/checkpoint_log.h). A base file is only ever replaced whole; an
-// append-only log is bound to it by the base's FNV-1a fingerprint:
+// Base-plus-log files: the on-disk design of the session checkpointer
+// (stream/checkpoint_log.h). A base file is only ever replaced whole
+// (ReplaceFile, also the write path of the worker shard store's one file
+// per shard and of the library's other output files); an append-only log
+// is bound to it by the base's FNV-1a fingerprint:
 //   log    = magic[4] | version u32 | base_fnv u64 | record*
 //   record = size u64 | bytes | fnv u64 over bytes
 // The base's contents, the records' meaning and the reaction to a damaged
-// log tail are each caller's. ReplaceFile and AppendLogRecord are the
+// log tail are the caller's. ReplaceFile and AppendLogRecord are the
 // design's only two write points; neither syncs to stable storage.
 #ifndef SPINNER_COMMON_BASE_LOG_H_
 #define SPINNER_COMMON_BASE_LOG_H_

@@ -237,8 +237,8 @@ struct AssignMessage {
 };
 
 /// Resume (w→c): the worker's answer to Assign — the fingerprint of every
-/// assigned shard as loaded from its PersistentShardStore (base + replayed
-/// delta log), 0 where the store holds nothing usable. A fingerprint
+/// assigned shard as loaded from its PersistentShardStore (the shard's one
+/// file), 0 where the store holds nothing usable. A fingerprint
 /// equal to the coordinator's (FNV-1a over its SPSL slice bytes) means the
 /// coordinator skips that slice in Setup entirely: the zero-download
 /// restart path.

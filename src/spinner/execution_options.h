@@ -68,9 +68,9 @@ struct ExecutionOptions {
   /// Read by `partition_tool worker` / RunTcpWorker, not the coordinator.
   std::string worker_connect;
 
-  /// Directory of the worker-side PersistentShardStore (per-shard base
-  /// files + append-only delta logs). Empty = keep shards in memory only
-  /// (every run re-downloads its slices).
+  /// Directory of the worker-side PersistentShardStore (one atomically
+  /// replaced file per shard). Empty = keep shards in memory only (every
+  /// run re-downloads its slices).
   std::string worker_store_dir;
 
   /// kTcp: how long the coordinator waits for the full worker fleet to

@@ -203,9 +203,7 @@ TEST(BaseLogTest, FailedShardBaseWriteLeavesTheOldBaseWhole) {
     return bytes;
   };
   const std::string root = FreshPath("base_log_replace_store");
-  dist::PersistentShardStore::Options options;
-  options.compact_after_records = 1;  // every changed Put writes a base
-  dist::PersistentShardStore disk(root, options);
+  dist::PersistentShardStore disk(root);
   const std::vector<uint8_t> first = slice_of(3);
   ASSERT_TRUE(disk.Put(0, first).ok());
   const std::vector<uint8_t> before = FileBytes(disk.BasePath(0));

@@ -1,16 +1,19 @@
-// PersistentShardStore (base + append-only delta log, crash-tolerant
-// tails, compaction) and the worker's compact index layout — the label
-// and scratch arrays cover owned + subscribed vertices, not all of V, and
-// every CSR target remaps to a slot in that compact array.
+// PersistentShardStore (one atomically replaced file per shard) and the
+// worker's compact index layout — the label and scratch arrays cover
+// owned + subscribed vertices, not all of V, and every CSR target remaps
+// to a slot in that compact array.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/base_log.h"
 #include "common/fnv.h"
 #include "dist/shard_store.h"
 #include "dist/worker.h"
@@ -49,12 +52,15 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// Appends `n` raw bytes to a file (corrupt-tail injection).
-void AppendGarbage(const std::string& path, int n) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
+/// Replaces `path` with exactly `bytes`.
+void WriteFileBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   SPINNER_CHECK(f != nullptr);
-  for (int i = 0; i < n; ++i) std::fputc(0x5a, f);
-  std::fclose(f);
+  if (!bytes.empty()) {
+    SPINNER_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                  bytes.size());
+  }
+  SPINNER_CHECK(std::fclose(f) == 0);
 }
 
 // --- ShardSliceFingerprint -------------------------------------------------
@@ -100,7 +106,8 @@ TEST(PersistentShardStoreTest, BaseRoundTripsWithMatchingFingerprint) {
   const CsrGraph g = SmallWorldConverted(700);
   auto store = ShardedGraphStore::Build(g, 3);
   ASSERT_TRUE(store.ok());
-  PersistentShardStore disk(FreshDir("spsb_roundtrip"));
+  const std::string dir = FreshDir("spsb_roundtrip");
+  PersistentShardStore disk(dir);
 
   for (int s = 0; s < 3; ++s) {
     const auto bytes = SliceBytes(store->shard(s));
@@ -113,8 +120,14 @@ TEST(PersistentShardStoreTest, BaseRoundTripsWithMatchingFingerprint) {
     EXPECT_EQ(loaded->shard.targets, store->shard(s).targets);
     EXPECT_EQ(loaded->shard.weights, store->shard(s).weights);
   }
-  EXPECT_EQ(disk.bases_written(), 3);
-  EXPECT_EQ(disk.records_appended(), 0);
+  // One file per shard, nothing beside it.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"shard_0.base", "shard_1.base",
+                                             "shard_2.base"}));
 }
 
 TEST(PersistentShardStoreTest, AbsentShardLoadsAsNullopt) {
@@ -123,66 +136,27 @@ TEST(PersistentShardStoreTest, AbsentShardLoadsAsNullopt) {
   EXPECT_FALSE(loaded.has_value());
 }
 
-TEST(PersistentShardStoreTest, MatchingPutIsANoOpAndUpdatesAppend) {
-  const CsrGraph g1 = SmallWorldConverted(600, 3);
-  const CsrGraph g2 = SmallWorldConverted(600, 4);
-  auto s1 = ShardedGraphStore::Build(g1, 1);
-  auto s2 = ShardedGraphStore::Build(g2, 1);
-  ASSERT_TRUE(s1.ok() && s2.ok());
-  PersistentShardStore disk(FreshDir("spsb_noop"));
+TEST(PersistentShardStoreTest, PutCreatesEveryMissingParentOfTheRoot) {
+  const CsrGraph g = SmallWorldConverted(300, 5);
+  auto store = ShardedGraphStore::Build(g, 1);
+  ASSERT_TRUE(store.ok());
+  const std::vector<uint8_t> bytes = SliceBytes(store->shard(0));
+  const std::string dir = FreshDir("spsb_nested");
 
-  ASSERT_TRUE(disk.Put(0, SliceBytes(s1->shard(0))).ok());
-  ASSERT_TRUE(disk.Put(0, SliceBytes(s1->shard(0))).ok());  // no-op
-  EXPECT_EQ(disk.bases_written(), 1);
-  EXPECT_EQ(disk.records_appended(), 0);
-
-  // New content for the same shard: one delta record, latest wins.
-  ASSERT_TRUE(disk.Put(0, SliceBytes(s2->shard(0))).ok());
-  EXPECT_EQ(disk.records_appended(), 1);
-  auto loaded = disk.Load(0);
+  PersistentShardStore nested(dir + "/a/b/c");
+  ASSERT_TRUE(nested.Put(0, bytes).ok());
+  auto loaded = nested.Load(0);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_EQ(loaded->shard.targets, s2->shard(0).targets);
-}
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(bytes));
 
-TEST(PersistentShardStoreTest, CompactionFoldsTheLogIntoAFreshBase) {
-  PersistentShardStore::Options options;
-  options.compact_after_records = 2;
-  PersistentShardStore disk(FreshDir("spsb_compact"), options);
-
-  std::vector<uint64_t> last_fingerprint;
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    const CsrGraph g = SmallWorldConverted(600, seed);
-    auto store = ShardedGraphStore::Build(g, 1);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(disk.Put(0, SliceBytes(store->shard(0))).ok());
-    auto loaded = disk.Load(0);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(store->shard(0)));
-  }
-  EXPECT_GT(disk.compactions(), 0);
-  // Replay stays bounded: the live log never exceeds the threshold.
-  EXPECT_LT(disk.records_appended(),
-            5 * options.compact_after_records);
-}
-
-TEST(PersistentShardStoreTest, CorruptLogTailRollsBackToLastValidRecord) {
-  const CsrGraph g1 = SmallWorldConverted(600, 3);
-  const CsrGraph g2 = SmallWorldConverted(600, 4);
-  auto s1 = ShardedGraphStore::Build(g1, 1);
-  auto s2 = ShardedGraphStore::Build(g2, 1);
-  ASSERT_TRUE(s1.ok() && s2.ok());
-  PersistentShardStore disk(FreshDir("spsb_tail"));
-  ASSERT_TRUE(disk.Put(0, SliceBytes(s1->shard(0))).ok());
-  ASSERT_TRUE(disk.Put(0, SliceBytes(s2->shard(0))).ok());  // record 1
-
-  // A crash mid-append leaves a truncated record at the tail. It must be
-  // ignored — the slice rolls back to the last valid record.
-  AppendGarbage(disk.LogPath(0), 21);
-  auto loaded = disk.Load(0);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_GT(disk.corrupt_tails_ignored(), 0);
+  // A root below a regular file cannot be created: Put says so, with
+  // the root's path.
+  WriteFileBytes(dir + "/plain", {});
+  const std::string blocked_root = dir + "/plain/store";
+  const Status blocked = PersistentShardStore(blocked_root).Put(0, bytes);
+  EXPECT_EQ(blocked.code(), StatusCode::kIOError) << blocked;
+  EXPECT_NE(blocked.message().find(blocked_root), std::string::npos)
+      << blocked;
 }
 
 TEST(PersistentShardStoreTest, CorruptBaseMeansRedownloadNotCrash) {
@@ -204,92 +178,77 @@ TEST(PersistentShardStoreTest, CorruptBaseMeansRedownloadNotCrash) {
   EXPECT_FALSE(loaded.has_value());  // "re-download", never fatal
 }
 
-TEST(PersistentShardStoreTest, CorruptRecordRollsBackAndRedownloadHeals) {
-  // The failover-resume sequence: a replacement worker adopts a store
-  // whose delta log was damaged mid-record (not just a truncated tail).
-  // The log replay must roll back to the base, surface the STALE
-  // fingerprint — which the coordinator's Assign/Resume diff turns into
-  // a re-download of that one slice — and the subsequent Put must heal
-  // the store back to the current content.
+TEST(PersistentShardStoreTest, TornWriteRollsBackAndRedownloadHeals) {
+  // The failover-resume sequence: a worker crashed while replacing shard
+  // 0's file, leaving the old file beside a partial shard_0.base.tmp
+  // holding the first c bytes of the new image. For every c, a fresh
+  // store instance (the replacement worker) must load the OLD slice, so
+  // its Resume fingerprint is stale and the coordinator re-downloads
+  // that one slice — never an error, never a wedge. The re-download (a
+  // Put of the authoritative bytes) then heals the store.
+  const CsrGraph g1 = SmallWorldConverted(120, 3);
+  const CsrGraph g2 = SmallWorldConverted(120, 4);
+  auto s1 = ShardedGraphStore::Build(g1, 1);
+  auto s2 = ShardedGraphStore::Build(g2, 1);
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  const std::vector<uint8_t> old_bytes = SliceBytes(s1->shard(0));
+  const std::vector<uint8_t> new_bytes = SliceBytes(s2->shard(0));
+  const std::string dir = FreshDir("spsb_torn");
+  ASSERT_TRUE(PersistentShardStore(dir).Put(0, old_bytes).ok());
+  const std::string base_path = PersistentShardStore(dir).BasePath(0);
+  const std::string tmp_path = base_path + ".tmp";
+
+  // The new file image: "SPSB" | version 2 | slice | fnv(slice).
+  std::vector<uint8_t> image = {'S', 'P', 'S', 'B', 2, 0, 0, 0};
+  image.insert(image.end(), new_bytes.begin(), new_bytes.end());
+  const uint64_t fnv = ChecksumBytes(new_bytes);
+  const auto* fnv_bytes = reinterpret_cast<const uint8_t*>(&fnv);
+  image.insert(image.end(), fnv_bytes, fnv_bytes + sizeof(fnv));
+
+  for (size_t c = 0; c <= image.size(); ++c) {
+    WriteFileBytes(tmp_path, std::span<const uint8_t>(image.data(), c));
+    auto loaded = PersistentShardStore(dir).Load(0);
+    ASSERT_TRUE(loaded.has_value()) << "c=" << c;
+    ASSERT_EQ(loaded->fingerprint, ShardSliceFingerprint(old_bytes))
+        << "c=" << c;
+    ASSERT_EQ(loaded->shard.targets, s1->shard(0).targets) << "c=" << c;
+  }
+
+  PersistentShardStore replacement(dir);
+  ASSERT_TRUE(replacement.Put(0, new_bytes).ok());
+  auto healed = replacement.Load(0);
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->fingerprint, ShardSliceFingerprint(new_bytes));
+  EXPECT_EQ(healed->shard.targets, s2->shard(0).targets);
+  EXPECT_FALSE(std::filesystem::exists(tmp_path));
+}
+
+TEST(PersistentShardStoreTest, DeltaLogOfAnOlderStoreIsIgnored) {
+  // Stores written before the one-file layout kept an "SPSD" delta log
+  // beside each base, whose last record was the current slice. Such a
+  // log is ignored: Load reports the base's fingerprint, never the
+  // record's, so the coordinator re-downloads that one slice.
   const CsrGraph g1 = SmallWorldConverted(600, 3);
   const CsrGraph g2 = SmallWorldConverted(600, 4);
   auto s1 = ShardedGraphStore::Build(g1, 1);
   auto s2 = ShardedGraphStore::Build(g2, 1);
   ASSERT_TRUE(s1.ok() && s2.ok());
-  const std::string dir = FreshDir("spsb_failover");
-  {
-    PersistentShardStore disk(dir);
-    ASSERT_TRUE(disk.Put(0, SliceBytes(s1->shard(0))).ok());
-    ASSERT_TRUE(disk.Put(0, SliceBytes(s2->shard(0))).ok());  // record 0
-  }
+  const std::vector<uint8_t> base_bytes = SliceBytes(s1->shard(0));
+  const std::vector<uint8_t> record_bytes = SliceBytes(s2->shard(0));
+  const std::string dir = FreshDir("spsb_old_dlog");
+  PersistentShardStore disk(dir);
+  ASSERT_TRUE(disk.Put(0, base_bytes).ok());
+  const std::string log_path = dir + "/shard_0.dlog";
+  constexpr char kOldLogMagic[4] = {'S', 'P', 'S', 'D'};
+  ASSERT_TRUE(
+      CreateLog(log_path, kOldLogMagic, 2, ChecksumBytes(base_bytes)).ok());
+  ASSERT_TRUE(AppendLogRecord(log_path, record_bytes).ok());
 
-  // Flip a byte inside the record body (past the log header), corrupting
-  // the record itself rather than appending a torn tail.
-  {
-    std::FILE* f = std::fopen((dir + "/shard_0.dlog").c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-    const int byte = std::fgetc(f);
-    ASSERT_NE(byte, EOF);
-    ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-    std::fputc(byte ^ 0x5a, f);
-    std::fclose(f);
-  }
-
-  // A fresh store instance (the replacement worker) replays the log: the
-  // corrupt record is ignored and the slice rolls back to the base — the
-  // fingerprint is v1's, NOT v2's, so a coordinator expecting v2 would
-  // re-download. Never an error, never a wedge.
-  PersistentShardStore replacement(dir);
-  auto loaded = replacement.Load(0);
+  auto loaded = PersistentShardStore(dir).Load(0);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s1->shard(0)));
-  EXPECT_NE(loaded->fingerprint, ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
-
-  // The re-download (a Put of the authoritative bytes) heals the store.
-  ASSERT_TRUE(replacement.Put(0, SliceBytes(s2->shard(0))).ok());
-  auto healed = replacement.Load(0);
-  ASSERT_TRUE(healed.has_value());
-  EXPECT_EQ(healed->fingerprint, ShardSliceFingerprint(s2->shard(0)));
-  EXPECT_EQ(healed->shard.targets, s2->shard(0).targets);
-}
-
-TEST(PersistentShardStoreTest, LogBoundToADifferentBaseIsRejectedWhole) {
-  // A replacement worker may inherit a base freshly re-downloaded after
-  // the old base was lost, plus a delta log still bound to the OLD base.
-  // The whole log must be rejected (fingerprint binding), leaving the
-  // new base's content — not a replay of records onto the wrong base.
-  const CsrGraph g1 = SmallWorldConverted(600, 3);
-  const CsrGraph g2 = SmallWorldConverted(600, 4);
-  const CsrGraph g3 = SmallWorldConverted(600, 5);
-  auto s1 = ShardedGraphStore::Build(g1, 1);
-  auto s2 = ShardedGraphStore::Build(g2, 1);
-  auto s3 = ShardedGraphStore::Build(g3, 1);
-  ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
-  const std::string dir_old = FreshDir("spsb_rebind_old");
-  {
-    PersistentShardStore disk(dir_old);
-    ASSERT_TRUE(disk.Put(0, SliceBytes(s1->shard(0))).ok());
-    ASSERT_TRUE(disk.Put(0, SliceBytes(s2->shard(0))).ok());  // log record
-  }
-  const std::string dir = FreshDir("spsb_rebind");
-  {
-    PersistentShardStore disk(dir);
-    ASSERT_TRUE(disk.Put(0, SliceBytes(s3->shard(0))).ok());  // fresh base
-  }
-  // Splice the OLD store's delta log (bound to v1's base) next to the new
-  // v3 base — a partial restore from backup does exactly this.
-  std::filesystem::copy_file(
-      dir_old + "/shard_0.dlog", dir + "/shard_0.dlog",
-      std::filesystem::copy_options::overwrite_existing);
-
-  PersistentShardStore replacement(dir);
-  auto loaded = replacement.Load(0);
-  ASSERT_TRUE(loaded.has_value());
-  // The stale log must not replay its v2 record onto v3's base.
-  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(s3->shard(0)));
-  EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
+  EXPECT_EQ(loaded->fingerprint, ShardSliceFingerprint(base_bytes));
+  EXPECT_NE(loaded->fingerprint, ShardSliceFingerprint(record_bytes));
+  EXPECT_EQ(loaded->shard.targets, s1->shard(0).targets);
 }
 
 TEST(PersistentShardStoreTest, DirectoryAtBasePathLoadsAsAbsent) {

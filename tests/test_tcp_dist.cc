@@ -671,7 +671,7 @@ TEST(TcpSpinnerTest, RestartedWorkersResumeFromStoreWithZeroDownload) {
   }
 
   // Fresh workers, fresh registry, same store directory: the Resume
-  // fingerprints come off disk (base + delta log) and match, so the
+  // fingerprints come off disk (one file per shard) and match, so the
   // restarted fleet re-downloads nothing.
   auto registry = WorkerRegistry::Listen(RegistryOptions{});
   ASSERT_TRUE(registry.ok()) << registry.status();
@@ -747,9 +747,8 @@ TEST(TcpSpinnerTest, CorruptStoreOnRestartRedownloadsOnlyThatSlice) {
     ReapAll(&workers);
   }
 
-  // Damage shard 0's base mid-file (a torn write, not just an appended
-  // tail — appended garbage on the delta log is ignored by design and
-  // costs no download). Load() rolls this back to "absent".
+  // Damage shard 0's file mid-slice: its checksum no longer matches, so
+  // Load() reports the shard absent and only that slice is re-sent.
   {
     dist::PersistentShardStore probe(store_dir);
     std::FILE* f = std::fopen(probe.BasePath(0).c_str(), "r+b");
